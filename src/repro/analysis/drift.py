@@ -2,17 +2,22 @@
 
 The service protocol lives in four places that only convention keeps
 aligned: ``protocol.OPS`` (the wire-validated op vocabulary),
-``server.py``'s ``self._dispatch`` table and ``_op_*`` handlers (with
-their ``check_fields`` allow-lists), ``client.py``'s convenience
-methods (one ``self.call("<op>", ...)`` each), and the README op
-table.  Adding an op to three of the four is exactly the drift this
-rule exists to catch before a release does.
+``server.py``'s op table and ``_op_*`` handlers (with their
+``check_fields`` allow-lists), ``client.py``'s convenience methods
+(one ``self.call("<op>", ...)`` each), and the README op table.
+Adding an op to three of the four is exactly the drift this rule
+exists to catch before a release does.  The op table is every
+``"<op>": self._op_<name>`` entry of a dict display in ``server.py``,
+so the shared front end's read-only table and the ops a subclass
+passes into it read alike.
 
 Cross-checks (all repo-level, reported once per skew):
 
 * every op in ``OPS`` has a dispatch entry, a client ``self.call``
   site, and a README table row — and vice versa;
-* every ``_op_*`` handler is reachable from the dispatch table;
+* every ``_op_*`` handler is reachable from the dispatch table, and
+  every dispatched op has a handler in ``server.py`` with a literal
+  ``check_fields`` allow-list (otherwise its params go unchecked);
 * per op, the README's documented params equal the server's
   ``check_fields`` allow-list (module-level tuple constants such as
   ``_ESTIMATOR_FIELDS`` are resolved through ``+`` concatenation);
@@ -139,6 +144,12 @@ class ProtocolDriftRule(Rule):
             if name not in {m for m, _ in dispatch.values()}:
                 yield at(server, f"handler {name} is not reachable "
                                  f"from the dispatch table", line=line)
+        for op, (method, line) in sorted(dispatch.items()):
+            if op not in params:
+                yield at(server, f"op {op!r}: no {method} handler with "
+                                 f"a literal check_fields allow-list "
+                                 f"in server.py, so its params go "
+                                 f"unchecked", line=line)
 
         # Client keywords must be accepted by the server allow-list.
         for op, (kwargs, line) in sorted(client_ops.items()):
@@ -213,16 +224,14 @@ class ProtocolDriftRule(Rule):
         handlers: dict[str, int] = {}
         handler_params: dict[str, tuple] = {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) \
-                    and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Attribute) \
-                    and node.targets[0].attr == "_dispatch" \
-                    and isinstance(node.value, ast.Dict):
-                for key, value in zip(node.value.keys,
-                                      node.value.values):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
                     if isinstance(key, ast.Constant) \
                             and isinstance(key.value, str) \
-                            and isinstance(value, ast.Attribute):
+                            and isinstance(value, ast.Attribute) \
+                            and isinstance(value.value, ast.Name) \
+                            and value.value.id == "self" \
+                            and value.attr.startswith("_op_"):
                         dispatch[key.value] = (value.attr, key.lineno)
             elif isinstance(node, (ast.FunctionDef,
                                    ast.AsyncFunctionDef)) \

@@ -18,10 +18,12 @@ of a guarded name inside a function body must sit inside ``with
 ``threading.Lock()``/``RLock()`` to ``self.<name>`` declares instance
 locks.  Guarded attributes are those ``__init__`` binds to mutable
 containers plus any ``self.<attr>`` that is ever the target of an
-augmented assignment (counters).  Methods other than ``__init__`` must
-touch guarded attributes inside ``with self.<lock>:`` for *some*
-declared lock — mapping attributes to a specific lock is left to code
-review; the checker enforces "never bare".
+augmented assignment (counters); a class inherits both from its base
+classes (same module, or ``from <module> import <name>`` of a module
+under analysis).  Methods other than ``__init__`` must touch guarded
+attributes inside ``with self.<lock>:`` for *some* declared lock —
+mapping attributes to a specific lock is left to code review; the
+checker enforces "never bare".
 
 Module top-level statements (import-time init) are exempt: nothing
 else runs concurrently during first import of a module.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.engine import (
-    Finding, Rule, SourceModule, last_name, register,
+    Finding, Project, Rule, SourceModule, last_name, register,
 )
 
 _LOCK_CTORS = {"Lock", "RLock"}
@@ -83,9 +85,14 @@ class LockDisciplineRule(Rule):
 
     def check_module(self, module: SourceModule):
         yield from self._check_module_level(module)
-        for node in module.tree.body:
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(module, node)
+
+    def check_repo(self, project: Project):
+        # Instance state is checked repo-wide: a class's locks may be
+        # declared by a base class in another module.
+        for module in project.modules:
+            for node in module.tree.body:
+                if isinstance(node, ast.ClassDef):
+                    yield from self._check_class(project, module, node)
 
     # ------------------------------------------------------------------
     # Module-level lock + globals
@@ -126,40 +133,11 @@ class LockDisciplineRule(Rule):
     # ------------------------------------------------------------------
     # Instance-level locks + attributes
     # ------------------------------------------------------------------
-    def _check_class(self, module: SourceModule, cls: ast.ClassDef):
-        init = next((n for n in cls.body
-                     if isinstance(n, _FUNC_NODES)
-                     and n.name == "__init__"), None)
-        if init is None:
-            return
-        locks: set[str] = set()
-        guarded: set[str] = set()
-        for node in ast.walk(init):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets
-                           if isinstance(node, ast.Assign)
-                           else [node.target])
-                value = node.value
-                if value is None:
-                    continue
-                for target in targets:
-                    if (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        if _is_lock_ctor(value):
-                            locks.add(target.attr)
-                        elif _is_mutable_container(value):
-                            guarded.add(target.attr)
-        if not locks:
-            return
-        for node in ast.walk(cls):
-            if (isinstance(node, ast.AugAssign)
-                    and isinstance(node.target, ast.Attribute)
-                    and isinstance(node.target.value, ast.Name)
-                    and node.target.value.id == "self"):
-                guarded.add(node.target.attr)
+    def _check_class(self, project: Project, module: SourceModule,
+                     cls: ast.ClassDef):
+        locks, guarded = _declarations(project, module, cls, set())
         guarded -= locks
-        if not guarded:
+        if not locks or not guarded:
             return
 
         for method in cls.body:
@@ -210,6 +188,80 @@ class LockDisciplineRule(Rule):
                                      f"outside `with {lock_hint}:`"))
                     yield from visit(child, locked)
         yield from visit(func, False)
+
+
+def _own_declarations(cls: ast.ClassDef) -> tuple[set, set]:
+    """``(locks, guarded attributes)`` one class declares itself: the
+    locks and mutable containers its ``__init__`` binds to ``self``,
+    plus every ``self.<attr>`` it augments anywhere."""
+    locks: set[str] = set()
+    guarded: set[str] = set()
+    init = next((n for n in cls.body
+                 if isinstance(n, _FUNC_NODES)
+                 and n.name == "__init__"), None)
+    init_nodes = ast.walk(init) if init is not None else ()
+    for node in init_nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                and node.value is not None:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    if _is_lock_ctor(node.value):
+                        locks.add(target.attr)
+                    elif _is_mutable_container(node.value):
+                        guarded.add(target.attr)
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Attribute)
+                and isinstance(node.target.value, ast.Name)
+                and node.target.value.id == "self"):
+            guarded.add(node.target.attr)
+    return locks, guarded
+
+
+def _declarations(project: Project, module: SourceModule,
+                  cls: ast.ClassDef, seen: set) -> tuple[set, set]:
+    """``_own_declarations`` plus everything the class inherits from
+    base classes the analysis can see."""
+    locks, guarded = _own_declarations(cls)
+    seen = seen | {(module.rel, cls.name)}
+    for base in cls.bases:
+        found = _resolve_class(project, module, base)
+        if found is None or (found[0].rel, found[1].name) in seen:
+            continue
+        base_locks, base_guarded = _declarations(project, *found, seen)
+        locks |= base_locks
+        guarded |= base_guarded
+    return locks, guarded
+
+
+def _resolve_class(project: Project, module: SourceModule,
+                   expr: ast.AST):
+    """The ``(module, ClassDef)`` a base-class name refers to: a class
+    of the same module, or one imported with ``from <module> import
+    <name> [as <alias>]`` from a module under analysis."""
+    if not isinstance(expr, ast.Name):
+        return None
+    for node in module.tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == expr.id:
+            return module, node
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module:
+            for alias in node.names:
+                if (alias.asname or alias.name) != expr.id:
+                    continue
+                source = project.module(
+                    node.module.replace(".", "/") + ".py")
+                if source is None:
+                    return None
+                cls = next((n for n in source.tree.body
+                            if isinstance(n, ast.ClassDef)
+                            and n.name == alias.name), None)
+                return None if cls is None else (source, cls)
+    return None
 
 
 def _named_functions(tree: ast.Module):

@@ -9,71 +9,36 @@ Usage (after installation):
     python -m repro compile "(R|S1)(S1|S2)(S2|T)" --p 4
     python -m repro estimate "(R|S1)(S1|T)" --p 6 --epsilon 0.05
 
-The tiny query syntax covers Type-I bipartite queries: a conjunction of
-parenthesized clauses, each a |-separated list of symbols; "R" and "T"
-denote the unary atoms, anything else a binary symbol.  Type-II clauses
-use ";" between subclauses with an L/R prefix, e.g. "(L: S1 ; S2)" for
-forall x (forall y S1 v forall y S2).
+Queries are written in the miniature clause syntax of
+``repro.core.queries.parse_query``, e.g. "(R|S1)(S1|T)".
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from fractions import Fraction
 from pathlib import Path
 
+from repro.core import queries
 from repro.core.catalog import CENSUS
-from repro.core.clauses import Clause
 from repro.core.final import find_final, is_final
 from repro.core.queries import Query
 from repro.core.safety import is_safe, query_length, query_type
 from repro.counting.p2cnf import P2CNF
 from repro.counting.pp2cnf import PP2CNF
 
-CLAUSE_RE = re.compile(r"\(([^()]*)\)")
-
 
 def parse_query(text: str) -> Query:
-    """Parse the miniature clause syntax described in the module doc.
-
-    Malformed input exits with a friendly message (``SystemExit``)
-    instead of a bare traceback — this is the CLI's front door.
-    """
-    clauses = []
-    bodies = CLAUSE_RE.findall(text)
-    if not bodies:
-        raise SystemExit(
-            f"repro: no clauses found in {text!r} — write a query as "
-            f"parenthesized |-separated clauses, e.g. \"(R|S1)(S1|T)\"")
-    for body in bodies:
-        body = body.strip()
-        try:
-            if body.startswith(("L:", "R:")):
-                side = "left" if body[0] == "L" else "right"
-                subs = [
-                    [s.strip() for s in part.split("|") if s.strip()]
-                    for part in body[2:].split(";")]
-                clauses.append(Clause(side, (), subs))
-                continue
-            atoms = [a.strip() for a in body.split("|") if a.strip()]
-            unaries = {a for a in atoms if a in ("R", "T")}
-            binaries = [a for a in atoms if a not in ("R", "T")]
-            if unaries == {"R", "T"}:
-                clauses.append(Clause("full", unaries, [binaries]))
-            elif unaries == {"R"}:
-                clauses.append(Clause("left", unaries, [binaries]))
-            elif unaries == {"T"}:
-                clauses.append(Clause("right", unaries, [binaries]))
-            else:
-                clauses.append(Clause.middle(*binaries))
-        except (ValueError, TypeError) as error:
-            raise SystemExit(
-                f"repro: bad clause \"({body})\": {error}") from None
-    return Query(clauses)
+    """``repro.core.queries.parse_query`` as the CLI's front door:
+    malformed input exits with a friendly message (``SystemExit``)
+    instead of a bare traceback."""
+    try:
+        return queries.parse_query(text)
+    except ValueError as error:
+        raise SystemExit(f"repro: {error}") from None
 
 
 def parse_edges(text: str) -> list[tuple[int, int]]:
@@ -500,11 +465,11 @@ def cmd_serve(args) -> int:
         server = ReproServer(
             args.host, args.port, workers=args.compile_threads,
             **common)
-    host, port = server.address
-    # Scripts (CI smoke, benchmarks) parse this line to find an
-    # ephemeral --port 0 binding; keep its shape stable.
-    print(f"repro service listening on {host}:{port}", flush=True)
     try:
+        host, port = server.address
+        # Scripts (CI smoke, benchmarks) parse this line to find an
+        # ephemeral --port 0 binding; keep its shape stable.
+        print(f"repro service listening on {host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -13,6 +13,8 @@ unsatisfiable) are first-class so rewritings always compose.
 
 from __future__ import annotations
 
+import re
+
 from typing import Iterable
 
 from repro.core.clauses import Clause
@@ -139,4 +141,47 @@ Query.FALSE = Query(_false=True)
 
 def query(*clauses: Clause) -> Query:
     """Convenience constructor: ``query(c1, c2, ...)``."""
+    return Query(clauses)
+
+
+CLAUSE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def parse_query(text: str) -> Query:
+    """Parse the miniature clause syntax of the CLI and the service:
+    parenthesized clauses, each a ``|``-separated list of symbols
+    (``R``/``T`` unary, anything else binary); Type-II clauses use
+    ``;`` between subclauses with an ``L:``/``R:`` prefix, e.g.
+    ``"(L: S1 ; S2)"`` for forall x (forall y S1 v forall y S2).
+    Malformed input raises ``ValueError``."""
+    clauses = []
+    bodies = CLAUSE_RE.findall(text)
+    if not bodies:
+        raise ValueError(
+            f"no clauses found in {text!r} — write a query as "
+            f"parenthesized |-separated clauses, e.g. \"(R|S1)(S1|T)\"")
+    for body in bodies:
+        body = body.strip()
+        try:
+            if body.startswith(("L:", "R:")):
+                side = "left" if body[0] == "L" else "right"
+                subs = [
+                    [s.strip() for s in part.split("|") if s.strip()]
+                    for part in body[2:].split(";")]
+                clauses.append(Clause(side, (), subs))
+                continue
+            atoms = [a.strip() for a in body.split("|") if a.strip()]
+            unaries = {a for a in atoms if a in ("R", "T")}
+            binaries = [a for a in atoms if a not in ("R", "T")]
+            if unaries == {"R", "T"}:
+                clauses.append(Clause("full", unaries, [binaries]))
+            elif unaries == {"R"}:
+                clauses.append(Clause("left", unaries, [binaries]))
+            elif unaries == {"T"}:
+                clauses.append(Clause("right", unaries, [binaries]))
+            else:
+                clauses.append(Clause.middle(*binaries))
+        except (ValueError, TypeError) as error:
+            raise ValueError(
+                f"bad clause \"({body})\": {error}") from None
     return Query(clauses)

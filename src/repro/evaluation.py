@@ -55,10 +55,10 @@ from repro.tid.lifted import lifted_probability
 from repro.tid.lineage import lineage
 from repro.tid.wmc import (
     DEFAULT_BUDGET_NODES,
+    cnf_probability,
     cnf_probability_auto,
     compiled,
     ensure_tape,
-    probability,
     shannon_probability,
 )
 
@@ -140,7 +140,8 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
              budget_nodes: int | None = DEFAULT_BUDGET_NODES,
              epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
              rng=None, estimator: str = "hoeffding",
-             relative_error=None, planner=None) -> EvaluationResult:
+             relative_error=None, planner=None,
+             formula: CNF | None = None) -> EvaluationResult:
     """Pr(Q) over the TID, routed per the dichotomy.
 
     ``budget_nodes``/``epsilon``/``delta``/``rng`` govern the
@@ -156,10 +157,22 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     ``estimator`` (default fixed-n Hoeffding).  ``planner`` is an
     optional ``repro.booleans.adaptive.BudgetPlanner`` choosing the
     compilation budget from the observed circuit-size trajectory.
+    ``formula`` is ``lineage(query, tid)`` when the caller already
+    grounded it (the service's resolver caches it); the engines that
+    need the lineage then use it instead of grounding it again.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
     safe = is_safe(query)
+
+    def grounded() -> CNF:
+        return lineage(query, tid) if formula is None else formula
+
+    def exact() -> Fraction:
+        if query.is_false():
+            return Fraction(0)
+        return cnf_probability(grounded(), tid.probability)
+
     if method == "auto":
         if safe:
             return EvaluationResult(lifted_probability(query, tid),
@@ -167,7 +180,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
         if query.is_false():
             return EvaluationResult(Fraction(0), "wmc", False)
         answer = cnf_probability_auto(
-            lineage(query, tid), tid.probability,
+            grounded(), tid.probability,
             budget_nodes=budget_nodes, epsilon=epsilon, delta=delta,
             rng=rng, estimator=estimator,
             relative_error=relative_error, planner=planner)
@@ -189,7 +202,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
                 ProbabilityEstimate(zero, zero, zero, 0, 0,
                                     samples_used=0))
         estimate = estimate_with(
-            sampler, lineage(query, tid), tid.probability, epsilon,
+            sampler, grounded(), tid.probability, epsilon,
             delta, rng, relative_error=relative_error)
         return EvaluationResult(estimate.estimate, label, safe,
                                 estimate)
@@ -197,12 +210,11 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
         return EvaluationResult(lifted_probability(query, tid),
                                 "lifted", safe)
     if method == "wmc":
-        return EvaluationResult(probability(query, tid), "wmc", safe)
+        return EvaluationResult(exact(), "wmc", safe)
     if method == "compiled":
         # Same engine as "wmc" (which is circuit-backed), addressed
         # explicitly; provenance records the caller's choice.
-        return EvaluationResult(probability(query, tid),
-                                "compiled", safe)
+        return EvaluationResult(exact(), "compiled", safe)
     if method == "shannon":
         return EvaluationResult(_shannon_query_probability(query, tid),
                                 "shannon", safe)
@@ -210,7 +222,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
         return EvaluationResult(probability_brute(query, tid),
                                 "brute", safe)
     # cross-check
-    wmc_value = probability(query, tid)
+    wmc_value = exact()
     shannon_value = _shannon_query_probability(query, tid)
     if wmc_value != shannon_value:  # pragma: no cover - engine bug guard
         raise AssertionError(

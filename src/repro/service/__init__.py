@@ -6,9 +6,13 @@ The package splits along transport-independent seams:
   validation (pure functions, no sockets);
 * ``scheduler`` — the deduping compile pool and the sweep coalescer
   (pure threading, no sockets);
-* ``server`` — ``ReproServer``, the ``socketserver`` embedding that
-  routes protocol requests through the schedulers into the ``wmc``
-  auto policy and two-tier circuit cache;
+* ``server`` — ``ServiceFrontEnd``, the request front end both
+  deployments share, and ``ReproServer``, which adds the compute ops:
+  requests routed through the schedulers into the ``wmc`` auto policy
+  and two-tier circuit cache;
+* ``dispatch`` — ``ReproDispatcher`` (``repro serve --workers N``),
+  the same front end proxying compute requests to worker processes;
+* ``worker`` — ``python -m repro.service.worker``, one such process;
 * ``tenants`` — token authentication and per-tenant quotas (request
   rate windows + cumulative compile budgets);
 * ``metrics`` — the Prometheus-style text rendering of ``stats``;

@@ -3,11 +3,12 @@
 Exact ``Fraction`` evaluation is pure Python, so a hot sweep on the
 single ``ThreadingTCPServer`` holds the GIL and starves every other
 client.  ``ReproDispatcher`` scales the service past that limit
-without changing its contract: it listens on the same line-JSON
-protocol (same ops, same error codes) and proxies compute requests to
-a pool of worker **processes** (``repro.service.worker``), each a
-full ``ReproServer`` with its own interpreter, compile pool, and
-memory LRU, all sharing one content-addressed ``CircuitStore``.
+without changing its contract: it is the same request front end as
+``ReproServer`` (``repro.service.server.ServiceFrontEnd``: same
+listener, ops, error codes, tenancy and tracing) and proxies compute
+requests to a pool of worker **processes** (``repro.service.worker``),
+each a full ``ReproServer`` with its own interpreter, compile pool,
+and memory LRU, all sharing one content-addressed ``CircuitStore``.
 
 Design points:
 
@@ -50,30 +51,18 @@ import time
 
 from bisect import bisect_left
 from pathlib import Path
-from types import MappingProxyType as _freeze
 
 from repro.booleans.adaptive import BudgetPlanner
-from repro.obs import NULL_SPAN, Tracer, current_trace_id, span
+from repro.obs import Tracer, current_trace_id, span
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.metrics import CONTENT_TYPE, render_metrics
 from repro.service.protocol import (
     ERROR_CODES,
     ProtocolError,
     check_fields,
-    error_response,
-    ok_response,
-    parse_request,
-    take_bool,
-    take_int,
     take_int_list,
-    take_str,
 )
-from repro.service.server import (
-    WorkloadResolver,
-    _Handler,
-    _ServiceTCPServer,
-)
-from repro.service.tenants import ANONYMOUS, TenantQuota, TenantRegistry
+from repro.service.server import ServiceFrontEnd
+from repro.service.tenants import ANONYMOUS, TenantQuota
 from repro.service.worker import BANNER
 from repro.tid import wmc
 
@@ -175,7 +164,7 @@ class _WorkerHandle:
             _close_quietly(conn)
 
 
-class ReproDispatcher:
+class ReproDispatcher(ServiceFrontEnd):
     """The multi-process query service front end.
 
     Constructor surface mirrors ``ReproServer`` (the CLI treats the
@@ -207,63 +196,37 @@ class ReproDispatcher:
             raise ValueError("workers must be at least 1")
         if compile_threads < 1:
             raise ValueError("compile_threads must be at least 1")
-        if store_max_bytes is not None and store_max_bytes < 0:
-            raise ValueError("store_max_bytes must be non-negative")
-        if slow_ms is not None and slow_ms < 0:
-            raise ValueError("slow_ms must be non-negative")
         self.worker_count = workers
         self.compile_threads = compile_threads
         self.window = window
-        self.default_budget = budget_nodes
         self.worker_timeout = worker_timeout
-        if store is not None:
-            self.store_path = str(getattr(store, "root", store))
-        else:
-            self.store_path = None
-        self.store_max_bytes = store_max_bytes
+        self.store_path = (None if store is None
+                           else str(getattr(store, "root", store)))
         self.tracing = tracing
-        self.tracer = tracer if tracer is not None else Tracer(
-            enabled=tracing, buffer_size=trace_buffer,
-            slow_threshold=(None if slow_ms is None
-                            else slow_ms / 1000.0),
-            trace_dir=trace_dir)
-        self.tenants = TenantRegistry(auth_tokens, quota,
-                                      tenant_quotas)
-        self.workloads = WorkloadResolver(workload_cache_size)
         self._ring = _HashRing(workers)
-        self._tenant_local = threading.local()
-        self._counter_lock = threading.Lock()
-        self._requests = 0
-        self._errors = 0
-        self._op_counts: dict[str, int] = {}
         self._proxied = 0
         self._redispatches = 0
         self._child_seq = 0
-        self._clock = clock
-        self._started = clock()
-        self._started_at = time.time()
-        self._serve_thread = None
-        self._closing = False
-        # Both immutable after construction (handles mutate behind
-        # their own locks), so reads need no dispatcher-level lock.
-        self._local_ops = _freeze({
-            "ping": self._op_ping,
-            "stats": self._op_stats,
-            "metrics": self._op_metrics,
-            "trace": self._op_trace,
-            "store_gc": self._op_store_gc,
-            "shutdown": self._op_shutdown,
-        })
+        # Immutable after construction (handles mutate behind their
+        # own locks), so reads need no dispatcher-level lock.
         self._workers = tuple(_WorkerHandle(index)
                               for index in range(workers))
-        self._tcp = _ServiceTCPServer((host, port), _Handler)
-        self._tcp.service = self
+        super().__init__(
+            host, port, {
+                "evaluate_batch": self._op_evaluate_batch,
+                "store_gc": self._op_store_gc,
+            },
+            budget_nodes=budget_nodes,
+            workload_cache_size=workload_cache_size,
+            auth_tokens=auth_tokens, quota=quota,
+            tenant_quotas=tenant_quotas, store_max_bytes=store_max_bytes,
+            tracing=tracing, slow_ms=slow_ms, trace_buffer=trace_buffer,
+            trace_dir=trace_dir, tracer=tracer, clock=clock)
         try:
             for handle in self._workers:
                 self._spawn(handle)
         except BaseException:
-            self._tcp.server_close()
-            self._shutdown_workers()
+            self.close()
             raise
 
     # ------------------------------------------------------------------
@@ -316,7 +279,7 @@ class ReproDispatcher:
         worker if its process is gone.  A stale ``generation`` means
         another thread already respawned it; an alive process means
         the failure was the connection's, not the worker's."""
-        if self._closing:
+        if self._closed:
             raise ProtocolError("internal",
                                 "service is shutting down")
         with handle.lock:
@@ -357,94 +320,19 @@ class ReproDispatcher:
             if process.stdout is not None:
                 process.stdout.close()
 
-    # ------------------------------------------------------------------
-    # Lifecycle (same surface as ReproServer)
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
-
-    def serve_forever(self) -> None:
-        self._tcp.serve_forever()
-
-    def start(self) -> tuple[str, int]:
-        self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, daemon=True,
-            name="repro-dispatch")
-        self._serve_thread.start()
-        return self.address
-
-    def close(self) -> None:
-        self._closing = True
-        self._tcp.shutdown()
-        self._tcp.server_close()
+    def _release(self) -> None:
         self._shutdown_workers()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5)
-            self._serve_thread = None
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Request handling (mirrors ReproServer.handle_line)
-    # ------------------------------------------------------------------
-    def handle_line(self, line: bytes | str) -> dict:
-        request_id = None
-        try:
-            request_id, op, params, auth, trace_id = parse_request(line)
-        except ProtocolError as error:
-            self._count(None, error=True)
-            return error_response(error.request_id, error.code,
-                                  error.message)
-        root = NULL_SPAN
-        try:
-            tenant = self.tenants.resolve(auth)
-            self._tenant_local.tenant = tenant
-            self.tenants.charge_request(tenant)
-            self._count(op)
-            root = self.tracer.root(op, trace_id=trace_id,
-                                    tenant=tenant)
-            with root:
-                result = self._handle_op(op, params)
-            response = ok_response(request_id, op, result)
-        except ProtocolError as error:
-            self._count(None, error=True)
-            response = error_response(request_id, error.code,
-                                      error.message)
-        except Exception as error:  # never kill the connection loop
-            self._count(None, error=True)
-            response = error_response(
-                request_id, "internal",
-                f"{type(error).__name__}: {error}")
-        echo = root.trace_id if root.trace_id is not None else trace_id
-        if echo is not None:
-            response["trace"] = echo
-        return response
-
-    def _count(self, op: str | None, error: bool = False) -> None:
-        with self._counter_lock:
-            if op is not None:
-                self._requests += 1
-                self._op_counts[op] = self._op_counts.get(op, 0) + 1
-            if error:
-                self._errors += 1
-
-    def _handle_op(self, op: str, params: dict) -> dict:
-        local = self._local_ops.get(op)
-        if local is not None:
-            return local(params)
-        if op == "evaluate_batch":
-            return self._op_evaluate_batch(params)
-        return self._proxy(op, params)
 
     # ------------------------------------------------------------------
     # Proxying
     # ------------------------------------------------------------------
+    def _run_op(self, op: str, params: dict) -> dict:
+        handler = self._ops.get(op)
+        if handler is None:
+            # A compute op: route it to its worker.
+            return self._proxy(op, params)
+        return handler(params)
+
     def _reject_reserved(self, params: dict) -> None:
         # `timeout` and `trace` are protocol-level client/transport
         # concerns; forwarding them as op params would let a request
@@ -468,14 +356,11 @@ class ReproDispatcher:
         return f"{base[:96]}.w{handle.index}.{sequence}"
 
     def _proxy(self, op: str, params: dict) -> dict:
+        """One compute request, routed to the worker that owns its
+        fingerprint."""
         self._reject_reserved(params)
-        workload = self.workloads.resolve(params)
-        handle = self._workers[self._ring.route(workload.fingerprint)]
-        return self._proxy_compute(handle, op, params,
-                                   workload.fingerprint)
-
-    def _proxy_compute(self, handle: _WorkerHandle, op: str,
-                       params: dict, fingerprint: str) -> dict:
+        fingerprint = self.workloads.resolve(params).fingerprint
+        handle = self._workers[self._ring.route(fingerprint)]
         tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
         if fingerprint not in handle.resident and op != "estimate":
             # Single-process fail-fast, approximated from this side of
@@ -561,18 +446,6 @@ class ReproDispatcher:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def _op_ping(self, params: dict) -> dict:
-        check_fields(params, ())
-        return {"pong": True}
-
-    def _op_shutdown(self, params: dict) -> dict:
-        check_fields(params, ())
-        # Workers are stopped by close() after serve_forever returns
-        # (the CLI's finally), so in-flight proxied work drains first.
-        threading.Thread(target=self._tcp.shutdown,
-                         daemon=True).start()
-        return {"stopping": True}
-
     def _op_evaluate_batch(self, params: dict) -> dict:
         """A batch is one formula *per block length*: split it and
         route every ``p`` by its own fingerprint so the batch spreads
@@ -590,39 +463,19 @@ class ReproDispatcher:
         return {"results": results, "count": len(results)}
 
     def _op_store_gc(self, params: dict) -> dict:
-        check_fields(params, ("max_bytes",))
-        max_bytes = take_int(params, "max_bytes", minimum=0)
-        if not self.store_path \
-                and not os.environ.get("REPRO_CIRCUIT_STORE"):
-            raise ProtocolError(
-                "bad-request",
-                "no circuit store attached to this service "
-                "(start it with --store or REPRO_CIRCUIT_STORE)")
         # The pool shares one store directory; one prune pass through
-        # any worker covers it.
-        return self._call_any_worker("store_gc",
-                                     {"max_bytes": max_bytes})
+        # any worker covers it, and a worker without a store refuses
+        # the request itself.
+        check_fields(params, ("max_bytes",))
+        return self._call_any_worker("store_gc", params)
 
-    def _op_stats(self, params: dict) -> dict:
-        check_fields(params, ())
-        uptime = self._clock() - self._started
+    def _extend_stats(self, stats: dict) -> None:
+        service = stats["service"]
         with self._counter_lock:
-            service = {
-                "uptime_s": round(uptime, 3),
-                "uptime_seconds": round(uptime, 6),
-                "started_at": round(self._started_at, 3),
-                "requests": self._requests,
-                "errors": self._errors,
-                "ops": dict(sorted(self._op_counts.items())),
-                "default_budget_nodes": self.default_budget,
-                "workloads_cached": len(self.workloads),
-                "auth_enabled": self.tenants.auth_enabled,
-                "store_max_bytes": self.store_max_bytes,
-                "workers": self.worker_count,
-                "compile_threads": self.compile_threads,
-                "proxied_requests": self._proxied,
-                "redispatches": self._redispatches,
-            }
+            service.update(workers=self.worker_count,
+                           compile_threads=self.compile_threads,
+                           proxied_requests=self._proxied,
+                           redispatches=self._redispatches)
         cache: dict = {key: 0 for key in _SUMMABLE_CACHE}
         cache["store_attached"] = bool(
             self.store_path or os.environ.get("REPRO_CIRCUIT_STORE"))
@@ -660,38 +513,13 @@ class ReproDispatcher:
         planner_info = dict(merged.stats())
         planner_info["growth"] = merged.growth_records()
         service["planner"] = planner_info
-        tracing = self.tracer.stats()
-        tracing["histograms"] = self.tracer.histograms()
-        return {"cache": cache, "service": service,
-                "tenants": self.tenants.usage(), "tracing": tracing,
-                "workers": worker_rows}
+        stats["cache"] = cache
+        stats["workers"] = worker_rows
 
-    def _op_metrics(self, params: dict) -> dict:
-        check_fields(params, ())
-        return {"content_type": CONTENT_TYPE,
-                "text": render_metrics(self._op_stats({}))}
-
-    def _op_trace(self, params: dict) -> dict:
-        """Same contract as the single-process ``trace`` op; a lookup
-        by id additionally grafts each proxied hop's worker-side span
-        tree under its ``proxy`` span, producing one tree that spans
-        both processes."""
-        check_fields(params, ("id", "limit", "slow"))
-        trace_id = take_str(params, "id", default=None)
-        limit = take_int(params, "limit", default=16, minimum=1,
-                         maximum=256)
-        slow = take_bool(params, "slow", default=False)
-        tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
-        scope = tenant if self.tenants.auth_enabled else None
-        if trace_id is not None:
-            found = self.tracer.find(trace_id, tenant=scope)
-            traces = [] if found is None else [self._merge_trace(found)]
-        else:
-            traces = self.tracer.recent(limit, tenant=scope, slow=slow)
-        return {"enabled": self.tracer.enabled,
-                "count": len(traces), "traces": traces}
-
-    def _merge_trace(self, payload: dict) -> dict:
+    def _expand_trace(self, payload: dict) -> dict:
+        """Graft each proxied hop's worker-side span tree under its
+        ``proxy`` span, producing one tree that spans both
+        processes."""
         merged = dict(payload)
         spans = [dict(entry) for entry in payload.get("spans") or []]
         next_id = max((entry["id"] for entry in spans), default=0)

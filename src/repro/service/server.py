@@ -29,6 +29,10 @@ clause syntax grounded over the ``B_p(u, v)`` path block.  The
 server process is the unit of cache sharing — clients are free to
 connect, query, and disconnect per request and still reuse every
 compilation any other client paid for.
+
+``ReproServer`` adds the compute ops to ``ServiceFrontEnd``, the
+request front end it shares with the multi-process dispatcher
+(``repro.service.dispatch``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import time
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from types import MappingProxyType as _freeze
 
 from repro.booleans.adaptive import (
     ENGINE_LABELS,
@@ -54,7 +59,7 @@ from repro.booleans.approximate import (
 from repro.booleans.circuit import CompilationBudgetExceeded
 from repro.booleans.cnf import CNF
 from repro.booleans.store import cnf_fingerprint
-from repro.core.queries import Query
+from repro.core.queries import Query, parse_query
 from repro.core.safety import is_safe
 from repro.evaluation import METHODS, endpoint_weight_grid, evaluate
 from repro.reduction.blocks import path_block
@@ -107,7 +112,7 @@ class Workload:
 class _ServiceTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
-    service = None  # installed by ReproServer
+    service = None  # installed by ServiceFrontEnd
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -144,12 +149,11 @@ class WorkloadResolver:
     """A bounded LRU of resolved request targets: query text + block
     length -> grounded lineage plus its ``cnf_fingerprint``.
 
-    Shared by ``ReproServer`` and the multi-process dispatcher
-    (``repro.service.dispatch``) — the dispatcher needs the
-    fingerprint *before* any worker is chosen (consistent-hash
-    routing), and grounding is pure parsing, safe to do twice on a
-    cold cache.  Resolution runs inside a ``dispatch`` span so the
-    stage shows up in every request's trace either way.
+    Owned by ``ServiceFrontEnd``, so both deployments have one — the
+    dispatcher needs the fingerprint *before* any worker is chosen
+    (consistent-hash routing), and grounding is pure parsing, safe to
+    do twice on a cold cache.  Resolution runs inside a ``dispatch``
+    span so the stage shows up in every request's trace either way.
     """
 
     def __init__(self, cache_size: int = 128):
@@ -162,79 +166,69 @@ class WorkloadResolver:
             return len(self._cache)
 
     def resolve(self, params: dict) -> Workload:
+        """Parse, ground, and cache the request target, inside a
+        ``dispatch`` span tagged with whether it was a cache hit."""
         with span("dispatch") as sp:
-            return self._resolve(params, sp)
-
-    def _resolve(self, params: dict, sp) -> Workload:
-        """``dispatch``-stage body: parse, ground, and cache the
-        request target (the span tag says whether it was a cache
-        hit)."""
-        text = take_str(params, "query")
-        p = take_int(params, "p", default=4, minimum=1, maximum=64)
-        key = (text, p)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                sp.tag(cached=True)
-                return hit
-        sp.tag(cached=False)
-        from repro.cli import parse_query
-        try:
-            query = parse_query(text)
-            tid = path_block(query, p)
-            formula = lineage(query, tid)
-        except SystemExit as error:
-            raise ProtocolError("bad-query", str(error)) from None
-        except (ValueError, KeyError, TypeError) as error:
-            raise ProtocolError(
-                "bad-query",
-                f"cannot ground {text!r} over B_{p}(u, v): "
-                f"{error}") from None
-        workload = Workload(text, p, query, tid, formula,
-                            cnf_fingerprint(formula), is_safe(query))
-        with self._lock:
-            self._cache[key] = workload
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return workload
+            text = take_str(params, "query")
+            p = take_int(params, "p", default=4, minimum=1, maximum=64)
+            key = (text, p)
+            with self._lock:
+                hit = self._cache.get(key)
+                if hit is not None:
+                    self._cache.move_to_end(key)
+                    sp.tag(cached=True)
+                    return hit
+            sp.tag(cached=False)
+            try:
+                query = parse_query(text)
+            except ValueError as error:
+                raise ProtocolError("bad-query", str(error)) from None
+            try:
+                tid = path_block(query, p)
+                formula = lineage(query, tid)
+            except (ValueError, KeyError, TypeError) as error:
+                raise ProtocolError(
+                    "bad-query",
+                    f"cannot ground {text!r} over B_{p}(u, v): "
+                    f"{error}") from None
+            workload = Workload(text, p, query, tid, formula,
+                                cnf_fingerprint(formula),
+                                is_safe(query))
+            with self._lock:
+                self._cache[key] = workload
+                while len(self._cache) > self._cache_size:
+                    self._cache.popitem(last=False)
+            return workload
 
 
-class ReproServer:
-    """The resident query service (see the module docstring).
+class ServiceFrontEnd:
+    """The request front end both deployments share: the listener
+    and its lifecycle, tenancy, tracing, the workload resolver, the
+    request counters, and the ``ping``/``shutdown``/``stats``/
+    ``metrics``/``trace`` ops.  ``ReproServer`` adds the compute ops;
+    ``ReproDispatcher`` (``repro.service.dispatch``) adds routing,
+    proxying and the worker lifecycle.
 
-    ``port=0`` binds an ephemeral port — read the chosen one back from
-    ``address``.  ``store`` installs a tier-2 ``CircuitStore`` (path or
-    instance) before serving; ``workers`` bounds concurrent
-    compilations; ``window`` is the sweep-coalescing window in seconds;
-    ``budget_nodes`` is the default ``auto``-policy budget for requests
-    that do not override it.
+    A subclass sets up its own state, then calls this constructor
+    with its op handlers as ``ops`` (the listener is bound last, so a
+    failed subclass set-up leaks no socket).  It hooks in through
+    ``_run_op``, ``_extend_stats``, ``_expand_trace`` and
+    ``_release``.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 store=None, workers: int = 4, window: float = 0.01,
-                 budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
-                 workload_cache_size: int = 128,
-                 auth_tokens: dict[str, str] | None = None,
-                 quota: TenantQuota | None = None,
-                 tenant_quotas: dict[str, TenantQuota] | None = None,
-                 store_max_bytes: int | None = None,
-                 tracing: bool = True,
-                 slow_ms: float | None = None,
-                 trace_buffer: int = 256,
-                 trace_dir=None,
-                 tracer: Tracer | None = None,
-                 clock=time.monotonic,
-                 worker_mode: bool = False):
-        if store is not None:
-            wmc.set_circuit_store(store)
+    def __init__(self, host: str, port: int, ops: dict, *,
+                 budget_nodes, workload_cache_size, auth_tokens, quota,
+                 tenant_quotas, store_max_bytes, tracing, slow_ms,
+                 trace_buffer, trace_dir, tracer, clock):
         if store_max_bytes is not None and store_max_bytes < 0:
             raise ValueError("store_max_bytes must be non-negative")
         if slow_ms is not None and slow_ms < 0:
             raise ValueError("slow_ms must be non-negative")
         self.default_budget = budget_nodes
-        self.pool = CompilePool(workers)
-        self.coalescer = SweepCoalescer(window)
+        #: Size cap for the tier-2 store: after every fresh
+        #: compilation the store is pruned back under this many bytes
+        #: (oldest access time first) through ``CircuitStore.prune``.
+        self.store_max_bytes = store_max_bytes
         #: Request tracing: the tracer mints (or propagates) one trace
         #: per request, keeps the last ``trace_buffer`` span trees,
         #: feeds the (op, stage) latency histograms, and logs requests
@@ -254,65 +248,32 @@ class ReproServer:
         #: requests run as the anonymous tenant.
         self.tenants = TenantRegistry(auth_tokens, quota,
                                       tenant_quotas)
-        #: Size cap for the attached tier-2 store: after every fresh
-        #: compilation the store is pruned back under this many bytes
-        #: (oldest access time first) through ``CircuitStore.prune``.
-        self.store_max_bytes = store_max_bytes
-        #: Worker mode (set by ``repro.service.worker`` when this
-        #: server is one process of a dispatcher's pool): every
-        #: response whose request led a fresh compilation carries a
-        #: ``charge`` record with the interned-node count, so the
-        #: dispatcher — the single owner of tenant quota state — can
-        #: apply the spend centrally.  Off by default; the field never
-        #: appears in single-process responses.
-        self.worker_mode = worker_mode
-        #: Service-wide compilation-growth observations: every fresh
-        #: leader compile feeds (clauses, circuit nodes) into one
-        #: ``BudgetPlanner`` whose fit and trajectory are surfaced in
-        #: ``stats`` (the dispatcher merges each worker's records into
-        #: one aggregated planner via ``growth_records``).
-        self.planner = BudgetPlanner()
+        self.workloads = WorkloadResolver(workload_cache_size)
         self._tenant_local = threading.local()
         self._counter_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
         self._op_counts: dict[str, int] = {}
-        #: Adaptive-tier observability: requests answered by a
-        #: sequential sampler, individual estimates that stopped
-        #: before the fixed-n Hoeffding count, and the samples that
-        #: early stopping saved (sum + estimate count -> mean).
-        self._adaptive_requests = 0
-        self._early_stops = 0
-        self._adaptive_estimates = 0
-        self._samples_saved = 0
-        #: Automatic store eviction: prune passes that evicted
-        #: something, entries evicted, bytes reclaimed.
-        self._auto_prunes = 0
-        self._auto_evicted = 0
-        self._auto_reclaimed_bytes = 0
-        self.workloads = WorkloadResolver(workload_cache_size)
         #: Uptime runs on an injectable monotonic clock (dashboards
         #: rate-convert counters against it); ``started_at`` is the
         #: one wall-clock reading, taken exactly once at start-up.
         self._clock = clock
         self._started = clock()
         self._started_at = time.time()
+        self._lifecycle_lock = threading.Lock()
+        self._serving = False
+        self._closed = False
         self._serve_thread = None
-        self._dispatch = {
-            "compile": self._op_compile,
-            "evaluate": self._op_evaluate,
-            "evaluate_batch": self._op_evaluate_batch,
-            "sweep": self._op_sweep,
-            "estimate": self._op_estimate,
-            "sample": self._op_sample,
-            "top_k": self._op_top_k,
+        # Immutable after construction, so the request path reads it
+        # without a lock.
+        self._ops = _freeze({
+            "ping": self._op_ping,
+            "shutdown": self._op_shutdown,
             "stats": self._op_stats,
             "metrics": self._op_metrics,
             "trace": self._op_trace,
-            "store_gc": self._op_store_gc,
-            "ping": self._op_ping,
-            "shutdown": self._op_shutdown,
-        }
+            **ops,
+        })
         self._tcp = _ServiceTCPServer((host, port), _Handler)
         self._tcp.service = self
 
@@ -326,26 +287,54 @@ class ReproServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until ``shutdown`` (the op or
-        the method) or KeyboardInterrupt."""
-        self._tcp.serve_forever()
+        ``close``) or KeyboardInterrupt; returns at once after
+        ``close``."""
+        with self._lifecycle_lock:
+            if self._closed:
+                return
+            self._serving = True
+        try:
+            self._tcp.serve_forever()
+        finally:
+            with self._lifecycle_lock:
+                self._serving = False
 
     def start(self) -> tuple[str, int]:
         """Serve on a background daemon thread; returns the address
-        (tests and benchmarks embed the server this way)."""
+        (tests and benchmarks embed the service this way)."""
         self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, daemon=True,
+            target=self.serve_forever, daemon=True,
             name="repro-service")
         self._serve_thread.start()
         return self.address
 
     def close(self) -> None:
-        """Stop accepting, close the listener, release the pool."""
-        self._tcp.shutdown()
+        """Stop serving, close the listener, and release the
+        subclass's resources.  Safe in any state — never started,
+        serving, or already closed — and idempotent."""
+        with self._lifecycle_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._stop_serving()
         self._tcp.server_close()
-        self.pool.shutdown()
+        self._release()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5)
             self._serve_thread = None
+
+    def _stop_serving(self) -> None:
+        """Make ``serve_forever`` return.  Only a running loop is
+        asked: ``socketserver`` waits forever for a loop that never
+        started."""
+        with self._lifecycle_lock:
+            serving = self._serving
+        if serving:
+            self._tcp.shutdown()
+
+    def _release(self) -> None:
+        """Hook: release what the subclass holds, after the listener
+        closed."""
 
     def __enter__(self):
         self.start()
@@ -383,23 +372,12 @@ class ReproServer:
             # tenant argument through every handler.
             tenant = self.tenants.resolve(auth)
             self._tenant_local.tenant = tenant
-            # Fresh-compile spend accumulates on the request thread
-            # (the compile pool runs only the build on its executor;
-            # the leader/charge logic in _compiled stays on this
-            # thread, as does a coalesced sweep's runner).
-            self._tenant_local.charged_nodes = 0
             self.tenants.charge_request(tenant)
             self._count(op)
             root = self.tracer.root(op, trace_id=trace_id,
                                     tenant=tenant)
             with root:
-                result = self._dispatch[op](params)
-            if self.worker_mode:
-                charged = getattr(self._tenant_local,
-                                  "charged_nodes", 0)
-                if charged:
-                    result = dict(result)
-                    result["charge"] = {"nodes": charged}
+                result = self._run_op(op, params)
             response = ok_response(request_id, op, result)
         except ProtocolError as error:
             self._count(None, error=True)
@@ -415,6 +393,10 @@ class ReproServer:
             response["trace"] = echo
         return response
 
+    def _run_op(self, op: str, params: dict) -> dict:
+        """Hook: one validated request's op, inside its root span."""
+        return self._ops[op](params)
+
     def _count(self, op: str | None, error: bool = False) -> None:
         with self._counter_lock:
             if op is not None:
@@ -424,11 +406,172 @@ class ReproServer:
                 self._errors += 1
 
     # ------------------------------------------------------------------
-    # Workload resolution (query text + block length -> lineage)
+    # Operations
     # ------------------------------------------------------------------
-    def _workload(self, params: dict) -> Workload:
-        return self.workloads.resolve(params)
+    def _op_ping(self, params: dict) -> dict:
+        check_fields(params, ())
+        return {"pong": True}
 
+    def _op_shutdown(self, params: dict) -> dict:
+        check_fields(params, ())
+        # Stopping blocks until serve_forever returns, so it must run
+        # off-thread; the response is written before the accept loop
+        # notices anything.  close() (the CLI's finally) releases the
+        # rest after in-flight work drains.
+        threading.Thread(target=self._stop_serving, daemon=True).start()
+        return {"stopping": True}
+
+    def _op_stats(self, params: dict) -> dict:
+        check_fields(params, ())
+        uptime = self._clock() - self._started
+        with self._counter_lock:
+            service = {
+                "uptime_seconds": round(uptime, 6),
+                "started_at": round(self._started_at, 3),
+                "requests": self._requests,
+                "errors": self._errors,
+                "ops": dict(sorted(self._op_counts.items())),
+                "default_budget_nodes": self.default_budget,
+                "workloads_cached": len(self.workloads),
+                "auth_enabled": self.tenants.auth_enabled,
+                "store_max_bytes": self.store_max_bytes,
+            }
+        tracing = self.tracer.stats()
+        tracing["histograms"] = self.tracer.histograms()
+        stats = {"service": service, "tenants": self.tenants.usage(),
+                 "tracing": tracing}
+        self._extend_stats(stats)
+        return stats
+
+    def _extend_stats(self, stats: dict) -> None:
+        """Hook: add the subclass's ``cache`` section and its entries
+        of the ``service`` section."""
+
+    def _op_metrics(self, params: dict) -> dict:
+        """The ``stats`` payload rendered in the Prometheus text
+        exposition format — a projection, never separate counters, so
+        the two surfaces cannot drift."""
+        check_fields(params, ())
+        return {"content_type": CONTENT_TYPE,
+                "text": render_metrics(self._op_stats({}))}
+
+    def _op_trace(self, params: dict) -> dict:
+        """Completed request traces from the tracer's ring buffer:
+        the newest ``limit`` (or the slow log with ``slow``), or one
+        trace by ``id``.  Under auth, a tenant only ever sees its own
+        traces — trace ids are not capabilities."""
+        check_fields(params, ("id", "limit", "slow"))
+        trace_id = take_str(params, "id", default=None)
+        limit = take_int(params, "limit", default=16, minimum=1,
+                         maximum=256)
+        slow = take_bool(params, "slow", default=False)
+        tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
+        scope = tenant if self.tenants.auth_enabled else None
+        if trace_id is not None:
+            found = self.tracer.find(trace_id, tenant=scope)
+            traces = [] if found is None else [self._expand_trace(found)]
+        else:
+            traces = self.tracer.recent(limit, tenant=scope, slow=slow)
+        return {"enabled": self.tracer.enabled,
+                "count": len(traces), "traces": traces}
+
+    def _expand_trace(self, payload: dict) -> dict:
+        """Hook: a trace found by id, before it is returned."""
+        return payload
+
+
+class ReproServer(ServiceFrontEnd):
+    """The resident query service (see the module docstring).
+
+    ``port=0`` binds an ephemeral port — read the chosen one back from
+    ``address``.  ``store`` installs a tier-2 ``CircuitStore`` (path or
+    instance) before serving; ``workers`` bounds concurrent
+    compilations; ``window`` is the sweep-coalescing window in seconds;
+    ``budget_nodes`` is the default ``auto``-policy budget for requests
+    that do not override it.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+                 store=None, workers: int = 4, window: float = 0.01,
+                 budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
+                 workload_cache_size: int = 128,
+                 auth_tokens: dict[str, str] | None = None,
+                 quota: TenantQuota | None = None,
+                 tenant_quotas: dict[str, TenantQuota] | None = None,
+                 store_max_bytes: int | None = None,
+                 tracing: bool = True,
+                 slow_ms: float | None = None,
+                 trace_buffer: int = 256,
+                 trace_dir=None,
+                 tracer: Tracer | None = None,
+                 clock=time.monotonic,
+                 worker_mode: bool = False):
+        if store is not None:
+            wmc.set_circuit_store(store)
+        self.pool = CompilePool(workers)
+        self.coalescer = SweepCoalescer(window)
+        #: Worker mode (set by ``repro.service.worker`` when this
+        #: server is one process of a dispatcher's pool): every
+        #: response whose request led a fresh compilation carries a
+        #: ``charge`` record with the interned-node count, so the
+        #: dispatcher — the single owner of tenant quota state — can
+        #: apply the spend centrally.  Off by default; the field never
+        #: appears in single-process responses.
+        self.worker_mode = worker_mode
+        #: Service-wide compilation-growth observations: every fresh
+        #: leader compile feeds (clauses, circuit nodes) into one
+        #: ``BudgetPlanner`` whose fit and trajectory are surfaced in
+        #: ``stats`` (the dispatcher merges each worker's records into
+        #: one aggregated planner via ``growth_records``).
+        self.planner = BudgetPlanner()
+        #: Adaptive-tier observability: requests answered by a
+        #: sequential sampler, individual estimates that stopped
+        #: before the fixed-n Hoeffding count, and the samples that
+        #: early stopping saved (sum + estimate count -> mean).
+        self._adaptive_requests = 0
+        self._early_stops = 0
+        self._adaptive_estimates = 0
+        self._samples_saved = 0
+        #: Automatic store eviction: prune passes that evicted
+        #: something, entries evicted, bytes reclaimed.
+        self._auto_prunes = 0
+        self._auto_evicted = 0
+        self._auto_reclaimed_bytes = 0
+        super().__init__(
+            host, port, {
+                "compile": self._op_compile,
+                "evaluate": self._op_evaluate,
+                "evaluate_batch": self._op_evaluate_batch,
+                "sweep": self._op_sweep,
+                "estimate": self._op_estimate,
+                "sample": self._op_sample,
+                "top_k": self._op_top_k,
+                "store_gc": self._op_store_gc,
+            },
+            budget_nodes=budget_nodes,
+            workload_cache_size=workload_cache_size,
+            auth_tokens=auth_tokens, quota=quota,
+            tenant_quotas=tenant_quotas, store_max_bytes=store_max_bytes,
+            tracing=tracing, slow_ms=slow_ms, trace_buffer=trace_buffer,
+            trace_dir=trace_dir, tracer=tracer, clock=clock)
+
+    def _release(self) -> None:
+        self.pool.shutdown()
+
+    def _run_op(self, op: str, params: dict) -> dict:
+        # Fresh-compile spend accumulates on the request thread, where
+        # _compiled's leader/charge logic and a coalesced sweep's
+        # runner run (the compile pool executes only the build).
+        self._tenant_local.charged_nodes = 0
+        result = super()._run_op(op, params)
+        charged = self._tenant_local.charged_nodes
+        if self.worker_mode and charged:
+            result = {**result, "charge": {"nodes": charged}}
+        return result
+
+    # ------------------------------------------------------------------
+    # Compilation (quota attribution, store eviction)
+    # ------------------------------------------------------------------
     def _compiled(self, workload: Workload,
                   budget_nodes: int | None, build=None):
         """The workload's circuit via the deduping compile pool, with
@@ -457,9 +600,7 @@ class ReproServer:
                 with self._counter_lock:
                     self.planner.observe(len(workload.formula),
                                          circuit.size)
-            local = self._tenant_local
-            local.charged_nodes = (
-                getattr(local, "charged_nodes", 0) + circuit.size)
+            self._tenant_local.charged_nodes += circuit.size
             self.tenants.charge_compile(tenant, circuit.size)
         return circuit
 
@@ -498,75 +639,25 @@ class ReproServer:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def _op_ping(self, params: dict) -> dict:
-        check_fields(params, ())
-        return {"pong": True}
-
-    def _op_shutdown(self, params: dict) -> dict:
-        check_fields(params, ())
-        # shutdown() blocks until serve_forever returns, so it must run
-        # off-thread; the response is written before the accept loop
-        # notices anything.
-        threading.Thread(target=self._tcp.shutdown, daemon=True).start()
-        return {"stopping": True}
-
-    def _op_stats(self, params: dict) -> dict:
-        check_fields(params, ())
-        uptime = self._clock() - self._started
+    def _extend_stats(self, stats: dict) -> None:
+        service = stats["service"]
         with self._counter_lock:
-            service = {
-                "uptime_s": round(uptime, 3),
-                "uptime_seconds": round(uptime, 6),
-                "started_at": round(self._started_at, 3),
-                "requests": self._requests,
-                "errors": self._errors,
-                "ops": dict(sorted(self._op_counts.items())),
-                "default_budget_nodes": self.default_budget,
-                "workloads_cached": len(self.workloads),
-                "auth_enabled": self.tenants.auth_enabled,
-                "store_max_bytes": self.store_max_bytes,
-                "auto_prunes": self._auto_prunes,
-                "auto_evicted": self._auto_evicted,
-                "auto_reclaimed_bytes": self._auto_reclaimed_bytes,
-            }
+            service.update(
+                auto_prunes=self._auto_prunes,
+                auto_evicted=self._auto_evicted,
+                auto_reclaimed_bytes=self._auto_reclaimed_bytes,
+                adaptive_requests=self._adaptive_requests,
+                early_stops=self._early_stops,
+                mean_samples_saved=(
+                    round(self._samples_saved
+                          / self._adaptive_estimates, 2)
+                    if self._adaptive_estimates else 0.0))
             planner_info = dict(self.planner.stats())
             planner_info["growth"] = self.planner.growth_records()
         service["planner"] = planner_info
         service.update(self.pool.stats())
         service.update(self.coalescer.stats())
-        service.update(self._adaptive_stats())
-        tracing = self.tracer.stats()
-        tracing["histograms"] = self.tracer.histograms()
-        return {"cache": wmc.cache_info(), "service": service,
-                "tenants": self.tenants.usage(), "tracing": tracing}
-
-    def _op_metrics(self, params: dict) -> dict:
-        """The ``stats`` payload rendered in the Prometheus text
-        exposition format — a projection, never separate counters, so
-        the two surfaces cannot drift."""
-        check_fields(params, ())
-        return {"content_type": CONTENT_TYPE,
-                "text": render_metrics(self._op_stats({}))}
-
-    def _op_trace(self, params: dict) -> dict:
-        """Completed request traces from the tracer's ring buffer:
-        the newest ``limit`` (or the slow log with ``slow``), or one
-        trace by ``id``.  Under auth, a tenant only ever sees its own
-        traces — trace ids are not capabilities."""
-        check_fields(params, ("id", "limit", "slow"))
-        trace_id = take_str(params, "id", default=None)
-        limit = take_int(params, "limit", default=16, minimum=1,
-                         maximum=256)
-        slow = take_bool(params, "slow", default=False)
-        tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
-        scope = tenant if self.tenants.auth_enabled else None
-        if trace_id is not None:
-            found = self.tracer.find(trace_id, tenant=scope)
-            traces = [] if found is None else [found]
-        else:
-            traces = self.tracer.recent(limit, tenant=scope, slow=slow)
-        return {"enabled": self.tracer.enabled,
-                "count": len(traces), "traces": traces}
+        stats["cache"] = wmc.cache_info()
 
     def _op_store_gc(self, params: dict) -> dict:
         """Size-capped eviction on the attached tier-2 store
@@ -609,19 +700,10 @@ class ReproServer:
                     self._early_stops += 1
                     self._samples_saved += saved
 
-    def _adaptive_stats(self) -> dict:
-        with self._counter_lock:
-            mean_saved = (round(self._samples_saved
-                                / self._adaptive_estimates, 2)
-                          if self._adaptive_estimates else 0.0)
-            return {"adaptive_requests": self._adaptive_requests,
-                    "early_stops": self._early_stops,
-                    "mean_samples_saved": mean_saved}
-
     def _op_compile(self, params: dict) -> dict:
         check_fields(params, ("query", "p", "budget_nodes"))
         budget = take_int(params, "budget_nodes", default=None, minimum=2)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         # The job itself records where its circuit came from (only the
         # leader of a deduped compile executes `build`, so the probe
         # is per-formula, never contaminated by concurrent requests on
@@ -694,7 +776,8 @@ class ReproServer:
                               budget_nodes=budget, epsilon=epsilon,
                               delta=delta, rng=seed,
                               estimator=estimator,
-                              relative_error=relative)
+                              relative_error=relative,
+                              formula=workload.formula)
         self._note_estimates([result.estimate], epsilon, delta)
         payload = result.as_dict()
         payload["p"] = workload.p
@@ -707,8 +790,8 @@ class ReproServer:
         method = take_str(params, "method", default="auto",
                           choices=EVAL_METHODS)
         knobs = self._estimator_knobs(params)
-        return self._evaluate_one(self._workload(params), method,
-                                  *knobs)
+        return self._evaluate_one(self.workloads.resolve(params),
+                                  method, *knobs)
 
     def _op_evaluate_batch(self, params: dict) -> dict:
         check_fields(params, ("query", "ps", "method")
@@ -720,7 +803,7 @@ class ReproServer:
         text = take_str(params, "query")
         results = [
             self._evaluate_one(
-                self._workload({"query": text, "p": p}),
+                self.workloads.resolve({"query": text, "p": p}),
                 method, *knobs)
             for p in ps]
         return {"results": results, "count": len(results)}
@@ -734,7 +817,7 @@ class ReproServer:
                            choices=("exact", "float"))
         budget, epsilon, delta, seed, estimator, relative = \
             self._estimator_knobs(params)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         r_u, t_v = r_tuple("u"), t_tuple("v")
         if not {r_u, t_v} & workload.formula.variables():
             raise ProtocolError(
@@ -762,6 +845,7 @@ class ReproServer:
                     workload.formula, vectors, budget_nodes=budget,
                     numeric=numeric)
 
+        fallback = None
         try:
             # Pay the coalescing window only ahead of a cold
             # compilation — that is when concurrent requests pile up
@@ -772,20 +856,7 @@ class ReproServer:
                 coalesce_key, weight_maps, runner,
                 wait=not wmc.is_cached(workload.formula))
         except CompilationBudgetExceeded:
-            # Per-request estimator fallback: the negative budget
-            # cache makes the retried compile abort instantly, and the
-            # request's own rng makes an explicit seed reproduce the
-            # same estimates whether or not the request was coalesced.
-            with span("evaluate", lanes=len(weight_maps),
-                      numeric=numeric, fallback="budget"):
-                sweep = wmc.probability_batch_auto(
-                    workload.formula, weight_maps,
-                    budget_nodes=budget, epsilon=epsilon, delta=delta,
-                    rng=seed, numeric=numeric, estimator=estimator,
-                    relative_error=relative)
-            values, engine, estimates = (sweep.values, sweep.engine,
-                                         sweep.estimates)
-            self._note_estimates(estimates or [], epsilon, delta)
+            fallback = "budget"
         except ProtocolError as error:
             if error.code != "quota-exceeded":
                 raise
@@ -795,12 +866,16 @@ class ReproServer:
             # uncoalesced under this request's own tenant — if this
             # tenant is the exhausted one, the retry raises again,
             # correctly attributed this time.
-            try:
-                self._compiled(workload, budget)
-            except CompilationBudgetExceeded:
-                pass  # the auto policy below degrades per request
+            self._prewarm(workload, budget)
+            fallback = "quota"
+        if fallback is not None:
+            # The uncoalesced per-request pass: a blown budget's
+            # negative cache makes its compile abort instantly, and
+            # the request's own rng makes an explicit seed reproduce
+            # the same estimates whether or not the request was
+            # coalesced.
             with span("evaluate", lanes=len(weight_maps),
-                      numeric=numeric, fallback="quota"):
+                      numeric=numeric, fallback=fallback):
                 sweep = wmc.probability_batch_auto(
                     workload.formula, weight_maps,
                     budget_nodes=budget, epsilon=epsilon, delta=delta,
@@ -829,7 +904,7 @@ class ReproServer:
         # inert here (check_fields already rejected budget_nodes).
         _, epsilon, delta, seed, estimator, relative = \
             self._estimator_knobs(params)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         with span("evaluate", method=estimator):
             estimate = estimate_with(
                 estimator, workload.formula,
@@ -845,7 +920,7 @@ class ReproServer:
     def _sampling_circuit(self, params: dict):
         budget = take_int(params, "budget_nodes", default=None,
                           minimum=2)
-        workload = self._workload(params)
+        workload = self.workloads.resolve(params)
         try:
             circuit = self._compiled(workload, budget)
         except CompilationBudgetExceeded:

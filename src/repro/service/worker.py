@@ -86,9 +86,9 @@ def main(argv=None) -> int:
         store_max_bytes=args.store_max_bytes,
         tracing=not args.no_tracing,
         worker_mode=True)
-    host, port = server.address
-    print(f"{BANNER} {host}:{port}", flush=True)
     try:
+        host, port = server.address
+        print(f"{BANNER} {host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -116,6 +116,20 @@ UNGUARDED_GLOBAL = """
 """
 
 
+LOCKED_BASE = """
+    import threading
+
+    class Base:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._requests = 0
+
+        def count(self):
+            with self._lock:
+                self._requests += 1
+"""
+
+
 class TestLockDisciplineRule:
     def test_flags_unguarded_module_global(self, tmp_path):
         # The second violation shape the CI lint job must fail on.
@@ -186,6 +200,57 @@ class TestLockDisciplineRule:
         assert len(found) == 1
         assert "self.launched" in found[0].message
         assert found[0].context == "Pool.submit"
+
+    def test_base_class_lock_covers_subclass_state(self, tmp_path):
+        # The lock lives in a base class of another module: the
+        # subclass's own counter and the inherited one stay checked.
+        make_repo(tmp_path, {
+            "src/pkg/base.py": LOCKED_BASE,
+            "src/pkg/sub.py": """
+                from pkg.base import Base
+
+                class Sub(Base):
+                    def __init__(self):
+                        super().__init__()
+                        self._hits = 0
+
+                    def hit(self):
+                        self._hits += 1
+
+                    def peek(self):
+                        return self._requests
+            """})
+        found = findings_of(tmp_path, "lock-discipline")
+        assert [(f.context, f.message) for f in found] == [
+            ("Sub.hit", "write of self._hits outside "
+                        "`with self._lock:`"),
+            ("Sub.peek", "read of self._requests outside "
+                         "`with self._lock:`")]
+        assert run(root=tmp_path, stream=io.StringIO()) == 1
+
+    def test_subclass_under_the_base_class_lock_is_clean(self, tmp_path):
+        make_repo(tmp_path, {
+            "src/pkg/base.py": LOCKED_BASE,
+            "src/pkg/sub.py": """
+                from pkg.base import Base as FrontEnd
+
+                class Sub(FrontEnd):
+                    def hit(self):
+                        with self._lock:
+                            self._hits += 1
+                            return self._requests
+            """})
+        assert findings_of(tmp_path, "lock-discipline") == []
+
+    def test_same_module_base_class_lock_is_inherited(self, tmp_path):
+        make_repo(tmp_path, {"src/mod.py": textwrap.dedent(LOCKED_BASE)
+                             + textwrap.dedent("""
+            class Sub(Base):
+                def hit(self):
+                    self._hits += 1
+        """)})
+        found = findings_of(tmp_path, "lock-discipline")
+        assert [f.context for f in found] == ["Sub.hit"]
 
     def test_nested_def_does_not_inherit_lock(self, tmp_path):
         # A closure defined under the lock runs later, unlocked.
@@ -267,10 +332,38 @@ class TestNumericBoundaryRule:
 # ----------------------------------------------------------------------
 # protocol-drift
 # ----------------------------------------------------------------------
+#: The server's op table in its read-only form, split between a front
+#: end that owns ``ping`` and a subclass that passes in ``{ops}``.
+READ_ONLY_SERVER = """
+    from types import MappingProxyType as _freeze
+
+    from service.protocol import check_fields
+
+    _EXTRA = ("y",)
+
+    class FrontEnd:
+        def __init__(self, ops):
+            self._ops = _freeze({{"ping": self._op_ping, **ops}})
+
+        def _op_ping(self, params):
+            check_fields(params, ())
+            return {{}}
+
+    class Server(FrontEnd):
+        def __init__(self):
+            super().__init__({{{ops}}})
+
+        def _op_eval(self, params):
+            {eval_body}
+            return {{}}
+"""
+
+
 def service_repo(tmp_path, *, dispatch_ops=("ping", "eval"),
                  client_ops=("ping", "eval"),
                  readme_eval_params="`x`, `y`",
-                 client_eval_kwargs="x=x, y=y"):
+                 client_eval_kwargs="x=x, y=y",
+                 server_src=None):
     dispatch = ", ".join(
         f'"{op}": self._op_{op}' for op in dispatch_ops)
     calls = "\n".join(
@@ -289,7 +382,7 @@ def service_repo(tmp_path, *, dispatch_ops=("ping", "eval"),
             def check_fields(params, allowed):
                 pass
         """,
-        "src/service/server.py": f"""
+        "src/service/server.py": server_src or f"""
             from service.protocol import check_fields
 
             _EXTRA = ("y",)
@@ -363,6 +456,43 @@ class TestProtocolDriftRule:
         messages = [f.message
                     for f in findings_of(tmp_path, "protocol-drift")]
         assert any("client sends param 'zz'" in m for m in messages)
+
+    def test_read_only_op_table_is_read(self, tmp_path):
+        service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
+            ops='"eval": self._op_eval',
+            eval_body='check_fields(params, ("x",) + _EXTRA)'))
+        assert findings_of(tmp_path, "protocol-drift") == []
+
+    def test_read_only_op_table_missing_an_op(self, tmp_path):
+        service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
+            ops="",
+            eval_body='check_fields(params, ("x",) + _EXTRA)'))
+        messages = [f.message
+                    for f in findings_of(tmp_path, "protocol-drift")]
+        assert "op 'eval' in protocol.OPS has no server dispatch " \
+            "entry" in messages
+
+    def test_dispatched_op_without_an_allow_list(self, tmp_path):
+        # A handler the rule cannot read params from must not silently
+        # skip the README and client param checks.
+        service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
+            ops='"eval": self._op_eval', eval_body="pass"))
+        messages = [f.message
+                    for f in findings_of(tmp_path, "protocol-drift")]
+        assert messages == [
+            "op 'eval': no _op_eval handler with a literal "
+            "check_fields allow-list in server.py, so its params go "
+            "unchecked"]
+
+    def test_dispatched_op_without_a_handler(self, tmp_path):
+        service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
+            ops='"eval": self._op_evaluate',
+            eval_body='check_fields(params, ("x",) + _EXTRA)'))
+        messages = [f.message
+                    for f in findings_of(tmp_path, "protocol-drift")]
+        assert "op 'eval': no _op_evaluate handler with a literal " \
+            "check_fields allow-list in server.py, so its params go " \
+            "unchecked" in messages
 
     def test_missing_op_table(self, tmp_path):
         service_repo(tmp_path)

@@ -2,6 +2,7 @@
 real sockets, the client library and the CLI verbs against it."""
 
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from repro.cli import main, parse_query
 from repro.evaluation import evaluate, probability_sweep
 from repro.reduction.blocks import path_block
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.dispatch import ReproDispatcher
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     decode_world,
@@ -183,9 +185,37 @@ class TestBasicOps:
             assert key in stats["cache"]
         for key in ("requests", "errors", "ops", "coalesced_batches",
                     "batch_passes", "compile_jobs", "compile_joins",
-                    "workers", "window_s", "uptime_s"):
+                    "workers", "window_s", "uptime_seconds"):
             assert key in stats["service"]
         assert stats["service"]["ops"]["evaluate"] == 1
+
+
+class TestWarmEvaluate:
+    def test_warm_requests_use_the_cached_lineage(self, client,
+                                                  monkeypatch):
+        """The resolver grounds each (query, p) once: warm
+        ``evaluate`` and ``evaluate_batch`` requests ground nothing
+        more, and their values equal the library's."""
+        import repro.evaluation
+        import repro.service.server
+
+        client.evaluate_batch(QUERY, ps=[3, 4])  # resolve and compile
+        calls = []
+
+        def counting_lineage(query, tid):
+            calls.append((query, tid))
+            return lineage(query, tid)
+
+        for module in (repro.evaluation, repro.service.server, wmc):
+            monkeypatch.setattr(module, "lineage", counting_lineage)
+        warm = [client.evaluate(QUERY, p=4),
+                client.evaluate(QUERY, p=3, method="wmc"),
+                *client.evaluate_batch(QUERY, ps=[3, 4])["results"]]
+        monkeypatch.undo()
+        assert calls == []
+        for result, p in zip(warm, (4, 3, 3, 4)):
+            query, tid, _ = workload(p=p)
+            assert result["value"] == str(evaluate(query, tid).value)
 
 
 class TestErrors:
@@ -193,6 +223,22 @@ class TestErrors:
         with pytest.raises(ServiceError) as info:
             client.evaluate("no parens here")
         assert info.value.code == "bad-query"
+        assert "no clauses found" in info.value.message
+
+    def test_resolving_a_query_does_not_load_the_cli(self):
+        """Query parsing lives in ``repro.core.queries``: a server or
+        worker resolving requests never imports ``repro.cli``."""
+        code = ("import sys\n"
+                "from repro.service.server import WorkloadResolver\n"
+                "WorkloadResolver().resolve({'query': '(R|S1)(S1|T)', "
+                "'p': 3})\n"
+                "print('repro.cli' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True,
+                               timeout=120, check=True)
+        assert probe.stdout.strip() == "False"
 
     def test_stray_param_rejected(self, client):
         with pytest.raises(ServiceError) as info:
@@ -316,6 +362,47 @@ class TestClientConnectionClosed:
             client.close()
         finally:
             silent.close()
+
+
+def close_within(service, seconds=30):
+    """``service.close()`` on a helper thread joined with a timeout, so
+    a hang fails the test instead of the suite."""
+    closer = threading.Thread(target=service.close, daemon=True)
+    closer.start()
+    closer.join(timeout=seconds)
+    assert not closer.is_alive(), "close() did not return"
+
+
+def assert_port_released(address):
+    with socket.socket() as probe:
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        probe.bind(address)  # EADDRINUSE while anything listens there
+
+
+class TestCloseInAnyState:
+    """``close()`` returns promptly and releases the port whether the
+    service never started, is serving, or was closed already; the
+    dispatcher also reaps its worker processes."""
+
+    @pytest.mark.parametrize("state", ["never started", "serving",
+                                       "closed twice"])
+    @pytest.mark.parametrize("factory", [
+        lambda: ReproServer(port=0, window=0.0),
+        lambda: ReproDispatcher(port=0, workers=1, window=0.0),
+    ], ids=["server", "dispatcher"])
+    def test_close(self, factory, state):
+        service = factory()
+        address = service.address
+        if state != "never started":
+            service.start()
+            with ServiceClient(*address) as c:
+                assert c.ping() == {"pong": True}
+        close_within(service)
+        if state == "closed twice":
+            close_within(service)
+        assert_port_released(address)
+        for handle in getattr(service, "_workers", ()):
+            assert handle.process.poll() is not None
 
 
 class TestCoalescing:
@@ -639,6 +726,34 @@ class TestCLI:
         assert not thread.is_alive()
         assert outcome["code"] == 0
 
+    def test_serve_closes_the_server_when_stdout_is_broken(
+            self, monkeypatch):
+        from repro import cli
+        from repro.service import server as server_module
+
+        built = []
+
+        class RecordedServer(ReproServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        class BrokenStdout:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(server_module, "ReproServer", RecordedServer)
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        args = cli.build_parser().parse_args(
+            ["serve", "--port", "0", "--window", "0"])
+        with pytest.raises(BrokenPipeError):
+            args.fn(args)
+        [server] = built
+        assert_port_released(server.address)
+
     def test_serve_subprocess_banner_and_shutdown(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0"],
@@ -895,6 +1010,76 @@ class TestQuotaE2E:
                 stats = c.stats()
         spent = stats["tenants"]["alice"]["nodes_spent"]
         assert spent > p4_nodes + 1  # the crossing compile was paid
+
+    def test_leader_quota_refusal_retries_riders_uncoalesced(
+            self, monkeypatch):
+        """A coalesced sweep shares its leader's failure, but a quota
+        refusal belongs to the leader's tenant alone: a rider from a
+        fresh tenant retries uncoalesced and gets exact values, while
+        the spent tenant gets ``quota-exceeded``."""
+        from repro import obs
+        from repro.evaluation import endpoint_weight_grid
+        from repro.service import scheduler
+        from repro.service.tenants import TenantQuota
+
+        outcomes = {}
+
+        def sweep_as(token):
+            with ServiceClient(*server.address, auth=token) as c:
+                try:
+                    outcomes[token] = c.sweep(QUERY, p=5, grid=4)
+                except ServiceError as error:
+                    outcomes[token] = error
+                outcomes[token + ":trace"] = c.last_trace
+
+        rider = threading.Thread(target=sweep_as, args=("f",))
+        rider_joined = threading.Event()
+
+        class HeldWindow:
+            """``repro.obs`` as the scheduler sees it, except that the
+            leader's coalescing window stays open until the rider has
+            joined its batch."""
+
+            current_trace_id = staticmethod(obs.current_trace_id)
+
+            @staticmethod
+            def span(name, **tags):
+                if name == "coalesce" and tags.get("role") == "rider":
+                    rider_joined.set()
+                elif name == "coalesce" and tags.get("role") == "leader":
+                    rider.start()
+                    assert rider_joined.wait(timeout=30)
+                return obs.span(name, **tags)
+
+        with ReproServer(port=0, window=0.001,
+                         auth_tokens={"s": "spent", "f": "fresh"},
+                         tenant_quotas={
+                             "spent": TenantQuota(compile_nodes=1)},
+                         ) as server:
+            with ServiceClient(*server.address, auth="s") as c:
+                # The first fresh compile crosses the one-node budget.
+                with pytest.raises(ServiceError) as excinfo:
+                    c.compile(QUERY, p=2)
+                assert excinfo.value.code == "quota-exceeded"
+            monkeypatch.setattr(scheduler, "obs", HeldWindow)
+            sweep_as("s")
+            rider.join(timeout=60)
+            assert not rider.is_alive()
+            monkeypatch.undo()
+            with ServiceClient(*server.address, auth="f") as c:
+                stats = c.stats()
+            rider_trace = server.tracer.find(outcomes["f:trace"])
+
+        _, tid, formula = workload(p=5)
+        expected = [str(v) for v in probability_sweep(
+            formula, endpoint_weight_grid(formula, tid, 4))]
+        assert isinstance(outcomes["s"], ServiceError)
+        assert outcomes["s"].code == "quota-exceeded"
+        assert outcomes["f"]["engine"] == "exact"
+        assert outcomes["f"]["values"] == expected
+        assert stats["service"]["coalesced_batches"] == 1
+        assert [s["tags"].get("fallback") for s in rider_trace["spans"]
+                if s["name"] == "evaluate"] == ["quota"]
 
     def test_anonymous_tenant_is_quota_bound_too(self):
         from repro.service.tenants import TenantQuota
