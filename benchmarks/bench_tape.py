@@ -1,26 +1,32 @@
-"""Flat-tape float lanes vs the node-graph float fast path.
+"""Flat-tape lanes: float lanes vs a per-node float loop, integer lanes
+vs the tape's Fraction lanes.
 
 Shape expectations: on the block-matrix theta-screening family (k
 weight lanes over one path-block lineage, each lane pinning a couple
 of tuple marginals on a shared base — the ``y_probability_sweep`` /
-``link_matrix_sweep`` grid shape) the tape float kernel must beat the
-node interpreter's float fast path by **>= 10x** when numpy is
-importable: the node walk pays a Python-level lookup, conversion, and
-dispatch per node per lane, while the tape pays one base column plus
-the overrides and one vector operation per instruction.  The exact
-tape kernel must stay *bit-identical* to the node interpreter, and the
-tape's serialized bytes must not depend on ``PYTHONHASHSEED``.
+``link_matrix_sweep`` grid shape) the tape's float lanes must beat a
+per-node float loop (``node_float_batch``, the node-graph evaluator
+the tape replaced, kept here as the baseline) by **>= 10x** when numpy
+is importable: the node loop pays a Python-level lookup, conversion,
+and dispatch per node per lane, while the tape pays one base column
+plus the overrides and one vector operation per instruction.  The
+exact default, the tape's integer lanes, must return *exactly* the
+Fraction lanes' values on the same family (both rates are reported in
+lanes/s); a wide-denominator shape must select the Fraction lanes
+(timed, not gated); and the tape's serialized bytes must not depend
+on ``PYTHONHASHSEED``.
 
 Runable two ways:
 
 * ``pytest benchmarks/bench_tape.py`` — pytest-benchmark timings;
 * ``python benchmarks/bench_tape.py [--quick]`` — a self-contained
-  smoke run (CI uses ``--quick``) that exits non-zero if the tape
-  loses its margin, drifts from the exact values, or serializes
-  differently under two hash seeds.
+  smoke run (CI uses ``--quick``) that exits non-zero if the float
+  lanes lose their margin, the exact lanes drift or pick the wrong
+  arithmetic, or the tape serializes differently under two hash seeds.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,7 +36,10 @@ from pathlib import Path
 
 import _bench_io
 
-from repro.booleans.circuit import WeightOverlay, compile_cnf
+from repro import obs
+from repro.booleans.circuit import (
+    ITE, LEAF, TRUE, AND, WeightOverlay, compile_cnf, make_lookup,
+)
 from repro.booleans import tape as tape_module
 from repro.core import catalog
 from repro.reduction.blocks import path_block
@@ -52,9 +61,8 @@ def theta_workload(p=8, k=256):
     feed to ``probability_batch``.
 
     Returns the compiled circuit plus the same lanes in two spellings:
-    closures over ``(pinned, base)`` — the shape the sweeps passed to
-    the node interpreter before the tape engine existed — and
-    ``WeightOverlay`` specs, the shape they pass now.
+    closures over ``(pinned, base)``, the input of the per-node float
+    baseline, and ``WeightOverlay`` specs, the shape the sweeps pass.
     """
     query = catalog.rst_query()
     tid = path_block(query, p)
@@ -74,18 +82,88 @@ def theta_workload(p=8, k=256):
     return circuit, closure_specs, overlay_specs
 
 
-def run_node_float(circuit, specs):
-    return circuit.probability_batch(specs, numeric="float",
-                                     engine="node")
+def node_float_batch(circuit, specs):
+    """The float baseline: one walk of the circuit's node table with a
+    row of k floats per node, kept scalar while a node's value is the
+    same in every lane — the node-graph evaluator the tape replaced."""
+    lookups = [make_lookup(spec) for spec in specs]
+    k = len(lookups)
+    rows: list = [None] * len(circuit.nodes)
+    for i, node in enumerate(circuit.nodes):
+        kind = node[0]
+        if kind is ITE or kind is LEAF:
+            ps = [float(lookup(node[1])) for lookup in lookups]
+            if not all(map(math.isfinite, ps)):
+                raise ValueError(f"non-finite weight for {node[1]!r}")
+            uniform = ps.count(ps[0]) == k
+            if kind is LEAF:
+                rows[i] = ps[0] if uniform else ps
+                continue
+            hi, lo = rows[node[2]], rows[node[3]]
+            if uniform and not isinstance(hi, list) \
+                    and not isinstance(lo, list):
+                rows[i] = ps[0] * hi + (1.0 - ps[0]) * lo
+            else:
+                his = hi if isinstance(hi, list) else (hi,) * k
+                los = lo if isinstance(lo, list) else (lo,) * k
+                rows[i] = [ps[j] * his[j] + (1.0 - ps[j]) * los[j]
+                           for j in range(k)]
+        elif kind is AND:
+            scalar, row = 1.0, None
+            for child in node[1]:
+                crow = rows[child]
+                if isinstance(crow, list):
+                    row = crow if row is None else [
+                        a * b for a, b in zip(row, crow)]
+                else:
+                    scalar *= crow
+                    if not scalar:
+                        break
+            rows[i] = scalar if row is None or not scalar else [
+                scalar * x for x in row]
+        else:
+            rows[i] = 1.0 if kind is TRUE else 0.0
+    root = rows[circuit.root]
+    return list(root) if isinstance(root, list) else [root] * k
 
 
 def run_tape_float(circuit, specs):
     return circuit.probability_batch(specs, numeric="float")
 
 
-def run_tape_exact(circuit, specs):
-    return circuit.probability_batch(specs, numeric="exact",
-                                     engine="tape")
+def run_integer_lanes(circuit, specs):
+    return circuit.probability_batch(specs)
+
+
+def run_fraction_lanes(circuit, specs):
+    """The tape's Fraction lanes on ``specs``, whatever the selection
+    rule would pick."""
+    tape = tape_module.tape_for_circuit(circuit)
+    rows = tape._lane_rows(specs, None)
+    return tape._exact_lanes(rows, len(specs), None, obs.NULL_SPAN)
+
+
+def kernel_arith(run, *args):
+    """``run(*args)``'s result and the ``arith`` tag of the ``kernel``
+    span it opened under a live trace."""
+    tracer = obs.Tracer()
+    with tracer.root("bench"):
+        result = run(*args)
+    spans = tracer.recent(1)[0]["spans"]
+    tags = next(s["tags"] for s in spans if s["name"] == "kernel")
+    return result, tags["arith"]
+
+
+def wide_lanes(circuit, k):
+    """k lanes over a base giving each variable its own ~30-bit
+    denominator: the integers over D**e would dwarf the reduced
+    fractions, so the Fraction lanes must run."""
+    variables = sorted(circuit.variables(), key=repr)
+    base = {v: F(j + 1, 2 ** 30 + 2 * j + 1)
+            for j, v in enumerate(variables)}
+    return [WeightOverlay(base, {variables[j % len(variables)]:
+                                 F(1, 3 + j)})
+            for j in range(k)]
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +171,7 @@ def run_tape_exact(circuit, specs):
 # ----------------------------------------------------------------------
 def test_node_float_baseline(benchmark):
     circuit, closure_specs, _ = theta_workload(p=8, k=32)
-    values = benchmark(run_node_float, circuit, closure_specs)
+    values = benchmark(node_float_batch, circuit, closure_specs)
     assert all(0 < v < 1 for v in values)
 
 
@@ -104,11 +182,16 @@ def test_tape_float(benchmark):
     assert all(abs(a - float(t)) < 1e-9 for a, t in zip(values, exact))
 
 
-def test_tape_exact(benchmark):
+def test_integer_lanes(benchmark):
     circuit, _, overlay_specs = theta_workload(p=8, k=32)
-    values = benchmark(run_tape_exact, circuit, overlay_specs)
-    assert values == circuit.probability_batch(overlay_specs,
-                                               engine="node")
+    values = benchmark(run_integer_lanes, circuit, overlay_specs)
+    assert values == run_fraction_lanes(circuit, overlay_specs)
+
+
+def test_fraction_lanes(benchmark):
+    circuit, _, overlay_specs = theta_workload(p=8, k=32)
+    values = benchmark(run_fraction_lanes, circuit, overlay_specs)
+    assert values == circuit.probability_batch(overlay_specs)
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +216,7 @@ def check_tape_beats_node(p, k) -> tuple[bool, dict]:
     start = time.perf_counter()
     tape = tape_module.flatten_circuit(circuit)
     flatten_ms = (time.perf_counter() - start) * 1e3
-    t_node, node_floats = _best_of(run_node_float, circuit,
+    t_node, node_floats = _best_of(node_float_batch, circuit,
                                    closure_specs)
     t_tape, tape_floats = _best_of(run_tape_float, circuit,
                                    overlay_specs)
@@ -164,26 +247,53 @@ def check_tape_beats_node(p, k) -> tuple[bool, dict]:
     return speedup >= gate, record
 
 
-def check_exact_bit_identity(p, k) -> tuple[bool, dict]:
-    """tape-exact must equal the node interpreter *exactly* (the same
-    Fractions, not approximations) on the same lanes."""
+def check_integer_lanes(p, k) -> tuple[bool, dict]:
+    """The exact default must run on integer lanes and equal the
+    tape's Fraction lanes *exactly* (the same Fractions, not
+    approximations) on the theta family."""
     circuit, _, overlay_specs = theta_workload(p=p, k=k)
-    t_node, node_exact = _best_of(
-        circuit.probability_batch, overlay_specs)
-    t_tape, tape_exact = _best_of(run_tape_exact, circuit,
-                                  overlay_specs)
+    _, arith = kernel_arith(run_integer_lanes, circuit, overlay_specs)
+    t_int, values = _best_of(run_integer_lanes, circuit, overlay_specs)
+    t_frac, fractions = _best_of(run_fraction_lanes, circuit,
+                                 overlay_specs)
     record = {
-        "p": p, "k": k,
-        "node_exact_ms": round(t_node * 1e3, 2),
-        "tape_exact_ms": round(t_tape * 1e3, 2),
-        "identical": tape_exact == node_exact,
+        "p": p, "k": k, "arith": arith,
+        "integer_ms": round(t_int * 1e3, 2),
+        "fraction_ms": round(t_frac * 1e3, 2),
+        "integer_lanes_per_s": round(k / t_int, 1),
+        "fraction_lanes_per_s": round(k / t_frac, 1),
+        "identical": values == fractions,
     }
-    if tape_exact != node_exact:
-        print(f"EXACT MISMATCH: tape-exact != node interpreter at "
-              f"p={p} k={k}", file=sys.stderr)
+    if arith != "int" or values != fractions:
+        print(f"EXACT LANES: arith={arith!r}, equal to the Fraction "
+              f"lanes: {values == fractions} at p={p} k={k}",
+              file=sys.stderr)
         return False, record
-    print(f"exact: {k} lanes bit-identical to the node interpreter "
-          f"(node {t_node * 1e3:.2f}ms, tape {t_tape * 1e3:.2f}ms)")
+    print(f"exact: {k} integer lanes equal the Fraction lanes "
+          f"(integer {k / t_int:,.0f} lanes/s, Fraction "
+          f"{k / t_frac:,.0f} lanes/s, {t_frac / t_int:.1f}x)")
+    return True, record
+
+
+def check_wide_denominators(p, k) -> tuple[bool, dict]:
+    """Distinct ~30-bit denominators per variable must select the
+    Fraction lanes; their values must equal the circuit's per-lane
+    ``probability``.  Timed, not gated."""
+    circuit, _, _ = theta_workload(p=p, k=1)
+    specs = wide_lanes(circuit, k)
+    _, arith = kernel_arith(run_integer_lanes, circuit, specs)
+    t_wide, values = _best_of(run_integer_lanes, circuit, specs)
+    equal = values == [circuit.probability(spec) for spec in specs]
+    record = {"p": p, "k": k, "arith": arith,
+              "fraction_ms": round(t_wide * 1e3, 2),
+              "lanes_per_s": round(k / t_wide, 1), "identical": equal}
+    if arith != "fraction" or not equal:
+        print(f"WIDE DENOMINATORS: arith={arith!r} (want 'fraction'), "
+              f"equal to per-lane probability: {equal}",
+              file=sys.stderr)
+        return False, record
+    print(f"wide: {k} lanes of ~30-bit denominators took the Fraction "
+          f"lanes ({t_wide * 1e3:.2f}ms, {k / t_wide:,.0f} lanes/s)")
     return True, record
 
 
@@ -222,7 +332,7 @@ def _probe(hashseed: str) -> dict:
 
 
 def check_hashseed_determinism() -> tuple[bool, dict]:
-    """Tape bytes and tape-exact values must be identical across
+    """Tape bytes and exact values must be identical across
     ``PYTHONHASHSEED`` values (the store's warm-start contract)."""
     a, b = _probe("0"), _probe("12345")
     record = {"seeds": ["0", "12345"],
@@ -246,9 +356,11 @@ def main(argv=None) -> int:
         shape_ok, record = check_tape_beats_node(p, k)
         ok &= shape_ok
         records.append(record)
-    exact_ok, exact = check_exact_bit_identity(8 if quick else 10,
-                                               16 if quick else 32)
+    exact_p, exact_k = (8, 16) if quick else (10, 32)
+    exact_ok, exact = check_integer_lanes(exact_p, exact_k)
     ok &= exact_ok
+    wide_ok, wide = check_wide_denominators(exact_p, exact_k)
+    ok &= wide_ok
     seed_ok, seeds = check_hashseed_determinism()
     ok &= seed_ok
     _bench_io.emit("tape", {
@@ -256,15 +368,18 @@ def main(argv=None) -> int:
         "gate": SPEEDUP_GATE,
         "shapes": records,
         "exact": exact,
+        "wide": wide,
         "hashseed": seeds,
         "ok": bool(ok),
     })
     if not ok:
-        print("perf regression: the tape engine lost its margin, "
-              "drifted, or broke determinism", file=sys.stderr)
+        print("perf regression: the tape lost its float margin, the "
+              "exact lanes drifted or picked the wrong arithmetic, or "
+              "serialization broke determinism", file=sys.stderr)
         return 1
-    print("ok: tape-float clears the gate, tape-exact is "
-          "bit-identical, serialization is hashseed-stable")
+    print("ok: tape-float clears the gate, integer lanes equal the "
+          "Fraction lanes, wide denominators take the Fraction lanes, "
+          "serialization is hashseed-stable")
     return 0
 
 

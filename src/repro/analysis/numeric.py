@@ -1,13 +1,13 @@
 """Numeric-boundary rule: exact kernels stay rational, float lanes
 stay cheap.
 
-The repo's exactness contract is that ``Fraction`` kernels never touch
-binary floating point: a single ``0.5`` literal or ``math.log`` call
-inside ``Circuit._forward`` would silently turn "exact WMC" into
-"approximately exact WMC" with no test catching small inputs.  The
-mirror-image bug is building ``Fraction`` objects inside the per-lane
-loops of the float kernels, which erases the 10x+ speedup the tape
-exists for.
+The repo's exactness contract is that exact kernels never touch binary
+floating point: a single ``0.5`` literal or ``math.log`` call inside
+the tape's integer lanes (``Tape._exact_lanes``) would silently turn
+"exact WMC" into "approximately exact WMC" with no test catching small
+inputs.  The mirror-image bug is building ``Fraction`` objects inside
+the per-lane loops of the float kernels, which erases the 10x+ speedup
+the tape exists for.
 
 Zones:
 
@@ -15,7 +15,8 @@ Zones:
   explicitly listed exact surfaces of ``booleans/circuit.py`` and
   ``booleans/tape.py`` (``Circuit.probability``/``_forward``/
   ``model_count``/``marginals``/``sample``/``top_k_worlds``, the
-  ``_kbest_*`` helpers, ``_Compiler``, ``compile_cnf``,
+  ``_kbest_*`` helpers, ``_Compiler``, ``compile_cnf``, the tape's
+  exact surfaces including its shared lane loop ``Tape._lanes``,
   ``_Flattener``/``flatten_circuit``).  Flags float literals,
   ``float(...)``/``complex(...)`` casts, and any ``math.*`` use other
   than the exact-integer helpers (``isqrt``/``gcd``/``lcm``/``comb``/
@@ -23,10 +24,10 @@ Zones:
 * **float** — functions whose qualname contains ``float``, ``numpy``,
   or ``lanes``.  Flags ``Fraction(...)`` constructed inside a loop or
   comprehension (hoisting to before the loop is always possible and is
-  the idiom ``_float_rows`` uses).
+  the idiom ``_weight_rows`` uses).
 
-``Circuit.probability_batch`` is deliberately *not* a zone: it is the
-documented mixed dispatcher between the two kernels.
+``Circuit.probability_batch`` and ``Tape.evaluate`` are deliberately
+*not* zones: they dispatch between the exact and float lanes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ _EXACT_ZONES = {
         "_kbest_top", "_kbest_scale", "_kbest_product", "_kbest_smooth",
         "_Compiler", "compile_cnf",
     ),
-    "booleans/tape.py": ("_Flattener", "flatten_circuit"),
+    "booleans/tape.py": ("Tape.probability", "Tape._lanes",
+                         "Tape._exponent_table", "Tape._lane_denominator",
+                         "_Flattener", "flatten_circuit"),
 }
 
 #: ``math.*`` members that stay in exact integer arithmetic.

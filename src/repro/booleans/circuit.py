@@ -30,9 +30,11 @@ one number.
 
 Two runtime features round the IR out into a reusable artifact:
 
-* ``Circuit.probability_batch`` evaluates *many* weight vectors in one
-  node-ordered pass (the grids of Eq. 20, theta-sweeps, interpolation
-  points), with an optional float fast path for approximate sweeps;
+* ``Circuit.probability`` and ``Circuit.probability_batch`` run on the
+  circuit's flat instruction tape (``repro.booleans.tape``): one pass
+  evaluates *many* weight vectors (the grids of Eq. 20, theta-sweeps,
+  interpolation points) on exact integer lanes, or on float lanes for
+  approximate sweeps;
 * ``Circuit.to_bytes`` / ``Circuit.from_bytes`` give a versioned,
   exactly round-tripping serialization, the unit of persistence for the
   content-addressed store in ``repro.booleans.store``.
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 import random
 
 from fractions import Fraction
@@ -148,10 +149,11 @@ class WeightOverlay:
     (the block marginals) plus a handful of pinned variables per lane
     (theta-tuples, endpoints).  Spelling a lane this way keeps the
     semantics of an ordinary spec (``WeightOverlay`` is callable, so
-    ``make_lookup`` and the node interpreter treat it like any other
-    lookup) while letting the tape engine fill its weight matrix from
-    one base column plus the overrides — O(slots + overrides) weight
-    probes per batch instead of O(slots x lanes).
+    ``make_lookup`` treats it like any other lookup, and base-map
+    misses take 1/2 whatever a batch's ``default``) while letting the
+    tape fill its weight matrix from one base column plus the
+    overrides — O(slots + overrides) weight probes per batch instead
+    of O(slots x lanes).
     """
 
     __slots__ = ("base", "pinned", "_lookup")
@@ -167,19 +169,6 @@ class WeightOverlay:
             inner = self._lookup = make_lookup(self.base)
         pinned = self.pinned
         return pinned[var] if var in pinned else inner(var)
-
-
-def _require_finite(values, var) -> None:
-    """Reject NaN/inf weights in float batches: a single poisoned lane
-    would otherwise defeat the uniform-lane fast path silently (NaN
-    compares unequal to everything, so every row widens) and propagate
-    garbage into all downstream products."""
-    for lane, value in enumerate(values):
-        if not math.isfinite(value):
-            raise ValueError(
-                f"non-finite weight {value!r} for variable {var!r} in "
-                f"float lane {lane}; float sweeps require finite "
-                f"weights (use numeric='exact' for symbolic inputs)")
 
 
 #: ``branch_variable`` scores at most this many most-shared candidates
@@ -323,10 +312,15 @@ class Circuit:
     # ------------------------------------------------------------------
     def probability(self, weights: Weights = None,
                     default: Fraction | None = None) -> Fraction:
-        """Pr(F) under independent variables — one forward pass."""
-        return self._forward(make_lookup(weights, default))[self.root]
+        """Pr(F) under independent variables — one pass over the
+        circuit's flat tape (``repro.booleans.tape.Tape.probability``)."""
+        from repro.booleans.tape import tape_for_circuit
+        return tape_for_circuit(self).probability(weights, default,
+                                                  self._forward)
 
     def _forward(self, lookup) -> list[Fraction]:
+        """Every node's probability in ``Fraction``s, by one walk of
+        the node table (``marginals`` and ``sample`` need them all)."""
         vals: list[Fraction] = [ZERO] * len(self.nodes)
         for i, node in enumerate(self.nodes):
             kind = node[0]
@@ -348,119 +342,28 @@ class Circuit:
 
     def probability_batch(self, weight_specs: Sequence[Weights],
                           default: Fraction | None = None,
-                          numeric: str = "exact",
-                          engine: str = "auto") -> list:
-        """Pr(F) under many weight vectors in one node-ordered pass.
+                          numeric: str = "exact") -> list:
+        """``[Pr(F; w) for w in weight_specs]`` in one pass over the
+        circuit's flat tape (``repro.booleans.tape``), flattened once
+        and cached on the circuit.
 
-        ``weight_specs`` is a sequence of weight specifications (each a
-        mapping, a callable, or None, as in ``probability``); the result
-        is ``[Pr(F; w) for w in weight_specs]`` but the circuit is
-        walked *once*, keeping a row of k running values per node — the
-        memory-friendly layout for the reduction grids (Eq. 20
-        endpoint sweeps, theta-sweeps, interpolation points).
+        Each spec is a mapping, a callable, a ``WeightOverlay`` or None,
+        as in ``probability``.  Sweeps (the Eq. 20 endpoint grids,
+        theta-sweeps, interpolation points) vary a handful of variables,
+        so a register keeps one shared value while it is the same in
+        every lane, and the work scales with k only on the swept part.
 
-        ``numeric="exact"`` (the default) computes in ``Fraction``s and
-        is bit-identical to k separate ``probability`` calls;
-        ``numeric="float"`` runs the same pass in hardware floats —
-        callers wanting guardrails should cross-check a sample against
-        the exact path (``repro.evaluation.probability_sweep`` does).
-        Non-finite float weights (NaN/inf) raise ``ValueError`` naming
-        the offending lane instead of silently poisoning the batch.
-
-        ``engine`` selects the evaluator: ``"node"`` walks this node
-        table with the uniform-lane optimization below; ``"tape"``
-        flattens the circuit once into a ``repro.booleans.tape.Tape``
-        and runs its vectorized kernels; ``"auto"`` (the default) uses
-        the tape for float batches — where the lane kernel dominates —
-        and the node walk for exact ones.
-
-        Sweeps typically vary a handful of variables (endpoints,
-        theta-tuples) and hold the rest fixed, so each node value is
-        kept as a single scalar while it is *uniform* across the batch
-        and only widens to a per-lane row where lanes actually diverge
-        — the arithmetic then scales with k only on the swept part of
-        the circuit, which is why batching beats k separate passes.
+        ``numeric="exact"`` (the default) returns ``Fraction``s equal to
+        k ``probability`` calls, from integer lanes over the batch's
+        common denominator (or ``Fraction`` lanes when it is too wide).
+        ``numeric="float"`` runs the float lanes; cross-check a sample
+        against the exact path (``repro.evaluation.probability_sweep``
+        does).  Non-finite float weights raise ``ValueError`` naming
+        the lane.
         """
-        if numeric == "exact":
-            to_num, one, zero = Fraction, ONE, ZERO
-        elif numeric == "float":
-            to_num, one, zero = float, 1.0, 0.0
-        else:
-            raise ValueError(
-                f"numeric must be 'exact' or 'float', got {numeric!r}")
-        if engine not in ("auto", "node", "tape"):
-            raise ValueError(
-                f"engine must be 'auto', 'node', or 'tape', "
-                f"got {engine!r}")
-        if engine == "auto":
-            engine = "tape" if numeric == "float" else "node"
-        weight_specs = list(weight_specs)
-        k = len(weight_specs)
-        if k == 0:
-            return []
-        if engine == "tape":
-            # Imported lazily: tape flattens circuits, so the module
-            # depends on this one.  The tape takes the raw specs — it
-            # probes mappings directly instead of paying a closure
-            # call per (variable, lane).
-            from repro.booleans.tape import tape_for_circuit
-            return tape_for_circuit(self).evaluate(
-                weight_specs, numeric, default=default)
-        lookups = [make_lookup(spec, default) for spec in weight_specs]
-        guard = _require_finite if to_num is float else None
-        # rows[i] is a scalar when node i's value is uniform across all
-        # k lanes, else a length-k list.
-        rows: list = [None] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            kind = node[0]
-            if kind is ITE:
-                var = node[1]
-                ps = [to_num(lookup(var)) for lookup in lookups]
-                if guard is not None:
-                    guard(ps, var)
-                uniform_p = all(p == ps[0] for p in ps)
-                hi, lo = rows[node[2]], rows[node[3]]
-                hi_wide = isinstance(hi, list)
-                lo_wide = isinstance(lo, list)
-                if uniform_p and not hi_wide and not lo_wide:
-                    p = ps[0]
-                    rows[i] = p * hi + (one - p) * lo
-                else:
-                    his = hi if hi_wide else (hi,) * k
-                    los = lo if lo_wide else (lo,) * k
-                    rows[i] = [ps[j] * his[j] + (one - ps[j]) * los[j]
-                               for j in range(k)]
-            elif kind is AND:
-                scalar = one
-                wide: list = []
-                for child in node[1]:
-                    crow = rows[child]
-                    if isinstance(crow, list):
-                        wide.append(crow)
-                    else:
-                        scalar *= crow
-                        if not scalar:
-                            break
-                if not scalar or not wide:
-                    rows[i] = scalar
-                else:
-                    row = [scalar * x for x in wide[0]]
-                    for crow in wide[1:]:
-                        for j in range(k):
-                            row[j] *= crow[j]
-                    rows[i] = row
-            elif kind is LEAF:
-                var = node[1]
-                ps = [to_num(lookup(var)) for lookup in lookups]
-                if guard is not None:
-                    guard(ps, var)
-                rows[i] = ps[0] if all(p == ps[0] for p in ps) else ps
-            elif kind is TRUE:
-                rows[i] = one
-            else:
-                rows[i] = zero
-        root = rows[self.root]
-        return list(root) if isinstance(root, list) else [root] * k
+        from repro.booleans.tape import tape_for_circuit
+        return tape_for_circuit(self).evaluate(list(weight_specs),
+                                               numeric, default)
 
     def model_count(self, scope: Iterable | None = None) -> int:
         """The number of satisfying assignments over ``scope``.

@@ -1,26 +1,29 @@
-"""Flat instruction tapes: the vectorized evaluation engine.
+"""Flat instruction tapes: the evaluation engine.
 
-``Circuit.probability_batch`` walks a hash-consed node-object graph —
-tuple unpacking, pointer chasing, and a Python-level dispatch per node
-per weight vector.  For the sweep-shaped workloads this repo actually
-runs (the Eq. 20 endpoint grids, theta-sweeps, interpolation points,
-the service's coalesced batches) that interpreter is the dominant cost
-once compilation is cached.
+A compiled :class:`~repro.booleans.circuit.Circuit` is lowered *once*
+into a :class:`Tape` — parallel arrays of opcodes, operand index
+ranges, and a literal→slot table — so k weight vectors cost one pass
+over flat arrays, not a Python-level dispatch per node per vector.
+Every ``Circuit.probability``/``probability_batch`` call runs here:
 
-This module lowers a compiled :class:`~repro.booleans.circuit.Circuit`
-*once* into a :class:`Tape` — parallel arrays of opcodes, operand index
-ranges, and a literal→slot table — and evaluates the tape with two
-kernels over the identical instruction stream:
+* **float lanes**: one (slots x k) weight matrix and one numpy vector
+  operation per instruction (without numpy, the lane loop over floats);
+* **integer lanes**, the exact default: the batch's weights go over
+  their least common denominator D and register ``i`` holds an integer
+  over ``D**e[i]``, with ``e`` fixed by the instructions alone (LIT 1,
+  NEG its source's, AND the sum of its operands', OR their maximum,
+  constants 0).  OR operands are aligned by a power of D, so the pass
+  runs on plain ints (no gcd, no ``Fraction``) and each lane divides
+  once at the root.  Probabilities in {0, 1/2, 1} plus a few small
+  grid denominators keep D tiny;
+* **Fraction lanes** run the same loop over ``Fraction``s when the
+  denominators are too wide and varied for integers
+  (``INT_LANE_RATIO``); a single such lane takes the circuit's own
+  node-table pass instead.
 
-* a **float kernel** that processes all k weight vectors of a batch as
-  contiguous lanes: one (slots x k) weight matrix, one vector operation
-  per instruction.  It uses numpy when importable and falls back to a
-  pure-stdlib ``array('d')`` loop, so the core stays dependency-free;
-* an **exact kernel** computing in ``Fraction``s, bit-identical to the
-  node interpreter (the tape performs the *same* arithmetic — an
-  ``("ite", v, hi, lo)`` node lowers to ``p*hi + (1-p)*lo`` spelled as
-  ``OR(AND(LIT, hi), AND(NEG, lo))`` — and Fraction arithmetic is
-  exact, so association order cannot introduce drift).
+Both exact lanes return the same ``Fraction``s whatever the association
+order (an ``("ite", v, hi, lo)`` node lowers to ``p*hi + (1-p)*lo``
+spelled as ``OR(AND(LIT, hi), AND(NEG, lo))``).
 
 Lowering rules (one pass over the topologically ordered node table):
 
@@ -59,9 +62,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from repro.booleans.circuit import (
-    AND, FALSE, HALF, ITE, LEAF, ONE, TRUE, ZERO, Circuit,
-    UnsupportedVersionError, WeightOverlay, decode_token, encode_token,
-    make_lookup,
+    AND, FALSE, HALF, ITE, LEAF, TRUE, Circuit, UnsupportedVersionError,
+    WeightOverlay, decode_token, encode_token, make_lookup,
 )
 from repro import obs
 
@@ -84,6 +86,14 @@ OP_OR = 5
 TAPE_FORMAT_NAME = "repro-tape"
 TAPE_FORMAT_VERSION = 1
 
+#: Integer lanes run while their root's ``e_root * D.bit_length()``
+#: bits stay within ``INT_LANE_RATIO`` times the slots' summed widest
+#: denominator bits (what bounds the Fraction lanes), or below
+#: ``INT_LANE_FLOOR_BITS``: on a 129-slot lineage with 16 lanes they
+#: lost past roughly 20k root bits, at 6-25x the Fraction width.
+INT_LANE_FLOOR_BITS = 16384
+INT_LANE_RATIO = 4
+
 _LOCK = threading.Lock()
 _STATS = {"tape_hits": 0, "tape_flattens": 0, "tape_bytes": 0}
 
@@ -101,6 +111,20 @@ def reset_tape_stats() -> None:
             _STATS[key] = 0
 
 
+def _float_weight(value, var, lane) -> float:
+    weight = float(value)
+    if not math.isfinite(weight):
+        raise ValueError(
+            f"non-finite weight {weight!r} for variable {var!r} in "
+            f"float lane {lane}; float sweeps require finite weights "
+            f"(use numeric='exact' for symbolic inputs)")
+    return weight
+
+
+def _exact_weight(value, var, lane) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class Tape:
     """A flattened circuit: parallel instruction arrays plus the
     literal→slot table.  Instruction ``i`` writes register ``i``; the
@@ -108,7 +132,8 @@ class Tape:
     mirroring the source circuit's node table."""
 
     __slots__ = ("ops", "arg0", "arg1", "operands", "slots", "root",
-                 "circuit_nodes", "circuit_root", "_slot_index")
+                 "circuit_nodes", "circuit_root", "_slot_index",
+                 "_exponents")
 
     def __init__(self, ops: array, arg0: array, arg1: array,
                  operands: array, slots: tuple, root: int,
@@ -122,6 +147,7 @@ class Tape:
         self.circuit_nodes = circuit_nodes
         self.circuit_root = circuit_root
         self._slot_index = None
+        self._exponents = None
 
     # ------------------------------------------------------------------
     @property
@@ -173,7 +199,7 @@ class Tape:
             raise ValueError(
                 f"root register {self.root!r} out of range")
         n_slots = len(slots)
-        if len(set(slots)) != n_slots:
+        if len(set(map(_slot_key, slots))) != n_slots:
             raise ValueError("corrupt tape: duplicate variables in "
                              "the literal-slot table")
         next_slot = 0  # first-use discipline: LITs reveal 0,1,2,...
@@ -240,42 +266,62 @@ class Tape:
                  default: Fraction | None = None) -> list:
         """``[Pr(F; w) for w in weight_specs]`` in one pass.
 
-        ``weight_specs`` are raw weight specifications — each a
-        mapping, a callable, or ``None``, with mapping misses falling
-        back to ``default`` (1/2 when unspecified), exactly as in
+        ``weight_specs`` are raw weight specifications, as in
         ``Circuit.probability_batch``.  ``numeric="exact"`` runs the
-        Fraction kernel (bit-identical to the node interpreter);
-        ``numeric="float"`` runs the vectorized lane kernel — numpy
-        when importable, stdlib arrays otherwise — and rejects
-        non-finite weights with a ``ValueError`` naming the lane.
+        integer lanes, or the Fraction lanes when the batch's
+        denominators are too wide (``INT_LANE_RATIO``);
+        ``numeric="float"`` runs the float lanes and rejects non-finite
+        weights with a ``ValueError`` naming the lane.  The ``kernel``
+        span records the ``arith`` that ran (``"int"``, ``"fraction"``,
+        ``"float"``) and, for exact batches, the widest root
+        numerator's ``bits``: number size drives exact cost.
         """
         with obs.span("kernel", numeric=numeric,
-                      lanes=len(weight_specs)):
+                      lanes=len(weight_specs)) as sp:
+            if numeric not in ("exact", "float"):
+                raise ValueError(
+                    f"numeric must be 'exact' or 'float', got {numeric!r}")
+            k = len(weight_specs)
+            if not k:
+                return []
             if numeric == "exact":
-                return self._eval_exact(weight_specs, default)
-            if numeric == "float":
-                if _np is not None:
-                    return self._eval_numpy(weight_specs, default)
-                return self._eval_float_fallback(weight_specs, default)
-            raise ValueError(
-                f"numeric must be 'exact' or 'float', got {numeric!r}")
+                rows = self._lane_rows(weight_specs, default)
+                return self._exact_lanes(rows, k,
+                                         self._lane_denominator(rows), sp)
+            sp.tag(arith="float")
+            if _np is not None:
+                return self._eval_numpy(weight_specs, default)
+            root = self._lanes(self._lane_rows(
+                weight_specs, default, _float_weight), None, (1,))
+            return [float(x) for x in root] if type(root) is list \
+                else [float(root)] * k
 
-    def _float_rows(self, weight_specs, default) -> list:
-        """Per-slot float rows, conversion-memoized by object identity.
+    def probability(self, weights, default, forward) -> Fraction:
+        """One exact lane for ``Circuit.probability``: integer lanes, or
+        for too wide denominators ``forward(lookup)``, the circuit's
+        node-table pass, which beats the Fraction lanes on one lane."""
+        with obs.span("kernel", numeric="exact", lanes=1) as sp:
+            lookup = make_lookup(weights, default)
+            rows = [_exact_weight(lookup(var), var, 0)
+                    for var in self.slots]
+            common = self._lane_denominator(rows)
+            if common is not None:
+                return self._exact_lanes(rows, 1, common, sp)[0]
+            value = forward(lookup)[self.circuit_root]
+            sp.tag(arith="fraction", bits=value.numerator.bit_length())
+            return value
 
-        Sweep grids repeat weight objects heavily across lanes — each
-        lane typically overlays a handful of variables on a shared
-        base map — and ``float(Fraction)`` costs an order of magnitude
-        more than the dict probe that fetched it, so conversions are
-        memoized by ``id``.  The memo keeps every source object alive
-        for the duration of the pass, so an id cannot be recycled onto
-        a different value mid-build.  Mapping specs are probed through
-        ``dict.get`` directly (no per-call closure); callables keep
-        the node interpreter's calling convention.
+    def _weight_rows(self, weight_specs, default, convert) -> list:
+        """Per-slot rows of lane weights, each value passed through
+        ``convert(value, var, lane)`` once: sweep lanes repeat weight
+        objects heavily, so conversions are memoized by ``id`` (the
+        memo keeps each object alive, so no id is recycled mid-pass).
+        Mappings are probed through ``dict.get``; callables are called
+        with the variable.
         """
         if weight_specs and all(type(spec) is WeightOverlay
                                 for spec in weight_specs):
-            rows = self._overlay_rows(weight_specs, default)
+            rows = self._overlay_rows(weight_specs, convert)
             if rows is not None:
                 return rows
         fallback = HALF if default is None else Fraction(default)
@@ -287,7 +333,6 @@ class Tape:
                 table = spec if type(spec) is dict else dict(spec or {})
                 probes.append(table.get)
         memo: dict = {}
-        isfinite = math.isfinite
         rows = []
         for var in self.slots:
             row: list = []
@@ -295,39 +340,32 @@ class Tape:
             for probe in probes:
                 value = probe(var, fallback)
                 hit = memo.get(id(value))
-                if hit is not None:
-                    ap(hit[1])
-                    continue
-                weight = float(value)
-                if not isfinite(weight):
-                    raise ValueError(
-                        f"non-finite weight {weight!r} for variable "
-                        f"{var!r} in float lane {len(row)}; float "
-                        f"sweeps require finite weights (use "
-                        f"numeric='exact' for symbolic inputs)")
-                memo[id(value)] = (value, weight)
-                ap(weight)
+                if hit is None:
+                    hit = memo[id(value)] = (
+                        value, convert(value, var, len(row)))
+                ap(hit[1])
             rows.append(row)
         return rows
 
-    def _overlay_rows(self, specs, default):
+    def _overlay_rows(self, specs, convert):
         """Fast fill for an all-``WeightOverlay`` batch sharing one
         base: convert the base column once, replicate it across lanes
         (C-speed list repeat), then poke the per-lane replacements —
         O(slots + overrides) weight probes instead of O(slots x lanes).
-        Returns None when lanes disagree on the base object; the
-        generic path handles that correctly, just slower."""
+        Base-map misses take 1/2, as calling the overlay does: a batch
+        ``default`` does not reach inside a ``WeightOverlay``.  Returns
+        None when lanes disagree on the base object; the generic path
+        handles that correctly, just slower."""
         base = specs[0].base
         if any(spec.base is not base for spec in specs):
             return None
         k = len(specs)
         rows = [[weight] * k
-                for (weight,) in self._float_rows([base], default)]
+                for (weight,) in self._weight_rows([base], None, convert)]
         index = self._slot_index
         if index is None:
             index = self._slot_index = {
                 var: s for s, var in enumerate(self.slots)}
-        isfinite = math.isfinite
         memo: dict = {}
         for lane, spec in enumerate(specs):
             for var, value in spec.pinned.items():
@@ -335,49 +373,31 @@ class Tape:
                 if s is None:  # variable absent from the circuit
                     continue
                 hit = memo.get(id(value))
-                if hit is not None:
-                    rows[s][lane] = hit[1]
-                    continue
-                weight = float(value)
-                if not isfinite(weight):
-                    raise ValueError(
-                        f"non-finite weight {weight!r} for variable "
-                        f"{var!r} in float lane {lane}; float sweeps "
-                        f"require finite weights (use numeric='exact' "
-                        f"for symbolic inputs)")
-                memo[id(value)] = (value, weight)
-                rows[s][lane] = weight
+                if hit is None:
+                    hit = memo[id(value)] = (value,
+                                             convert(value, var, lane))
+                rows[s][lane] = hit[1]
         return rows
 
     def _eval_numpy(self, weight_specs, default) -> list:
         np = _np
         k = len(weight_specs)
-        if k == 0:
-            return []
-        w = np.array(self._float_rows(weight_specs, default),
+        w = np.array(self._weight_rows(weight_specs, default, _float_weight),
                      dtype=np.float64).reshape(len(self.slots), k)
         ops, arg0, arg1 = self.ops, self.arg0, self.arg1
         operands = self.operands
+        multiply, add = np.multiply, np.add
         regs: list = [None] * len(ops)
         for i in range(len(ops)):
             op = ops[i]
             if op == OP_LIT:
                 regs[i] = w[arg0[i]]
-            elif op == OP_AND:
-                j, stop = arg0[i], arg1[i]
-                acc = regs[operands[j]] * regs[operands[j + 1]]
-                j += 2
-                while j < stop:
-                    acc *= regs[operands[j]]
-                    j += 1
-                regs[i] = acc
-            elif op == OP_OR:
-                j, stop = arg0[i], arg1[i]
-                acc = regs[operands[j]] + regs[operands[j + 1]]
-                j += 2
-                while j < stop:
-                    acc += regs[operands[j]]
-                    j += 1
+            elif op == OP_AND or op == OP_OR:
+                ufunc = multiply if op == OP_AND else add
+                j = arg0[i]
+                acc = ufunc(regs[operands[j]], regs[operands[j + 1]])
+                for j in range(j + 2, arg1[i]):
+                    ufunc(acc, regs[operands[j]], out=acc)
                 regs[i] = acc
             elif op == OP_NEG:
                 regs[i] = 1.0 - regs[arg0[i]]
@@ -387,124 +407,151 @@ class Tape:
                 regs[i] = np.zeros(k)
         return [float(x) for x in regs[self.root]]
 
-    def _eval_float_fallback(self, weight_specs, default) -> list:
-        """Pure-stdlib float lanes: one ``array('d')`` row per
-        register, tight per-instruction loops — no numpy required."""
+    def _lane_rows(self, weight_specs, default,
+                   convert=_exact_weight) -> list:
+        """Per-slot lane weights for ``_lanes``: one value where every
+        lane agrees, else the row of k lane weights."""
         k = len(weight_specs)
-        if k == 0:
-            return []
-        slot_rows = [array("d", row)
-                     for row in self._float_rows(weight_specs, default)]
+        return [row[0] if row.count(row[0]) == k else row
+                for row in self._weight_rows(weight_specs, default,
+                                             convert)]
+
+    def _exponent_table(self) -> tuple:
+        """``(e, max(e))``: each register's power of D on the integer
+        lanes (see the module docstring) and the largest.  Computed
+        once per tape and cached, never serialized: a tape loaded from
+        a sidecar computes it on first use."""
+        table = self._exponents
+        if table is None:
+            ops, arg0, arg1 = self.ops, self.arg0, self.arg1
+            operands = self.operands
+            exps = [0] * len(ops)
+            for i in range(len(ops)):
+                op = ops[i]
+                if op == OP_LIT:
+                    exps[i] = 1
+                elif op == OP_NEG:
+                    exps[i] = exps[arg0[i]]
+                elif op == OP_AND:
+                    exps[i] = sum(exps[r] for r in operands[arg0[i]:arg1[i]])
+                elif op == OP_OR:
+                    exps[i] = max(exps[r] for r in operands[arg0[i]:arg1[i]])
+            table = self._exponents = (exps, max(exps, default=0))
+        return table
+
+    def _lane_denominator(self, rows):
+        """D, the least common denominator of the batch's weights, when
+        the integer lanes should run (``INT_LANE_RATIO``); None when it
+        is too wide for them."""
+        denominators, width = set(), 0
+        for row in rows:
+            seen = {w.denominator for w in row} if type(row) is list \
+                else (row.denominator,)
+            denominators.update(seen)
+            width += max(seen).bit_length()
+        common = math.lcm(*denominators)
+        root_bits = self._exponent_table()[0][self.root] \
+            * common.bit_length()
+        if root_bits <= max(INT_LANE_RATIO * width, INT_LANE_FLOOR_BITS):
+            return common
+        return None
+
+    def _exact_lanes(self, rows, k, common, span) -> list:
+        """Exact values of ``rows`` (``_lane_rows``): integer lanes
+        over ``common`` = D — each weight put over D, register ``i``
+        standing for ``regs[i] / D**e[i]``, one division per lane at
+        the root — or Fraction lanes when ``common`` is None."""
+        if common is None:
+            arith, exps, pows = "fraction", None, (1,)
+        else:
+            arith = "int"
+            exps, top = self._exponent_table()
+            pows = [1]
+            for _ in range(top):
+                pows.append(pows[-1] * common)
+            rows = [
+                [w.numerator * (common // w.denominator) for w in row]
+                if type(row) is list
+                else row.numerator * (common // row.denominator)
+                for row in rows]
+        root = self._lanes(rows, exps, pows)
+        roots = root if type(root) is list else (root,)
+        denominator = 1 if exps is None else pows[exps[self.root]]
+        values = [Fraction(x, denominator) for x in roots]
+        span.tag(arith=arith,
+                 bits=max(x.numerator.bit_length() for x in roots))
+        return values if type(root) is list else values * k
+
+    def _lanes(self, weights, exps, pows):
+        """The lane loop of the integer, Fraction and (without numpy)
+        float lanes; returns the root register.
+
+        A register keeps one shared value while it is the same in every
+        lane and widens to a row of k only where lanes diverge: sweeps
+        vary a handful of variables, so most of the tape runs once.  On
+        integer lanes an OR operand is scaled by ``pows[gap]``, D to the
+        gap between its exponent and the OR's, and NEG subtracts from
+        ``pows[e]``; ``exps=None`` sets every exponent to 0.  Stored
+        rows are never mutated, so registers may share them.
+        """
         ops, arg0, arg1 = self.ops, self.arg0, self.arg1
         operands = self.operands
+        if exps is None:
+            exps = bytes(len(ops))
         regs: list = [None] * len(ops)
-        ones = array("d", [1.0]) * k
-        zeros = array("d", bytes(8 * k))
-        rng = range(k)
         for i in range(len(ops)):
             op = ops[i]
             if op == OP_LIT:
-                regs[i] = slot_rows[arg0[i]]
+                regs[i] = weights[arg0[i]]
             elif op == OP_AND:
-                j, stop = arg0[i], arg1[i]
-                acc = array("d", regs[operands[j]])
-                j += 1
-                while j < stop:
-                    src = regs[operands[j]]
-                    for lane in rng:
-                        acc[lane] *= src[lane]
-                    j += 1
-                regs[i] = acc
-            elif op == OP_OR:
-                j, stop = arg0[i], arg1[i]
-                acc = array("d", regs[operands[j]])
-                j += 1
-                while j < stop:
-                    src = regs[operands[j]]
-                    for lane in rng:
-                        acc[lane] += src[lane]
-                    j += 1
-                regs[i] = acc
-            elif op == OP_NEG:
-                src = regs[arg0[i]]
-                acc = array("d", bytes(8 * k))
-                for lane in rng:
-                    acc[lane] = 1.0 - src[lane]
-                regs[i] = acc
-            elif op == OP_CONST1:
-                regs[i] = ones
-            else:
-                regs[i] = zeros
-        return list(regs[self.root])
-
-    def _eval_exact(self, weight_specs, default) -> list:
-        """Fraction kernel with the node interpreter's uniform-lane
-        optimization: register rows stay scalar until lanes actually
-        diverge (sweeps vary a handful of variables, so most of the
-        tape is evaluated once, not k times)."""
-        k = len(weight_specs)
-        if k == 0:
-            return []
-        lookups = [make_lookup(spec, default) for spec in weight_specs]
-        ops, arg0, arg1 = self.ops, self.arg0, self.arg1
-        operands, slots = self.operands, self.slots
-        # rows[i] is a scalar when register i is uniform across all k
-        # lanes, else a length-k list (same layout as probability_batch).
-        rows: list = [None] * len(ops)
-        for i in range(len(ops)):
-            op = ops[i]
-            if op == OP_LIT:
-                var = slots[arg0[i]]
-                ps = [Fraction(lookup(var)) for lookup in lookups]
-                rows[i] = ps[0] if all(p == ps[0] for p in ps) else ps
-            elif op == OP_AND:
-                scalar = ONE
-                wide: list = []
+                scalar = 1
+                wide = None
                 for j in range(arg0[i], arg1[i]):
-                    crow = rows[operands[j]]
-                    if isinstance(crow, list):
-                        wide.append(crow)
+                    row = regs[operands[j]]
+                    if type(row) is list:
+                        wide = row if wide is None else [
+                            a * b for a, b in zip(wide, row)]
                     else:
-                        scalar *= crow
+                        scalar *= row
                         if not scalar:
                             break
-                if not scalar or not wide:
-                    rows[i] = scalar
+                if wide is None or not scalar:
+                    regs[i] = scalar
                 else:
-                    row = [scalar * x for x in wide[0]]
-                    for crow in wide[1:]:
-                        for lane in range(k):
-                            row[lane] *= crow[lane]
-                    rows[i] = row
+                    regs[i] = wide if scalar == 1 else [
+                        scalar * x for x in wide]
             elif op == OP_OR:
-                scalar = ZERO
-                wide = []
+                top = exps[i]
+                scalar = 0
+                wide = None
                 for j in range(arg0[i], arg1[i]):
-                    crow = rows[operands[j]]
-                    if isinstance(crow, list):
-                        wide.append(crow)
+                    src = operands[j]
+                    row = regs[src]
+                    gap = top - exps[src]
+                    if type(row) is list:
+                        if gap:
+                            scale = pows[gap]
+                            row = [scale * x for x in row]
+                        wide = row if wide is None else [
+                            a + b for a, b in zip(wide, row)]
                     else:
-                        scalar += crow
-                if not wide:
-                    rows[i] = scalar
+                        scalar += pows[gap] * row if gap else row
+                if wide is None:
+                    regs[i] = scalar
                 else:
-                    row = [scalar + x for x in wide[0]]
-                    for crow in wide[1:]:
-                        for lane in range(k):
-                            row[lane] += crow[lane]
-                    rows[i] = row
+                    regs[i] = [scalar + x for x in wide] if scalar \
+                        else wide
             elif op == OP_NEG:
-                src = rows[arg0[i]]
-                if isinstance(src, list):
-                    rows[i] = [ONE - x for x in src]
-                else:
-                    rows[i] = ONE - src
+                src = arg0[i]
+                top = pows[exps[src]]
+                row = regs[src]
+                regs[i] = [top - x for x in row] if type(row) is list \
+                    else top - row
             elif op == OP_CONST1:
-                rows[i] = ONE
+                regs[i] = 1
             else:
-                rows[i] = ZERO
-        root = rows[self.root]
-        return list(root) if isinstance(root, list) else [root] * k
+                regs[i] = 0
+        return regs[self.root]
 
     # ------------------------------------------------------------------
     # Serialization (versioned, exact round trip)
@@ -589,6 +636,15 @@ class Tape:
 # ----------------------------------------------------------------------
 # Flattening
 # ----------------------------------------------------------------------
+def _slot_key(var):
+    """A dict key that keeps hash-equal tokens of different types
+    apart (``True`` and ``1``, also nested inside tuples), as the
+    circuit serialization's interning does: each is its own slot."""
+    if type(var) is tuple:
+        return tuple(map(_slot_key, var))
+    return type(var), var
+
+
 class _Flattener:
     """One-pass lowering of a circuit's node table into a tape."""
 
@@ -599,6 +655,7 @@ class _Flattener:
         self.operands = array("q")
         self.slot_ids: dict = {}
         self.slots: list = []
+        self._by_id: dict = {}
         self._lit_regs: dict = {}
         self._neg_regs: dict = {}
         self._pair_regs: dict = {}
@@ -623,10 +680,15 @@ class _Flattener:
         return self._const1
 
     def _slot(self, var) -> int:
-        sid = self.slot_ids.get(var)
+        """The slot of ``var``, interned on ``_slot_key``, with a memo
+        by object identity (the circuit's node table keeps every token
+        alive for the pass, so no id is reused)."""
+        sid = self._by_id.get(id(var))
         if sid is None:
-            sid = self.slot_ids[var] = len(self.slots)
-            self.slots.append(var)
+            sid = self.slot_ids.setdefault(_slot_key(var), len(self.slots))
+            if sid == len(self.slots):
+                self.slots.append(var)
+            self._by_id[id(var)] = sid
         return sid
 
     def lit(self, var) -> int:

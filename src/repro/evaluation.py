@@ -324,17 +324,17 @@ def probability_sweep(formula: CNF,
     This is the primitive behind the reduction pipelines' probability
     grids (block-matrix entries, Type-II theta-sweeps, interpolation
     points): one exponential compilation (riding the two-tier circuit
-    cache), then a single node-ordered batched pass over all weight
-    maps (``Circuit.probability_batch``).  Each entry of
+    cache), then one batched pass over all weight maps on the circuit's
+    tape (``Circuit.probability_batch``).  Each entry of
     ``weight_maps`` may be a mapping, a callable, or None (all
     variables at ``default``, by default 1/2).
 
     ``numeric="float"`` switches the pass to hardware floats; up to
     ``cross_check`` evenly-spaced vectors are then re-evaluated
-    exactly and an ``ArithmeticError`` is raised if the float result
-    drifts beyond 1e-9 relative tolerance.  ``processes`` > 1 splits
-    large grids across worker processes (mapping/None weight maps
-    only — callables do not pickle).
+    exactly, in one batch, and an ``ArithmeticError`` is raised if the
+    float result drifts beyond 1e-9 relative tolerance.  ``processes``
+    > 1 splits large grids across worker processes (mapping/None
+    weight maps only — callables do not pickle).
 
     Passing ``budget_nodes`` (or a ``planner``, which picks the budget
     from the observed circuit-size trajectory) switches the sweep to
@@ -371,12 +371,9 @@ def probability_sweep(formula: CNF,
         # with no fallback budget, where the planner is still warming
         # up and budget_for returned None.
         planner.observe(len(formula), circuit.size)
-    if numeric == "float":
-        # Float batches run on the flat instruction tape; resolve it
-        # through the two-tier cache up front so a store-persisted
-        # sidecar satisfies the flattening (warm processes never
-        # re-flatten).
-        ensure_tape(formula, circuit)
+    # Resolving the tape here lets a store's sidecar satisfy the
+    # flattening, so warm processes never re-flatten.
+    ensure_tape(formula, circuit)
     weight_maps = list(weight_maps)
     if processes and processes > 1 and len(weight_maps) > 1:
         if any(callable(w) for w in weight_maps):
@@ -395,8 +392,10 @@ def probability_sweep(formula: CNF,
         values = circuit.probability_batch(weight_maps, default, numeric)
     if numeric == "float" and cross_check and weight_maps:
         step = max(1, len(weight_maps) // cross_check)
-        for i in list(range(0, len(weight_maps), step))[:cross_check]:
-            exact = float(circuit.probability(weight_maps[i], default))
+        picked = list(range(0, len(weight_maps), step))[:cross_check]
+        exacts = circuit.probability_batch(
+            [weight_maps[i] for i in picked], default)
+        for i, exact in zip(picked, map(float, exacts)):
             if abs(values[i] - exact) > 1e-9 * max(1.0, abs(exact)):
                 raise ArithmeticError(
                     f"float sweep drifted at vector {i}: "

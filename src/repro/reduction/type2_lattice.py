@@ -218,8 +218,8 @@ class TypeIIStructure:
                 f"numeric must be 'exact' or 'float', got {numeric!r}")
         formula = self.lineage_y(block, u, v, alpha, beta)
         base = block.probability
-        # WeightOverlay (not a closure) so the tape float kernel can
-        # fill its weight matrix from the shared base plus the pins.
+        # WeightOverlay (not a closure) so the tape lanes can
+        # fill their weight matrix from the shared base plus the pins.
         specs = [WeightOverlay(base, overlay) for overlay in overlays]
         if method == "auto":
             return probability_batch_auto(
@@ -228,6 +228,5 @@ class TypeIIStructure:
                 estimator=estimator, relative_error=relative_error,
                 numeric=numeric, planner=planner).values
         circuit = compiled(formula)
-        if numeric == "float":
-            ensure_tape(formula, circuit)
+        ensure_tape(formula, circuit)
         return circuit.probability_batch(specs, numeric=numeric)

@@ -194,8 +194,8 @@ def link_matrix_sweep(query: Query, symbol: str,
         s_tuple(s, f"r1{tag}", f"t0{tag}")
         for s in sorted(query.binary_symbols)) - {s0, s1}
     base = block.probability
-    # WeightOverlay (not a closure) so the tape float kernel can fill
-    # its weight matrix from the shared base plus the pinned tuples.
+    # WeightOverlay (not a closure) so the tape lanes can fill their
+    # weight matrix from the shared base plus the pinned tuples.
     specs = [
         WeightOverlay(base, {token: Fraction(v)
                              for token, v in theta.items()})
@@ -214,8 +214,7 @@ def link_matrix_sweep(query: Query, symbol: str,
                     numeric=numeric, planner=planner).values
             else:
                 circuit = compiled(factor)
-                if numeric == "float":
-                    ensure_tape(factor, circuit)
+                ensure_tape(factor, circuit)
                 entries[int(a), int(b)] = circuit.probability_batch(
                     specs, numeric=numeric)
     return [

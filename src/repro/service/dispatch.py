@@ -112,6 +112,12 @@ def _close_quietly(conn: ServiceClient) -> None:
         pass
 
 
+def _close_pipes(process: subprocess.Popen) -> None:
+    """Close this side of a worker's stdin and stdout pipes."""
+    process.stdin.close()
+    process.stdout.close()
+
+
 class _WorkerHandle:
     """One worker subprocess: liveness, address, generation, and a
     small pool of idle connections (a ``ServiceClient`` serializes its
@@ -257,12 +263,17 @@ class ReproDispatcher(ServiceFrontEnd):
             env["PYTHONPATH"] = package_root
         elif package_root not in existing.split(os.pathsep):
             env["PYTHONPATH"] = package_root + os.pathsep + existing
-        process = subprocess.Popen(command, stdout=subprocess.PIPE,
-                                   text=True, env=env)
+        # The worker exits when its stdin pipe reads EOF, which the
+        # kernel delivers when this process closes it or dies, so a
+        # killed dispatcher leaves no worker behind.
+        process = subprocess.Popen(command, stdin=subprocess.PIPE,
+                                   stdout=subprocess.PIPE, text=True,
+                                   env=env)
         banner = (process.stdout.readline() or "").strip()
         if not banner.startswith(BANNER):
             process.kill()
             process.wait(timeout=10)
+            _close_pipes(process)
             raise RuntimeError(
                 f"worker {handle.index} failed to start "
                 f"(banner: {banner!r})")
@@ -297,6 +308,8 @@ class ReproDispatcher(ServiceFrontEnd):
                     process.wait(timeout=0.5)
                 except subprocess.TimeoutExpired:
                     return
+            if process is not None:
+                _close_pipes(process)
             handle.drain_locked()
             handle.respawns += 1
             self._spawn(handle)
@@ -317,8 +330,7 @@ class ReproDispatcher(ServiceFrontEnd):
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=10)
-            if process.stdout is not None:
-                process.stdout.close()
+            _close_pipes(process)
 
     def _release(self) -> None:
         self._shutdown_workers()

@@ -36,8 +36,8 @@ _PREFIX = "repro"
 
 #: ``stats`` keys rendered by the curated blocks (everything else in
 #: their sections falls through to the generic gauge sweep).
-_CURATED_SERVICE = ("requests", "errors", "ops", "uptime_s",
-                    "uptime_seconds", "started_at")
+_CURATED_SERVICE = ("requests", "errors", "ops", "uptime_seconds",
+                    "started_at")
 _CURATED_CACHE = ("hits", "compiles", "store_hits", "store_misses",
                   "budget_aborts", "tape_hits", "tape_flattens")
 
@@ -124,7 +124,7 @@ def render_metrics(stats: dict) -> str:
     tracing = stats.get("tracing") or {}
     w = _Writer()
 
-    uptime = service.get("uptime_seconds", service.get("uptime_s"))
+    uptime = service.get("uptime_seconds")
     w.family("uptime_seconds", "gauge",
              "Seconds since the service started (monotonic clock).",
              [({}, uptime)] if uptime is not None else [])

@@ -20,12 +20,18 @@ The tier-2 ``CircuitStore`` (``--store`` or ``REPRO_CIRCUIT_STORE``)
 is shared across the pool: writes are atomic and content-addressed,
 so concurrent workers race benignly, and a respawned worker finds its
 predecessor's circuits already on disk.
+
+A worker whose stdin is a pipe (the dispatcher's, never written)
+exits at EOF, so none outlives a dispatcher that exits or is killed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+import threading
 
 from repro.service.server import ReproServer
 from repro.tid import wmc
@@ -67,6 +73,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def close_on_stdin_eof(server) -> None:
+    """When stdin is a pipe, close ``server`` once the pipe reads EOF
+    (its writer, the dispatcher, is gone); otherwise do nothing."""
+    try:
+        if not stat.S_ISFIFO(os.fstat(0).st_mode):
+            return
+    except OSError:  # no stdin at all
+        return
+
+    def watch() -> None:
+        try:
+            while os.read(0, 4096):
+                pass
+        except OSError:
+            pass
+        server.close()
+
+    threading.Thread(target=watch, name="repro-worker-stdin",
+                     daemon=True).start()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.compile_threads < 1:
@@ -87,6 +114,7 @@ def main(argv=None) -> int:
         tracing=not args.no_tracing,
         worker_mode=True)
     try:
+        close_on_stdin_eof(server)
         host, port = server.address
         print(f"{BANNER} {host}:{port}", flush=True)
         server.serve_forever()

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iter_product
+from math import prod
 
 from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.safety import connected_components, is_unsafe
 from repro.core.symbols import LEFT_UNARY, RIGHT_UNARY
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
-from repro.tid.wmc import cnf_probability
+from repro.tid.wmc import compiled, ensure_tape
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -84,13 +85,9 @@ def _component_probability(component: Query, tid: TID) -> Fraction:
 
 def _middle_only_probability(component: Query, tid: TID) -> Fraction:
     subclauses = [j for c in component.clauses for j in c.subclauses]
-    result = ONE
-    for u in tid.left_domain:
-        for v in tid.right_domain:
-            result *= _local_probability(tid, subclauses, u, v)
-            if result == 0:
-                return ZERO
-    return result
+    return prod(_local_probabilities(
+        tid, subclauses, [(u, v) for u in tid.left_domain
+                          for v in tid.right_domain]), start=ONE)
 
 
 def _one_sided_probability(component: Query, tid: TID,
@@ -120,13 +117,9 @@ def _factor_at(component: Query, tid: TID, w, left_side: bool) -> Fraction:
     def conjunction_probability(chosen: list[frozenset[str]]) -> Fraction:
         """Pr(AND of chosen subclauses and middles), independent per
         inner constant."""
-        total = ONE
-        for z in inner:
-            u, v = (w, z) if left_side else (z, w)
-            total *= _local_probability(tid, chosen + middles, u, v)
-            if total == 0:
-                return ZERO
-        return total
+        return prod(_local_probabilities(
+            tid, chosen + middles,
+            [(w, z) if left_side else (z, w) for z in inner]), start=ONE)
 
     p_unary = tid.probability(unary_token)
     result = ZERO
@@ -172,8 +165,12 @@ def _inclusion_exclusion(active, conjunction_probability) -> Fraction:
     return total
 
 
-def _local_probability(tid: TID, subclauses, u, v) -> Fraction:
-    """Pr of the constant-size CNF AND_J (OR_{j in J} S_j(u,v))."""
+def _local_probabilities(tid: TID, subclauses, pairs) -> list[Fraction]:
+    """Pr of the constant-size CNF AND_J (OR_{j in J} S_j(u,v)) for
+    each ``(u, v)`` of ``pairs``: one batch over the CNF's circuit."""
     formula = CNF(frozenset(j) for j in subclauses)
-    return cnf_probability(
-        formula, lambda symbol: tid.probability(s_tuple(symbol, u, v)))
+    circuit = compiled(formula)
+    ensure_tape(formula, circuit)
+    return circuit.probability_batch([
+        (lambda symbol, u=u, v=v: tid.probability(s_tuple(symbol, u, v)))
+        for u, v in pairs])

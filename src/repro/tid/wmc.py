@@ -344,13 +344,6 @@ def ensure_tape(formula: CNF, circuit: Circuit) -> Tape:
     return tape
 
 
-def tape_for(formula: CNF,
-             budget_nodes: int | None = None) -> Tape:
-    """Compile (or fetch) ``formula``'s circuit and return its
-    instruction tape — the one-stop entry point for float sweeps."""
-    return ensure_tape(formula, compiled(formula, budget_nodes))
-
-
 def clear_circuit_cache() -> None:
     """Drop all tier-1 circuits, the budget-failure memo, and the
     counters (mainly for tests and benchmarks; the disk store is
@@ -383,7 +376,9 @@ def cnf_probability(formula: CNF, prob: Mapping | None = None,
     run of ``shannon_probability``); subsequent calls with any weight
     vector are linear in the circuit size.
     """
-    return compiled(formula).probability(prob, default)
+    circuit = compiled(formula)
+    ensure_tape(formula, circuit)
+    return circuit.probability(prob, default)
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +438,7 @@ def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
         return AutoProbability(estimate.estimate,
                                ENGINE_LABELS[estimator], estimate)
     _observe(planner, formula, circuit)
+    ensure_tape(formula, circuit)
     return AutoProbability(circuit.probability(prob, default), "exact")
 
 
@@ -486,12 +482,9 @@ def probability_batch_auto(formula: CNF, weight_specs,
             values = [float(v) for v in values]
         return AutoSweep(values, ENGINE_LABELS[estimator], estimates)
     _observe(planner, formula, circuit)
-    if numeric == "float":
-        # Float batches run on the flat instruction tape; resolving it
-        # here (rather than inside probability_batch) lets the disk
-        # store's serialized sidecar satisfy the flattening, so warm
-        # services never re-flatten.
-        ensure_tape(formula, circuit)
+    # Resolving the tape here lets a store's sidecar satisfy the
+    # flattening, so warm services never re-flatten.
+    ensure_tape(formula, circuit)
     return AutoSweep(
         circuit.probability_batch(weight_specs, default, numeric),
         "exact")

@@ -288,6 +288,23 @@ class TestServiceTracing:
                             if s["name"] == "compile")
         assert compile_span["tags"]["nodes"] > 0
 
+    def test_exact_evaluate_runs_integer_lanes(self, traced_server):
+        """A live traced exact ``evaluate`` shows the tape's integer
+        lanes on its kernel span, with the root numerator's bit
+        length."""
+        with ServiceClient(*traced_server.address) as client:
+            result = client.call("evaluate", query=QUERY, p=4,
+                                 method="wmc", trace="exact-evaluate")
+            spans = client.trace(id="exact-evaluate")["traces"][0][
+                "spans"]
+        assert result["engine"] == "exact"
+        kernels = [s["tags"] for s in spans if s["name"] == "kernel"]
+        assert kernels
+        for tags in kernels:
+            assert tags["numeric"] == "exact"
+            assert tags["arith"] == "int"
+            assert tags["bits"] > 0
+
     def test_coalesced_rider_attributes_leader(self):
         n = 3
         with ReproServer(port=0, window=0.5) as server:

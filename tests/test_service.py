@@ -573,8 +573,15 @@ class TestTapeService:
         assert second["tape_hits"] > first["tape_hits"]
 
     def test_exact_sweep_does_not_flatten(self, client):
+        """Exact sweeps run on the tape's integer lanes: the first one
+        flattens the circuit, a repeat does not flatten again."""
         client.sweep(QUERY, p=4, grid=4)
-        assert client.stats()["cache"]["tape_flattens"] == 0
+        first = client.stats()["cache"]
+        assert first["tape_flattens"] == 1
+        client.sweep(QUERY, p=4, grid=4)
+        second = client.stats()["cache"]
+        assert second["tape_flattens"] == 1  # no re-flatten
+        assert second["tape_hits"] > first["tape_hits"]
 
     def test_warm_store_sweep_never_reflattens(self, tmp_path):
         """The acceptance contract: a float sweep against a warm

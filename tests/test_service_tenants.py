@@ -237,7 +237,7 @@ def sample_stats():
                   "tape_hits": 4, "tape_flattens": 2,
                   "tape_bytes": 2048, "entries": 3,
                   "store_attached": True},
-        "service": {"uptime_s": 12.5, "requests": 20, "errors": 2,
+        "service": {"uptime_seconds": 12.5, "requests": 20, "errors": 2,
                     "ops": {"sweep": 9, "evaluate": 11},
                     "workers": 4, "coalesced_batches": 1,
                     "workloads_cached": 5, "window_s": 0.01,

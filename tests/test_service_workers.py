@@ -3,6 +3,7 @@ worker-crash recovery, centralized quotas, and cross-process traces."""
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ from repro.service.server import ReproServer
 from repro.service.tenants import TenantQuota
 from repro.tid import wmc
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 QUERY = "(R|S1)(S1|T)"
 #: P(QUERY) over B_4(u, v) with all weights 1/2 — the exact value the
 #: single-process smoke pins; the dispatcher must agree bit for bit.
@@ -252,6 +254,57 @@ class TestCrashRecovery:
                 assert warm["source"] == "disk store"
                 assert handle.respawns == 1
                 assert client.stats()["cache"]["store_hits"] >= 1
+
+
+def spawn_worker(stdin):
+    """A standalone worker process with ``stdin`` on its standard
+    input, and its bound address read from the banner."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("REPRO_CIRCUIT_STORE", None)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service.worker", "--port", "0"],
+        stdin=stdin, stdout=subprocess.PIPE, text=True, env=env)
+    banner = process.stdout.readline().strip()
+    host, _, port = banner.rsplit(" ", 1)[1].rpartition(":")
+    return process, (host, int(port))
+
+
+def reap(process):
+    if process.poll() is None:
+        process.kill()
+        process.wait(timeout=10)
+    for pipe in (process.stdin, process.stdout):
+        if pipe is not None:
+            pipe.close()
+
+
+class TestWorkerLifetime:
+    """A worker exits when the dispatcher's end of its stdin pipe goes
+    away — the dispatcher exited or was killed — and a worker started
+    without a stdin pipe ignores stdin."""
+
+    def test_worker_exits_when_its_stdin_pipe_closes(self):
+        process, address = spawn_worker(subprocess.PIPE)
+        try:
+            with ServiceClient(*address) as client:
+                assert client.ping() == {"pong": True}
+            process.stdin.close()
+            assert process.wait(timeout=10) == 0
+        finally:
+            reap(process)
+        with socket.socket() as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(address)  # EADDRINUSE while the worker listens
+
+    def test_worker_without_a_stdin_pipe_keeps_serving(self):
+        process, address = spawn_worker(subprocess.DEVNULL)
+        try:
+            with ServiceClient(*address) as client:
+                assert client.ping() == {"pong": True}
+                client.call("shutdown")
+            assert process.wait(timeout=10) == 0
+        finally:
+            reap(process)
 
 
 class TestCentralizedQuotas:

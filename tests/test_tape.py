@@ -1,16 +1,18 @@
 """The flat instruction-tape engine: kernels, serialization, caching.
 
-Contracts pinned here: the tape's exact kernel is *bit-identical* to
-the node interpreter on arbitrary formulas and weight batches (same
-Fractions, not approximations); the float kernels (numpy and the
-stdlib fallback) agree with the exact values to float tolerance and
-reject non-finite weights loudly; ``to_bytes``/``from_bytes`` round
-trips exactly and is byte-identical across ``PYTHONHASHSEED`` values;
-``tape_for_circuit`` flattens once per circuit and the counters prove
-it.
+Contracts pinned here: the tape's integer lanes, its Fraction lanes and
+the recursive ``shannon_probability`` oracle return *equal* Fractions
+on arbitrary formulas and weight batches (not approximations), and the
+selection rule sends wide denominators to the Fraction lanes; the float
+kernels (numpy and the stdlib fallback) agree with the exact values to
+float tolerance and reject non-finite weights loudly;
+``to_bytes``/``from_bytes`` round trips exactly and is byte-identical
+across ``PYTHONHASHSEED`` values; ``tape_for_circuit`` flattens once
+per circuit and the counters prove it.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,9 +21,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.booleans import tape as tape_module
 from repro.booleans.circuit import (
     UnsupportedVersionError,
@@ -40,6 +43,7 @@ from repro.booleans.tape import (
 )
 from repro.core.generate import random_query
 from repro.tid.lineage import lineage
+from repro.tid.wmc import shannon_probability
 
 from test_property_evaluation import SMALL, build_tid
 
@@ -72,25 +76,54 @@ def random_formula_and_weights(query_seed, tid_seed, k=3):
     return formula, specs
 
 
+def fraction_lanes(tape, specs, default=None):
+    """The tape's Fraction lanes, whatever the selection rule says."""
+    rows = tape._lane_rows(specs, default)
+    return tape._exact_lanes(rows, len(specs), None, obs.NULL_SPAN)
+
+
+def integer_lanes(tape, specs, default=None):
+    """The tape's integer lanes over the batch's least common
+    denominator, whatever the selection rule says."""
+    rows = tape._lane_rows(specs, default)
+    common = math.lcm(*(w.denominator for row in rows
+                        for w in (row if isinstance(row, list)
+                                  else [row])))
+    return tape._exact_lanes(rows, len(specs), common, obs.NULL_SPAN)
+
+
+def kernel_tags(run):
+    """The tags of the ``kernel`` span ``run()`` opens under a live
+    trace."""
+    tracer = obs.Tracer()
+    with tracer.root("test"):
+        run()
+    spans = tracer.recent(1)[0]["spans"]
+    return next(s["tags"] for s in spans if s["name"] == "kernel")
+
+
 class TestKernelAgreement:
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_exact_kernel_bit_identical_to_node(self, qs, ts):
+        """The exact batch (integer lanes here) equals the tape's
+        Fraction lanes and the recursive oracle, Fraction for
+        Fraction."""
         formula, specs = random_formula_and_weights(qs, ts)
         circuit = compile_cnf(formula)
-        node = circuit.probability_batch(specs, engine="node")
-        tape = circuit.probability_batch(specs, engine="tape")
-        assert node == tape
-        assert all(isinstance(v, Fraction) for v in tape)
+        values = circuit.probability_batch(specs)
+        assert values == fraction_lanes(tape_for_circuit(circuit), specs)
+        assert values == [shannon_probability(formula, spec)
+                          for spec in specs]
+        assert all(isinstance(v, Fraction) for v in values)
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_float_kernel_matches_exact(self, qs, ts):
         formula, specs = random_formula_and_weights(qs, ts)
         circuit = compile_cnf(formula)
-        exact = circuit.probability_batch(specs, engine="node")
-        floats = circuit.probability_batch(specs, numeric="float",
-                                           engine="tape")
+        exact = circuit.probability_batch(specs)
+        floats = circuit.probability_batch(specs, numeric="float")
         assert all(abs(f - float(e)) < 1e-9
                    for f, e in zip(floats, exact))
 
@@ -126,6 +159,137 @@ class TestKernelAgreement:
         false_tape = flatten_circuit(compile_cnf(CNF.FALSE))
         assert true_tape.evaluate([None, None]) == [F(1), F(1)]
         assert false_tape.evaluate([None], numeric="float") == [0.0]
+
+
+VARS = [f"x{i}" for i in range(7)]
+HALF = F(1, 2)
+#: Pairwise nearly coprime denominators of ~1500 bits: any two differ
+#: by less than 64, so their lcm is close to their product.
+WIDE = 2 ** 1500
+
+
+def weight_family(name):
+    """Lane weights: the paper's {0, 1/2, 1}, small-denominator grids,
+    or distinct wide denominators (plus 0, so lanes can pin a weight
+    to 0 in every family)."""
+    if name == "paper":
+        return st.sampled_from([F(0), HALF, F(1)])
+    if name == "grid":
+        return st.sampled_from([F(a, b) for b in (2, 3, 6, 9, 18)
+                                for a in range(b + 1)])
+    return st.integers(0, 63).map(lambda j: F(j, WIDE + j))
+
+
+def cnfs():
+    clause = st.lists(st.sampled_from(VARS), min_size=1, max_size=3,
+                      unique=True)
+    return (st.just(CNF.TRUE) | st.just(CNF.FALSE)
+            | st.lists(clause, min_size=1, max_size=6).map(CNF))
+
+
+def weight_tables(weights, dense):
+    """Variable -> weight maps; ``dense`` ones cover every variable."""
+    return st.dictionaries(st.sampled_from(VARS), weights,
+                           min_size=len(VARS) if dense else 0)
+
+
+def weight_specs(weights, dense):
+    """A mapping, a callable, None, or a ``WeightOverlay``."""
+    table = weight_tables(weights, dense)
+    return st.one_of(
+        table,
+        table.map(lambda t: (lambda var: t.get(var, HALF))),
+        st.none(),
+        st.builds(WeightOverlay, table,
+                  st.dictionaries(st.sampled_from(VARS), weights,
+                                  max_size=2)))
+
+
+class TestIntegerLanes:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lanes_agree_with_fraction_lanes_and_shannon(self, data):
+        formula = data.draw(cnfs())
+        family = data.draw(st.sampled_from(["paper", "grid", "wide"]))
+        weights = weight_family(family)
+        # Wide weights on every variable give the batch so many distinct
+        # denominators that the selection rule picks the Fraction lanes.
+        dense = family == "wide" and data.draw(st.booleans())
+        default = data.draw(st.none() | weights)
+        k = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            # One shared base: the O(slots + pins) overlay fill.
+            base = data.draw(weight_tables(weights, dense))
+            specs = [WeightOverlay(base, data.draw(st.dictionaries(
+                st.sampled_from(VARS), weights, max_size=2)))
+                for _ in range(k)]
+        else:
+            specs = [data.draw(weight_specs(weights, dense))
+                     for _ in range(k)]
+        circuit = compile_cnf(formula)
+        tape = tape_for_circuit(circuit)
+        want = [shannon_probability(formula, spec, default)
+                for spec in specs]
+        tags = kernel_tags(lambda: circuit.probability_batch(specs,
+                                                             default))
+        event(f"arith={tags['arith']}")
+        assert circuit.probability_batch(specs, default) == want
+        assert integer_lanes(tape, specs, default) == want
+        assert fraction_lanes(tape, specs, default) == want
+        assert [circuit.probability(spec, default)
+                for spec in specs] == want
+
+    def test_paper_and_grid_weights_take_integer_lanes(self):
+        formula, _ = rst_formula()
+        tape = flatten_circuit(compile_cnf(formula))
+        paper = [{v: F(j % 3, 2) for j, v in enumerate(tape.slots)},
+                 None]
+        grid = [{tape.slots[0]: F(i + 1, 18)} for i in range(16)]
+        for specs in (paper, grid):
+            tags = kernel_tags(lambda specs=specs: tape.evaluate(specs))
+            assert tags["arith"] == "int"
+            assert tags["bits"] > 0
+
+    def test_wide_denominators_take_fraction_lanes(self):
+        formula, _ = rst_formula()
+        circuit = compile_cnf(formula)
+        tape = tape_for_circuit(circuit)
+        wide = {v: F(1, 2 ** 96 + j)
+                for j, v in enumerate(tape.slots)}
+        specs = [wide, {**wide, tape.slots[0]: F(1, 3)}]
+        want = [shannon_probability(formula, spec) for spec in specs]
+        tags = kernel_tags(lambda: tape.evaluate(specs))
+        assert tags["arith"] == "fraction"
+        assert tape.evaluate(specs) == want
+        assert integer_lanes(tape, specs) == want
+        # A single wide lane runs the circuit's node-table pass.
+        tags = kernel_tags(lambda: circuit.probability(wide))
+        assert tags["arith"] == "fraction"
+        assert circuit.probability(wide) == want[0]
+
+    def test_float_batches_tag_float(self):
+        formula, tid = rst_formula()
+        tape = flatten_circuit(compile_cnf(formula))
+        tags = kernel_tags(
+            lambda: tape.evaluate([tid.probability], numeric="float"))
+        assert tags["arith"] == "float" and "bits" not in tags
+
+    def test_exponents_are_cached_and_not_serialized(self):
+        formula, _ = rst_formula()
+        tape = flatten_circuit(compile_cnf(formula))
+        data = tape.to_bytes()
+        table = tape._exponent_table()
+        assert tape._exponent_table() is table
+        exps, top = table
+        assert top == max(exps)
+        assert exps[tape.root] == len(tape.slots)  # a block lineage
+        for i, op in enumerate(tape.ops):
+            if op in (tape_module.OP_LIT, tape_module.OP_NEG):
+                assert exps[i] == 1
+            elif op in (tape_module.OP_CONST0, tape_module.OP_CONST1):
+                assert exps[i] == 0
+        assert tape.to_bytes() == data
+        assert Tape.from_bytes(data)._exponents is None
 
 
 class TestWeightOverlay:
@@ -177,6 +341,40 @@ class TestWeightOverlay:
         assert all(abs(f - float(e)) < 1e-9
                    for f, e in zip(floats, want))
 
+    def test_exact_overlay_fill_probes_the_base_once_per_slot(self):
+        formula, tid = rst_formula()
+        circuit = compile_cnf(formula)
+        variables = sorted(circuit.variables(), key=repr)
+        probed = []
+
+        def base(var):
+            probed.append(var)
+            return tid.probability(var)
+
+        specs = [WeightOverlay(base, {variables[j % len(variables)]:
+                                      F(j + 1, 11)})
+                 for j in range(8)]
+        tape = flatten_circuit(circuit)
+        values = tape.evaluate(specs)
+        assert len(probed) == len(tape.slots)
+        assert values == [shannon_probability(formula, spec)
+                          for spec in specs]
+
+    def test_batch_default_does_not_reach_inside_overlays(self):
+        """Calling an overlay gives base-map misses 1/2; the fast fill
+        agrees on both kernels whatever the batch's ``default``."""
+        formula, _ = rst_formula()
+        circuit = compile_cnf(formula)
+        var = sorted(circuit.variables(), key=repr)[0]
+        specs = [WeightOverlay({}, {var: F(1, 3)}), WeightOverlay({})]
+        want = [shannon_probability(formula, spec, F(1, 5))
+                for spec in specs]
+        assert circuit.probability_batch(specs, F(1, 5)) == want
+        floats = circuit.probability_batch(specs, F(1, 5),
+                                           numeric="float")
+        assert all(abs(f - float(w)) < 1e-12
+                   for f, w in zip(floats, want))
+
     def test_overlay_of_unknown_variable_is_ignored(self):
         formula, tid = rst_formula()
         circuit = compile_cnf(formula)
@@ -198,27 +396,17 @@ class TestNonFiniteGuards:
         poisoned[variables[1]] = bad
         return circuit, [good, poisoned]
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
-                                     float("-inf")])
-    def test_node_engine_names_lane(self, bad):
-        circuit, specs = self._poisoned(bad)
-        with pytest.raises(ValueError, match="float lane 1"):
-            circuit.probability_batch(specs, numeric="float",
-                                      engine="node")
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_tape_numpy_kernel_names_lane(self, bad):
         circuit, specs = self._poisoned(bad)
         with pytest.raises(ValueError, match="float lane 1"):
-            circuit.probability_batch(specs, numeric="float",
-                                      engine="tape")
+            circuit.probability_batch(specs, numeric="float")
 
     def test_tape_fallback_kernel_names_lane(self, monkeypatch):
         circuit, specs = self._poisoned(float("nan"))
         monkeypatch.setattr(tape_module, "_np", None)
         with pytest.raises(ValueError, match="float lane 1"):
-            circuit.probability_batch(specs, numeric="float",
-                                      engine="tape")
+            circuit.probability_batch(specs, numeric="float")
 
     def test_overlay_fast_fill_names_lane(self):
         formula, tid = rst_formula()
@@ -234,17 +422,38 @@ class TestNonFiniteGuards:
         working on the exact kernels."""
         circuit, specs = self._poisoned(float("inf"))
         specs[1][sorted(circuit.variables(), key=repr)[1]] = F(1, 2)
-        assert circuit.probability_batch(specs, engine="tape") == \
-            circuit.probability_batch(specs, engine="node")
-
-    def test_engine_validation(self):
         formula, _ = rst_formula()
-        circuit = compile_cnf(formula)
-        with pytest.raises(ValueError, match="engine"):
-            circuit.probability_batch([{}], engine="jit")
+        values = circuit.probability_batch(specs)
+        assert values == fraction_lanes(tape_for_circuit(circuit), specs)
+        assert values == [shannon_probability(formula, spec)
+                          for spec in specs]
 
 
 class TestSerialization:
+    def test_hash_equal_tokens_are_distinct_slots(self):
+        """``True`` and ``1`` (also nested in tuples) are hash-equal
+        but distinct variables: each gets its own slot, and the tape
+        survives a serialization round trip and validation."""
+        from repro.booleans.circuit import AND, LEAF, Circuit
+
+        tokens = (True, 1, ("t", True), ("t", 1))
+        circuit = Circuit(tuple((LEAF, t) for t in tokens)
+                          + ((AND, (0, 1, 2, 3)),), 4)
+        weights = dict(zip(map(repr, tokens),
+                           (F(1, 3), F(1, 5), F(1, 7), F(1, 11))))
+
+        def lookup(var):
+            return weights[repr(var)]
+
+        tape = flatten_circuit(circuit)
+        assert len(tape.slots) == 4
+        clone = Tape.from_bytes(tape.to_bytes())
+        assert [repr(v) for v in clone.slots] == list(weights)
+        want = F(1, 3 * 5 * 7 * 11)
+        assert tape.evaluate([lookup]) == [want]
+        assert clone.evaluate([lookup]) == [want]
+        assert circuit.probability(lookup) == want
+
     def test_round_trip_is_byte_identical(self):
         formula, tid = rst_formula()
         tape = flatten_circuit(compile_cnf(formula))
@@ -388,7 +597,9 @@ class TestValidate:
 
 _PROBE = """
 import hashlib, json
-from repro.booleans.circuit import compile_cnf
+from fractions import Fraction
+from repro import obs
+from repro.booleans.circuit import WeightOverlay, compile_cnf
 from repro.booleans.tape import flatten_circuit
 from repro.core.catalog import rst_query
 from repro.reduction.blocks import path_block
@@ -398,10 +609,19 @@ query = rst_query()
 tid = path_block(query, 3)
 circuit = compile_cnf(lineage(query, tid))
 tape = flatten_circuit(circuit)
+grid = [WeightOverlay(tid.probability, {var: Fraction(j, 18)})
+        for j, var in enumerate(tape.slots)]
+tracer = obs.Tracer()
+with tracer.root("probe"):
+    lanes = tape.evaluate(grid)
+kernel = next(s for s in tracer.recent(1)[0]["spans"]
+              if s["name"] == "kernel")
 print(json.dumps({
     "bytes": hashlib.sha256(tape.to_bytes()).hexdigest(),
     "stats": tape.stats(),
     "block_probability": str(tape.evaluate([tid.probability])[0]),
+    "integer_lanes": [str(v) for v in lanes],
+    "kernel_tags": kernel["tags"],
 }))
 """
 
@@ -415,7 +635,9 @@ def _probe(hashseed: str) -> dict:
 
 class TestDeterminism:
     def test_tape_bytes_identical_across_hash_seeds(self):
-        assert _probe("0") == _probe("12345")
+        first = _probe("0")
+        assert first["kernel_tags"]["arith"] == "int"
+        assert first == _probe("12345")
 
 
 class TestCachingAndCounters:
