@@ -17,7 +17,11 @@ Zones:
   ``model_count``/``marginals``/``sample``/``top_k_worlds``, the
   ``_kbest_*`` helpers, ``_Compiler``, ``compile_cnf``, the tape's
   exact surfaces including its shared lane loop ``Tape._lanes``,
-  ``_Flattener``/``flatten_circuit``).  Flags float literals,
+  ``_Flattener``/``flatten_circuit``), of the integer algebra in
+  ``algebra/matrices.py`` (``IncrementalBasis``, ``Matrix.determinant``/
+  ``rank``/``solve``/``inverse`` and their helpers), and of
+  ``reduction/type1.py`` (``Type1Reduction.coefficient_row``/
+  ``product_oracle_value`` and their integer y values).  Flags float literals,
   ``float(...)``/``complex(...)`` casts, and any ``math.*`` use other
   than the exact-integer helpers (``isqrt``/``gcd``/``lcm``/``comb``/
   ``perm``/``factorial``).
@@ -55,6 +59,16 @@ _EXACT_ZONES = {
     "booleans/tape.py": ("Tape.probability", "Tape._lanes",
                          "Tape._exponent_table", "Tape._lane_denominator",
                          "_Flattener", "flatten_circuit"),
+    "algebra/matrices.py": (
+        "IncrementalBasis", "Matrix.determinant", "Matrix.rank",
+        "Matrix.solve", "Matrix.inverse", "Matrix._solve_block",
+        "_eliminate", "_permutation_sign",
+    ),
+    "reduction/type1.py": (
+        "Type1Reduction.coefficient_row",
+        "Type1Reduction.product_oracle_value",
+        "Type1Reduction._y_integers",
+    ),
 }
 
 #: ``math.*`` members that stay in exact integer arithmetic.

@@ -420,6 +420,8 @@ def cmd_serve(args) -> int:
         raise SystemExit("repro: --compile-threads must be at least 1")
     if args.window < 0:
         raise SystemExit("repro: --window must be non-negative")
+    if args.budget is not None and args.budget < 2:
+        raise SystemExit("repro: --budget must be at least 2")
     if args.store_max_bytes is not None and args.store_max_bytes < 0:
         raise SystemExit("repro: --store-max-bytes must be "
                          "non-negative")

@@ -48,12 +48,6 @@ class DualUCQ:
         """Pr(UCQ) on ``tid`` = 1 - Pr(forall-CNF) on the complement."""
         return 1 - probability(self.forall_cnf, complement_tid(tid))
 
-    def probability_direct(self, tid: TID) -> Fraction:
-        """Pr(UCQ) evaluated directly: the UCQ holds in a world iff the
-        forall-CNF *fails* in the complemented world; implemented via
-        the same identity but spelled out for cross-validation."""
-        return 1 - probability(self.forall_cnf, complement_tid(tid))
-
     def __repr__(self) -> str:
         parts = []
         for clause in self.forall_cnf.clauses:

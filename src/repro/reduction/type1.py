@@ -12,16 +12,25 @@ over n variables, the reduction:
    coefficient y00^{k00} * y10^{k01,10} * y11^{k11} where
    y_ab(p) = z_ab(p1) z_ab(p2) (Eq. 25) and z_ab(p) comes from the
    block-matrix power A(p) = A(1)^p / 2^{p-1} (Lemma 3.19);
-4. solves it exactly, recovering every signature count #k', and returns
+4. solves it exactly by fraction-free elimination over the integers
+   (``Matrix.solve``), recovering every signature count #k', and returns
    #Phi = sum of #k' over signatures with k00 = 0.
 
 Row selection.  Since y_ab is symmetric in (p1, p2), rows indexed by the
 full grid {1..m+1}^2 repeat; we therefore enumerate parameter
 *multisets* p1 <= p2 in increasing order and keep exactly those rows
-that increase the rank (decided exactly over Q), stopping at full rank.
+that increase the rank, stopping at full rank.  The rank test is one
+``IncrementalBasis.add`` per candidate row, which reduces the row
+fraction-free against the rows kept so far, exactly over Q.
 Theorem 3.6 (via conditions (22)-(24), which hold for final queries by
 Theorem 3.14) guarantees the row space reaches full rank; the oracle is
 consulted only for kept rows, so the reduction stays polynomial.
+
+Integer arithmetic.  Every tuple probability lies in {1/2, 1}, so each
+y_ab is dyadic.  The coefficient rows and the product oracle put the
+three y values over their common denominator d and multiply integer
+numerators: every monomial and every block-product term has total
+degree m, so each result is one ``Fraction(N, d**m)``.
 
 Two built-in oracles:
 
@@ -40,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Callable
 
-from repro.algebra.matrices import Matrix
+from repro.algebra.matrices import IncrementalBasis, Matrix
 from repro.core.final import is_final
 from repro.core.safety import query_type
 from repro.counting.p2cnf import P2CNF, Signature
@@ -113,9 +123,24 @@ class Type1Reduction:
                         params: tuple[int, int]) -> list[Fraction]:
         """The Eq. (10) coefficients of the unknowns #k' for one
         parameter pair."""
-        y = self.y_values(params)
-        return [y["00"] ** k00 * y["10"] ** k01_10 * y["11"] ** k11
+        (y00, y10, y11), d = self._y_integers(params)
+        powers00 = [y00 ** k for k in range(m + 1)]
+        powers10 = [y10 ** k for k in range(m + 1)]
+        powers11 = [y11 ** k for k in range(m + 1)]
+        denominator = d ** m
+        return [Fraction(powers00[k00] * powers10[k01_10] * powers11[k11],
+                         denominator)
                 for (k00, k01_10, k11) in valid_signatures(m)]
+
+    def _y_integers(self, params: tuple[int, int]
+                    ) -> tuple[tuple[int, int, int], int]:
+        """((Y00, Y10, Y11), d) with y_ab = Y_ab / d over the common
+        denominator d of the three y values."""
+        y = self.y_values(params)
+        values = (y["00"], y["10"], y["11"])
+        d = lcm(*[value.denominator for value in values])
+        return tuple(value.numerator * (d // value.denominator)
+                     for value in values), d
 
     # ------------------------------------------------------------------
     def product_oracle_value(self, phi: P2CNF,
@@ -123,18 +148,17 @@ class Type1Reduction:
         """2^n * Pr_Delta(Q) by the block-product formula (Theorem 3.4 /
         Eq. 8): sum over theta of the per-edge conditioned lineage
         probabilities."""
-        y = self.y_values(params)
-        lookup = {(0, 0): y["00"], (0, 1): y["10"],
-                  (1, 0): y["10"], (1, 1): y["11"]}
-        total = Fraction(0)
+        (y00, y10, y11), d = self._y_integers(params)
+        lookup = {(0, 0): y00, (0, 1): y10, (1, 0): y10, (1, 1): y11}
+        total = 0
         for bits in iter_product((0, 1), repeat=phi.n):
-            term = Fraction(1)
+            term = 1
             for i, j in phi.edges:
                 term *= lookup[(bits[i], bits[j])]
                 if term == 0:
                     break
             total += term
-        return total
+        return Fraction(total, d ** len(phi.edges))
 
     def reduction_database(self, phi: P2CNF,
                            params: tuple[int, int]) -> TID:
@@ -159,8 +183,7 @@ class Type1Reduction:
         full rank (exact arithmetic)."""
         target = len(valid_signatures(m))
         selected: list[tuple[tuple[int, int], list[Fraction]]] = []
-        # Incremental Gaussian basis: pivot column -> normalized row.
-        basis: dict[int, list[Fraction]] = {}
+        basis = IncrementalBasis(target)
         limit = max(m + 1, 2)
         while len(selected) < target and limit <= max_parameter:
             candidates = [(p1, p2)
@@ -173,19 +196,8 @@ class Type1Reduction:
                 if any(params == used for used, _ in selected):
                     continue
                 row = self.coefficient_row(m, params)
-                residual = list(row)
-                for col, pivot_row in basis.items():
-                    if residual[col] != 0:
-                        factor = residual[col]
-                        residual = [a - factor * b
-                                    for a, b in zip(residual, pivot_row)]
-                pivot = next((i for i, a in enumerate(residual) if a != 0),
-                             None)
-                if pivot is None:
-                    continue
-                scale = residual[pivot]
-                basis[pivot] = [a / scale for a in residual]
-                selected.append((params, row))
+                if basis.add(row):
+                    selected.append((params, row))
             limit += m + 1
         if len(selected) < target:
             raise AssertionError(

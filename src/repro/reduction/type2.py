@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Mapping, Sequence
 
-from repro.algebra.matrices import Matrix
+from repro.algebra.matrices import IncrementalBasis, Matrix
 from repro.counting.ccp import TOP_COLOR
 from repro.counting.pp2cnf import PP2CNF
 
@@ -168,7 +168,7 @@ class Type2Reduction:
         target = len(signatures)
 
         selected: list[tuple[tuple[int, ...], list[Fraction]]] = []
-        basis: dict[int, list[Fraction]] = {}
+        basis = IncrementalBasis(target)
         width = 2
         while len(selected) < target:
             candidates = sorted(
@@ -182,19 +182,8 @@ class Type2Reduction:
                 if any(p_vector == used for used, _ in selected):
                     continue
                 row = self.coefficient_row(signatures, p_vector)
-                residual = list(row)
-                for col, pivot_row in basis.items():
-                    if residual[col] != 0:
-                        factor = residual[col]
-                        residual = [a - factor * b
-                                    for a, b in zip(residual, pivot_row)]
-                pivot = next(
-                    (i for i, a in enumerate(residual) if a != 0), None)
-                if pivot is None:
-                    continue
-                scale = residual[pivot]
-                basis[pivot] = [a / scale for a in residual]
-                selected.append((p_vector, row))
+                if basis.add(row):
+                    selected.append((p_vector, row))
             if len(selected) < target:
                 width += 1
                 if width > 8:

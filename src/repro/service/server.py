@@ -220,6 +220,9 @@ class ServiceFrontEnd:
                  budget_nodes, workload_cache_size, auth_tokens, quota,
                  tenant_quotas, store_max_bytes, tracing, slow_ms,
                  trace_buffer, trace_dir, tracer, clock):
+        if budget_nodes is not None and budget_nodes < 2:
+            raise ValueError("budget_nodes must be at least 2 (or None "
+                             "for no budget)")
         if store_max_bytes is not None and store_max_bytes < 0:
             raise ValueError("store_max_bytes must be non-negative")
         if slow_ms is not None and slow_ms < 0:

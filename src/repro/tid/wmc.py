@@ -325,22 +325,27 @@ def ensure_tape(formula: CNF, circuit: Circuit) -> Tape:
     result is written through to the store best-effort.  A warm
     service therefore performs *zero* re-flattens on repeats — the
     ``tape_flattens`` counter in ``cache_info`` proves it.
+
+    An attached tape is returned without counting a ``tape_hits``:
+    the kernel call that follows counts the reuse, once.
     """
-    if peek_tape(circuit) is None:
-        store = get_circuit_store()
-        if store is not None and hasattr(store, "get_tape"):
-            stored = store.get_tape(formula)
-            if stored is not None:
-                adopt_tape(circuit, stored)
-    fresh = peek_tape(circuit) is None
+    tape = peek_tape(circuit)
+    if tape is not None:
+        return tape
+    store = get_circuit_store()
+    if store is not None and hasattr(store, "get_tape"):
+        stored = store.get_tape(formula)
+        if stored is not None:
+            adopt_tape(circuit, stored)
+            tape = peek_tape(circuit)
+            if tape is not None:
+                return tape
     tape = tape_for_circuit(circuit)
-    if fresh:
-        store = get_circuit_store()
-        if store is not None and hasattr(store, "put_tape"):
-            try:
-                store.put_tape(formula, tape)
-            except OSError:
-                pass
+    if store is not None and hasattr(store, "put_tape"):
+        try:
+            store.put_tape(formula, tape)
+        except OSError:
+            pass
     return tape
 
 

@@ -304,6 +304,17 @@ class TestNumericBoundaryRule:
         """})
         assert findings_of(tmp_path, "numeric-boundary") == []
 
+    def test_integer_algebra_is_an_exact_zone(self, tmp_path):
+        make_repo(tmp_path, {"src/repro/algebra/matrices.py": """
+            class IncrementalBasis:
+                def add(self, row):
+                    return [entry * 0.5 for entry in row]
+        """})
+        found = findings_of(tmp_path, "numeric-boundary")
+        assert [(f.context, f.line) for f in found] == \
+            [("IncrementalBasis.add", 4)]
+        assert "float literal 0.5" in found[0].message
+
     def test_flags_fraction_in_float_lane_loop(self, tmp_path):
         make_repo(tmp_path, {"src/mod.py": """
             from fractions import Fraction

@@ -703,6 +703,18 @@ class TestCLI:
         with pytest.raises(SystemExit, match="--window"):
             main(["serve", "--window", "-1"])
 
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_serve_rejects_a_budget_below_two(self, budget):
+        for workers in ("0", "1"):
+            with pytest.raises(SystemExit, match="--budget"):
+                main(["serve", "--budget", budget, "--workers", workers])
+
+    @pytest.mark.parametrize("deployment", [ReproServer, ReproDispatcher])
+    def test_constructors_reject_a_budget_below_two(self, deployment):
+        """Before any listener or worker starts."""
+        with pytest.raises(ValueError, match="budget_nodes"):
+            deployment(port=0, budget_nodes=1)
+
     def test_serve_verb_in_process(self, capsys):
         """The serve verb end to end without a subprocess: banner,
         live queries, shutdown-over-the-wire unblocking

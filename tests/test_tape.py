@@ -666,6 +666,24 @@ class TestCachingAndCounters:
         assert stats["tape_flattens"] == 1
         assert stats["tape_hits"] >= 1
 
+    def test_warm_kernel_calls_count_one_hit_each(self):
+        """Through ``repro.tid.wmc``, ``ensure_tape`` hands back an
+        attached tape without counting; each kernel call counts once."""
+        from repro.evaluation import probability_sweep
+        from repro.tid import wmc
+
+        formula, tid = rst_formula()
+        wmc.cnf_probability(formula, tid.probability)  # cold: flatten
+        before = wmc.cache_info()["tape_hits"]
+        wmc.cnf_probability(formula, tid.probability)
+        assert wmc.cache_info()["tape_hits"] == before + 1
+        vectors = [None, {v: F(1, 3) for v in formula.variables()}]
+        before = wmc.cache_info()["tape_hits"]
+        probability_sweep(formula, vectors, numeric="float",
+                          cross_check=2)
+        # The float pass and the exact cross-check batch.
+        assert wmc.cache_info()["tape_hits"] == before + 2
+
     def test_adopt_tape_rejects_mismatch(self):
         formula, _ = rst_formula()
         circuit = compile_cnf(formula)

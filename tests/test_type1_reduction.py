@@ -50,6 +50,39 @@ class TestEndToEnd:
         assert result.oracle_calls == unknowns
 
 
+#: The parameter multisets row selection keeps for m clauses, as the
+#: Fraction Gauss-Jordan selection chose them; the fraction-free basis
+#: must choose the same ones, in the same order.
+PARAMETERS_USED = {
+    1: ((1, 1), (1, 2), (2, 2)),
+    2: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)),
+    3: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4),
+        (3, 4), (4, 4)),
+    4: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4),
+        (3, 4), (4, 4), (1, 5), (2, 5), (3, 5), (4, 5), (5, 5)),
+    5: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4),
+        (3, 4), (4, 4), (1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (1, 6),
+        (2, 6), (3, 6), (4, 6), (5, 6), (6, 6)),
+    6: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4),
+        (3, 4), (4, 4), (1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (1, 6),
+        (2, 6), (3, 6), (4, 6), (5, 6), (6, 6), (1, 7), (2, 7), (3, 7),
+        (4, 7), (5, 7), (6, 7), (7, 7)),
+}
+
+
+class TestRowSelection:
+    @pytest.mark.parametrize("name,ctor", [
+        ("rst", catalog.rst_query),
+        ("path1", lambda: catalog.path_query(1)),
+    ])
+    def test_parameters_used_are_pinned(self, name, ctor):
+        red = Type1Reduction(ctor())
+        for m, expected in PARAMETERS_USED.items():
+            result = red.run(P2CNF.path(m + 1))
+            assert result.parameters_used == expected
+            assert result.oracle_calls == len(expected)
+
+
 class TestHonestOracle:
     """The 'wmc' oracle grounds the actual database; it must agree with
     the block-product fast path (Theorem 3.4, experiment E8)."""
