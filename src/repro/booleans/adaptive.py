@@ -92,20 +92,37 @@ ENGINE_LABELS = {"hoeffding": "estimate", "adaptive": "adaptive",
                  "importance": "importance"}
 
 
-def resolve_sweep_method(method: str, estimator: str,
-                         allowed=("exact", "auto")) -> tuple[str, str]:
-    """Normalize a reduction sweep's (method, estimator) pair:
-    ``"adaptive"`` is the ``auto`` policy with the sequential sampler
-    as its degraded engine (an explicitly chosen non-default estimator
-    wins).  Raises on anything outside ``allowed`` + ``"adaptive"``."""
-    if method == "adaptive":
-        return "auto", ("adaptive" if estimator == "hoeffding"
-                        else estimator)
-    if method not in allowed:
+def resolve_sweep_method(method: str, estimator: str, budget_nodes,
+                         planner) -> tuple:
+    """The effective ``(budget_nodes, estimator, planner)`` of a
+    reduction sweep's method for ``repro.tid.wmc.probability_batch_auto``:
+    ``"exact"`` is no budget and no planner, ``"auto"`` keeps the
+    caller's, and ``"adaptive"`` is ``auto`` with the sequential
+    sampler as its degraded engine (an explicitly chosen non-default
+    estimator wins).  Raises on any other method."""
+    if method == "exact":
+        return None, estimator, None
+    if method not in ("auto", "adaptive"):
         raise ValueError(
-            f"method must be one of {', '.join(allowed)}, or "
-            f"'adaptive', got {method!r}")
-    return method, estimator
+            f"method must be one of exact, auto, or 'adaptive', got "
+            f"{method!r}")
+    if method == "adaptive" and estimator == "hoeffding":
+        estimator = "adaptive"
+    return budget_nodes, estimator, planner
+
+
+def resolve_estimator(estimator: str, relative_error) -> str:
+    """The sampler that answers under a ``relative_error`` target: a
+    relative target implies the sequential sampler unless one was
+    named explicitly (the fixed-n Hoeffding estimator has no relative
+    mode).  Raises ``ValueError`` for a target that is not positive;
+    each front end words that for its own users."""
+    if relative_error is None:
+        return estimator
+    if relative_error <= 0:
+        raise ValueError(
+            f"relative_error must be positive, got {relative_error}")
+    return "adaptive" if estimator == "hoeffding" else estimator
 
 #: First empirical-Bernstein checkpoint and the batch growth factor:
 #: checkpoint k sees INITIAL_BATCH * GROWTH^k samples, so the number of

@@ -42,7 +42,6 @@ __all__ = [
     "AutoProbability",
     "AutoSweep",
     "estimate_probability",
-    "estimate_probability_batch",
     "hoeffding_sample_count",
 ]
 
@@ -219,24 +218,3 @@ def estimate_probability(formula: CNF, weights: Weights = None,
         estimate=Fraction(successes, samples),
         epsilon=epsilon, delta=delta,
         samples=samples, successes=successes)
-
-
-def estimate_probability_batch(formula: CNF, weight_specs,
-                               epsilon=DEFAULT_EPSILON,
-                               delta=DEFAULT_DELTA,
-                               rng: random.Random | int | None = None,
-                               default: Fraction | None = None
-                               ) -> list[ProbabilityEstimate]:
-    """One (epsilon, delta) estimate per weight specification.
-
-    The estimator re-samples per vector, so each entry carries its own
-    independent Hoeffding guarantee; a single shared ``rng`` (seeded
-    once here) keeps the whole sweep reproducible.  This is the
-    degraded half of ``repro.tid.wmc.probability_batch_auto`` and of
-    the budgeted CLI sweep.
-    """
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
-    return [estimate_probability(formula, spec, epsilon, delta, rng,
-                                 default)
-            for spec in weight_specs]

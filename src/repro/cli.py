@@ -171,21 +171,17 @@ def _load_circuit(path: str, formula):
     return circuit
 
 
-def _resolve_engine(args) -> tuple[str, Fraction | None]:
-    """The (estimator, relative_error) pair of the CLI knobs: a
-    relative target implies the sequential sampler unless an engine
-    was named explicitly (the fixed-n Hoeffding estimator has no
-    relative mode)."""
-    engine = getattr(args, "engine", "hoeffding")
-    relative = getattr(args, "relative_error", None)
-    if relative is not None:
-        if relative <= 0:
-            raise SystemExit(
-                f"repro: --relative-error must be positive, "
-                f"got {relative}")
-        if engine == "hoeffding":
-            engine = "adaptive"
-    return engine, relative
+def _resolve_engine(args) -> str:
+    """The sampler the estimator flags name (a relative target implies
+    the sequential one, as ``resolve_estimator`` rules)."""
+    from repro.booleans.adaptive import resolve_estimator
+
+    try:
+        return resolve_estimator(args.engine, args.relative_error)
+    except ValueError:
+        raise SystemExit(
+            f"repro: --relative-error must be positive, "
+            f"got {args.relative_error}") from None
 
 
 def _print_estimate(query, args, formula, tid, reason: str):
@@ -194,11 +190,11 @@ def _print_estimate(query, args, formula, tid, reason: str):
     from repro.booleans.adaptive import ENGINE_LABELS, estimate_with
     from repro.booleans.approximate import hoeffding_sample_count
 
-    engine, relative = _resolve_engine(args)
+    engine = _resolve_engine(args)
     estimate = estimate_with(
         engine, formula, tid.probability,
         epsilon=args.epsilon, delta=args.delta, rng=args.seed,
-        relative_error=relative)
+        relative_error=args.relative_error)
     print(f"query:      {query}")
     print(f"block:      B_{args.p}(u, v)")
     print(f"lineage:    {len(formula)} clauses over "
@@ -294,9 +290,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.evaluation import endpoint_weight_grid, probability_sweep
+    from repro.evaluation import endpoint_weight_grid
     from repro.tid.database import r_tuple, t_tuple
-    from repro.tid.wmc import cache_info
+    from repro.tid.wmc import cache_info, probability_batch_auto
 
     query, tid, formula = _block_workload(args)
     if args.load:
@@ -312,40 +308,18 @@ def cmd_sweep(args) -> int:
             f"evaluate the same weights at every grid point (queries "
             f"without R/T atoms have nothing to sweep here)")
     weight_maps = endpoint_weight_grid(formula, tid, k)
-    engine = "exact"
-    estimates = None
-    if args.budget is not None:
-        from repro.booleans.adaptive import (
-            ENGINE_LABELS,
-            estimate_batch_with,
-        )
-        from repro.booleans.circuit import CompilationBudgetExceeded
-        from repro.tid.wmc import compiled
-
-        # Probe-then-dispatch rather than wmc.probability_batch_auto:
-        # the exact branch must keep --float's cross-check and
-        # --processes (which the auto primitive does not carry) without
-        # evaluating the batch twice.
-        try:
-            compiled(formula, args.budget)
-        except CompilationBudgetExceeded:
-            sampler, relative = _resolve_engine(args)
-            engine = ENGINE_LABELS[sampler]
-            estimates = estimate_batch_with(
-                sampler, formula, weight_maps, args.epsilon,
-                args.delta, args.seed, relative_error=relative)
-            values = [estimate.estimate for estimate in estimates]
-    if engine == "exact":
-        # Compiled (under budget if one was given, so the circuit is
-        # already cached) — the exact path keeps its --float
-        # cross-check and --processes behaviour either way.
-        values = probability_sweep(
-            formula, weight_maps,
-            numeric="float" if args.float else "exact",
-            processes=args.processes)
+    sweep = probability_batch_auto(
+        formula, weight_maps, budget_nodes=args.budget,
+        epsilon=args.epsilon, delta=args.delta, rng=args.seed,
+        numeric="float" if args.float else "exact",
+        estimator=_resolve_engine(args),
+        relative_error=args.relative_error, cross_check=2)
+    engine, estimates = sweep.engine, sweep.estimates
+    # --float only applies to the exact engine: estimates print as the
+    # rationals they are, and the block line claims no float pass.
+    values = sweep.values if estimates is None else \
+        [estimate.estimate for estimate in estimates]
     print(f"query:   {query}")
-    # --float and --processes only apply to the exact engine; don't
-    # claim a numeric mode that did not run.
     print(f"block:   B_{args.p}(u, v), {k}-vector endpoint sweep"
           f"{' (float fast path)' if args.float and engine == 'exact' else ''}")
     if estimates:
@@ -363,9 +337,8 @@ def cmd_sweep(args) -> int:
         print(f"engine:  {engine}")
     print(f"{'w(R(u))':>10s} {'w(T(v))':>10s}  Pr(Q)")
     for weights, value in zip(weight_maps, values):
-        shown = value if args.float and engine == "exact" else str(value)
         print(f"{str(weights[r_u]):>10s} {str(weights[t_v]):>10s}  "
-              f"{shown}")
+              f"{value}")
     info = cache_info()
     print(f"compilations: {info['compiles']} "
           f"(memory hits: {info['hits']}, "
@@ -411,7 +384,7 @@ def _parse_quota(spec: str, flag: str):
 
 
 def cmd_serve(args) -> int:
-    from repro.service.server import ReproServer
+    from repro.service.server import ReproServer, serve_until_closed
     from repro.tid.wmc import DEFAULT_BUDGET_NODES
 
     if args.workers < 0:
@@ -467,23 +440,14 @@ def cmd_serve(args) -> int:
         server = ReproServer(
             args.host, args.port, workers=args.compile_threads,
             **common)
-    try:
-        host, port = server.address
-        # Scripts (CI smoke, benchmarks) parse this line to find an
-        # ephemeral --port 0 binding; keep its shape stable.
-        print(f"repro service listening on {host}:{port}", flush=True)
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
+    # Scripts (CI smoke, benchmarks) parse this line to find an
+    # ephemeral --port 0 binding; keep its shape stable.
+    return serve_until_closed(server, "repro service listening on")
 
 
 def cmd_query(args) -> int:
     import json
 
-    from repro.service.client import ServiceClient, ServiceError
     from repro.service.protocol import OPS
 
     if args.op == "store_gc":
@@ -539,38 +503,34 @@ def cmd_query(args) -> int:
                    "sample"):
         params["seed"] = args.seed
     assert args.op in OPS
+    if args.op == "shutdown":
+        # Tolerates the connection closing before the acknowledgement.
+        result = _call_service(args, lambda client: client.shutdown())
+    else:
+        result = _call_service(
+            args, lambda client: client.call(args.op, **params))
+    print(json.dumps(result, indent=2, sort_keys=True))
+    return 0
+
+
+def _call_service(args, call, hint: str = ""):
+    """``call(client)`` against the running service named by
+    ``--host``/``--port``/``--timeout``/``--auth``; a refused
+    connection or an error response exits with a friendly message."""
+    from repro.service.client import ServiceClient, ServiceError
+
     try:
         client = ServiceClient(args.host, args.port,
                                timeout=args.timeout, auth=args.auth)
     except OSError as error:
         raise SystemExit(
             f"repro: cannot connect to {args.host}:{args.port}: "
-            f"{error} (is `repro serve` running?)") from None
+            f"{error} (is `repro serve` running?{hint})") from None
     with client:
         try:
-            result = client.call(args.op, **params)
+            return call(client)
         except ServiceError as error:
-            if args.op == "shutdown":
-                result = {"stopping": True}
-            else:
-                raise SystemExit(f"repro: service error: {error}") \
-                    from None
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
-
-
-def _service_client(args):
-    """Connect to the running service named by ``--host``/``--port``
-    or exit with the usual friendly hint."""
-    from repro.service.client import ServiceClient
-
-    try:
-        return ServiceClient(args.host, args.port,
-                             timeout=args.timeout, auth=args.auth)
-    except OSError as error:
-        raise SystemExit(
-            f"repro: cannot connect to {args.host}:{args.port}: "
-            f"{error} (is `repro serve` running?)") from None
+            raise SystemExit(f"repro: service error: {error}") from None
 
 
 def _hist_quantile_ms(buckets: dict, count: int, q: float):
@@ -587,122 +547,84 @@ def _hist_quantile_ms(buckets: dict, count: int, q: float):
     return None
 
 
-def cmd_ctl(args) -> int:
+def cmd_ctl_trace(args) -> int:
     import json
 
-    if args.verb == "trace":
-        from repro.service.client import ServiceError
+    result = _call_service(args, lambda client: client.trace(
+        id=args.id, limit=args.limit, slow=args.slow or None))
+    print(json.dumps(result, indent=2, sort_keys=True))
+    return 0
 
-        with _service_client(args) as client:
-            try:
-                result = client.trace(id=args.id, limit=args.limit,
-                                      slow=args.slow or None)
-            except ServiceError as error:
-                raise SystemExit(
-                    f"repro: service error: {error}") from None
-        print(json.dumps(result, indent=2, sort_keys=True))
+
+def cmd_ctl_top(args) -> int:
+    stats = _call_service(args, lambda client: client.stats())
+    tracing = stats.get("tracing") or {}
+    histograms = tracing.get("histograms") or {}
+    rows = []
+    for op, stages in sorted(histograms.items()):
+        for stage, hist in sorted(stages.items()):
+            count = hist.get("count", 0)
+            buckets = hist.get("buckets") or {}
+            rows.append((op, stage, count,
+                         hist.get("sum_ms", 0.0),
+                         _hist_quantile_ms(buckets, count, 0.50),
+                         _hist_quantile_ms(buckets, count, 0.99)))
+    if not rows:
+        print("no traced requests yet — is the service running "
+              "with tracing enabled?")
         return 0
-    if args.verb == "top":
-        from repro.service.client import ServiceError
+    # "top": heaviest (op, stage) series first, by total time.
+    rows.sort(key=lambda row: (-row[3], row[0], row[1]))
+    fmt = "{:<16} {:<12} {:>8} {:>12} {:>9} {:>9}"
+    print(fmt.format("op", "stage", "count", "total_ms",
+                     "p50_ms", "p99_ms"))
+    for op, stage, count, sum_ms, p50, p99 in rows:
+        render = ["-" if q is None else f"{q:g}" for q in (p50, p99)]
+        print(fmt.format(op, stage, count, f"{sum_ms:.3f}",
+                         render[0], render[1]))
+    return 0
 
-        with _service_client(args) as client:
-            try:
-                stats = client.stats()
-            except ServiceError as error:
-                raise SystemExit(
-                    f"repro: service error: {error}") from None
-        tracing = stats.get("tracing") or {}
-        histograms = tracing.get("histograms") or {}
-        rows = []
-        for op, stages in sorted(histograms.items()):
-            for stage, hist in sorted(stages.items()):
-                count = hist.get("count", 0)
-                buckets = hist.get("buckets") or {}
-                rows.append((op, stage, count,
-                             hist.get("sum_ms", 0.0),
-                             _hist_quantile_ms(buckets, count, 0.50),
-                             _hist_quantile_ms(buckets, count, 0.99)))
-        if not rows:
-            print("no traced requests yet — is the service running "
-                  "with tracing enabled?")
-            return 0
-        # "top": heaviest (op, stage) series first, by total time.
-        rows.sort(key=lambda row: (-row[3], row[0], row[1]))
-        fmt = "{:<16} {:<12} {:>8} {:>12} {:>9} {:>9}"
-        print(fmt.format("op", "stage", "count", "total_ms",
-                         "p50_ms", "p99_ms"))
-        for op, stage, count, sum_ms, p50, p99 in rows:
-            render = ["-" if q is None else f"{q:g}"
-                      for q in (p50, p99)]
-            print(fmt.format(op, stage, count, f"{sum_ms:.3f}",
-                             render[0], render[1]))
-        return 0
-    if args.verb == "store-gc":
-        if args.max_bytes < 0:
-            raise SystemExit("repro: --max-bytes must be non-negative")
-        if args.store:
-            # Local mode: prune the named store directory in-process.
-            from repro.booleans.store import CircuitStore
 
-            report = CircuitStore(args.store).prune(
-                max_bytes=args.max_bytes)
-            report["store"] = args.store
-        else:
-            # Remote mode: ask a running service to prune its store.
-            from repro.service.client import ServiceClient, ServiceError
+def cmd_ctl_store_gc(args) -> int:
+    import json
 
-            try:
-                client = ServiceClient(args.host, args.port,
-                                       timeout=args.timeout,
-                                       auth=args.auth)
-            except OSError as error:
-                raise SystemExit(
-                    f"repro: cannot connect to {args.host}:"
-                    f"{args.port}: {error} (is `repro serve` "
-                    f"running? or pass --store DIR to prune "
-                    f"locally)") from None
-            with client:
-                try:
-                    report = client.store_gc(args.max_bytes)
-                except ServiceError as error:
-                    raise SystemExit(
-                        f"repro: service error: {error}") from None
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    if args.verb == "metrics":
-        # Fetch the Prometheus-style rendering from a running service
-        # and print the exposition text verbatim (pipe it to a file
-        # for node_exporter's textfile collector, or just read it).
-        from repro.service.client import ServiceClient, ServiceError
+    if args.max_bytes < 0:
+        raise SystemExit("repro: --max-bytes must be non-negative")
+    if args.store:
+        # Local mode: prune the named store directory in-process.
+        from repro.booleans.store import CircuitStore
 
-        try:
-            client = ServiceClient(args.host, args.port,
-                                   timeout=args.timeout,
-                                   auth=args.auth)
-        except OSError as error:
-            raise SystemExit(
-                f"repro: cannot connect to {args.host}:{args.port}: "
-                f"{error} (is `repro serve` running?)") from None
-        with client:
-            try:
-                result = client.metrics()
-            except ServiceError as error:
-                raise SystemExit(
-                    f"repro: service error: {error}") from None
-        print(result["text"], end="")
-        return 0
-    if args.verb == "analyze":
-        # Repo-invariant static analyzer.  Bad operands (outside the
-        # repo, not Python) exit with a one-line `repro: ...` message
-        # via the engine's own friendly-SystemExit convention.
-        from repro.analysis import run as analysis_run
+        report = CircuitStore(args.store).prune(max_bytes=args.max_bytes)
+        report["store"] = args.store
+    else:
+        # Remote mode: ask a running service to prune its store.
+        report = _call_service(
+            args, lambda client: client.store_gc(args.max_bytes),
+            hint=" or pass --store DIR to prune locally")
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0
 
-        return analysis_run(
-            args.paths or None, root=args.root,
-            json_output=args.json_output,
-            update_baseline=args.baseline,
-            baseline_file=args.baseline_file)
-    raise SystemExit(f"repro: unknown ctl verb {args.verb!r}")
+
+def cmd_ctl_metrics(args) -> int:
+    # Fetch the Prometheus-style rendering from a running service and
+    # print the exposition text verbatim (pipe it to a file for
+    # node_exporter's textfile collector, or just read it).
+    result = _call_service(args, lambda client: client.metrics())
+    print(result["text"], end="")
+    return 0
+
+
+def cmd_ctl_analyze(args) -> int:
+    # Repo-invariant static analyzer.  Bad operands (outside the repo,
+    # not Python) exit with a one-line `repro: ...` message via the
+    # engine's own friendly-SystemExit convention.
+    from repro.analysis import run as analysis_run
+
+    return analysis_run(
+        args.paths or None, root=args.root,
+        json_output=args.json_output,
+        update_baseline=args.baseline,
+        baseline_file=args.baseline_file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -803,9 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--float", action="store_true",
                          help="float fast path (cross-checked against "
                               "exact Fractions on sampled vectors)")
-    p_sweep.add_argument("--processes", type=int, default=None,
-                         help="split the sweep across N worker "
-                              "processes")
     p_sweep.add_argument("--load", metavar="PATH",
                          help="load a --save'd circuit instead of "
                               "compiling")
@@ -834,6 +753,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.service.client import DEFAULT_PORT
     from repro.service.protocol import OPS
+
+    def service_flags(p):
+        """Where the running service is and how to talk to it."""
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument("--port", type=int, default=DEFAULT_PORT)
+        p.add_argument("--timeout", type=float, default=60.0,
+                       help="socket timeout in seconds (default 60)")
+        p.add_argument("--auth", metavar="TOKEN", default=None,
+                       help="tenant auth token (required when the "
+                            "server runs with --auth-tokens; scopes "
+                            "the traces you can see)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -923,10 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("query", nargs="?",
                          help="query text (omit for stats/ping/"
                               "shutdown)")
-    p_query.add_argument("--host", default="127.0.0.1")
-    p_query.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_query.add_argument("--timeout", type=float, default=60.0,
-                         help="socket timeout in seconds (default 60)")
+    service_flags(p_query)
     p_query.add_argument("--p", type=int, default=4,
                          help="path-block length (default 4)")
     p_query.add_argument("--ps", metavar="P1,P2,...",
@@ -942,9 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--method", default=None,
                          help="force an evaluation method "
                               "(default: auto)")
-    p_query.add_argument("--auth", metavar="TOKEN", default=None,
-                         help="tenant auth token (required when the "
-                              "server runs with --auth-tokens)")
     estimator_flags(p_query)
     p_query.set_defaults(fn=cmd_query)
 
@@ -963,27 +887,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--store", metavar="DIR",
                       help="prune this store directory locally "
                            "(default: ask the running service)")
-    p_gc.add_argument("--host", default="127.0.0.1")
-    p_gc.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_gc.add_argument("--timeout", type=float, default=60.0,
-                      help="socket timeout in seconds (default 60)")
-    p_gc.add_argument("--auth", metavar="TOKEN", default=None,
-                      help="tenant auth token for the remote mode")
-    p_gc.set_defaults(fn=cmd_ctl)
+    service_flags(p_gc)
+    p_gc.set_defaults(fn=cmd_ctl_store_gc)
 
     p_metrics = ctl_sub.add_parser(
         "metrics",
         help="print a running service's Prometheus-style metrics "
              "text (the `metrics` op) verbatim")
-    p_metrics.add_argument("--host", default="127.0.0.1")
-    p_metrics.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_metrics.add_argument("--timeout", type=float, default=60.0,
-                           help="socket timeout in seconds "
-                                "(default 60)")
-    p_metrics.add_argument("--auth", metavar="TOKEN", default=None,
-                           help="tenant auth token (required when "
-                                "the server runs with --auth-tokens)")
-    p_metrics.set_defaults(fn=cmd_ctl)
+    service_flags(p_metrics)
+    p_metrics.set_defaults(fn=cmd_ctl_metrics)
 
     p_trace = ctl_sub.add_parser(
         "trace",
@@ -999,28 +911,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--slow", action="store_true",
                          help="only traces that crossed the server's "
                               "--slow-ms threshold")
-    p_trace.add_argument("--host", default="127.0.0.1")
-    p_trace.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_trace.add_argument("--timeout", type=float, default=60.0,
-                         help="socket timeout in seconds (default 60)")
-    p_trace.add_argument("--auth", metavar="TOKEN", default=None,
-                         help="tenant auth token (scopes the traces "
-                              "you can see on an authenticated "
-                              "server)")
-    p_trace.set_defaults(fn=cmd_ctl)
+    service_flags(p_trace)
+    p_trace.set_defaults(fn=cmd_ctl_trace)
 
     p_top = ctl_sub.add_parser(
         "top",
         help="per-(op, stage) latency breakdown of a running service "
              "from its tracing histograms: count, total, p50, p99")
-    p_top.add_argument("--host", default="127.0.0.1")
-    p_top.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_top.add_argument("--timeout", type=float, default=60.0,
-                       help="socket timeout in seconds (default 60)")
-    p_top.add_argument("--auth", metavar="TOKEN", default=None,
-                       help="tenant auth token (required when the "
-                            "server runs with --auth-tokens)")
-    p_top.set_defaults(fn=cmd_ctl)
+    service_flags(p_top)
+    p_top.set_defaults(fn=cmd_ctl_top)
 
     p_analyze = ctl_sub.add_parser(
         "analyze",
@@ -1041,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--root", default=None,
                            help="repository root "
                                 "(default: auto-detected)")
-    p_analyze.set_defaults(fn=cmd_ctl)
+    p_analyze.set_defaults(fn=cmd_ctl_analyze)
     return parser
 
 

@@ -12,18 +12,18 @@
   degrades to Monte-Carlo estimation with a Hoeffding confidence
   interval when the circuit blows up — the result's ``method`` then
   reads ``"estimate"`` and its ``estimate`` field carries the bound;
-* ``method`` can force a specific engine — ``"compiled"`` addresses the
-  circuit backend explicitly, ``"wmc"`` the shared compile+evaluate
-  oracle, ``"shannon"`` the legacy recursive search, ``"estimate"``
-  the Monte-Carlo estimator — or request ``"cross-check"``, which runs
-  every applicable exact engine and asserts agreement (used throughout
-  the test-suite and benchmarks).
+* ``method`` can force a specific engine — ``"wmc"`` the compiled
+  circuit oracle, ``"shannon"`` the legacy recursive search,
+  ``"estimate"`` the Monte-Carlo estimator — or request
+  ``"cross-check"``, which runs every applicable exact engine and
+  asserts agreement (used throughout the test-suite and benchmarks).
 
 Batch workloads should use ``evaluate_batch`` (many databases, one
-query) or ``probability_sweep`` (one lineage, many weight vectors):
-both ride the module-level compilation cache, so the exponential
-lineage search runs once and each extra evaluation is linear in the
-circuit size.
+query) or ``probability_sweep`` (one lineage, many weight vectors; the
+plain-list face of ``repro.tid.wmc.probability_batch_auto``, through
+which every batched evaluation runs): both ride the module-level
+compilation cache, so the exponential lineage search runs once and
+each extra evaluation is linear in the circuit size.
 
 This is the front door a downstream user of the library is expected to
 call.
@@ -35,17 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from repro.booleans.adaptive import (
-    ENGINE_LABELS,
-    estimate_batch_with,
-    estimate_with,
-)
+from repro.booleans.adaptive import ENGINE_LABELS, estimate_with
 from repro.booleans.approximate import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
     ProbabilityEstimate,
 )
-from repro.booleans.circuit import Circuit, CompilationBudgetExceeded
 from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.safety import is_safe
@@ -57,13 +52,12 @@ from repro.tid.wmc import (
     DEFAULT_BUDGET_NODES,
     cnf_probability,
     cnf_probability_auto,
-    compiled,
-    ensure_tape,
+    probability_batch_auto,
     shannon_probability,
 )
 
-METHODS = ("auto", "lifted", "wmc", "compiled", "shannon", "brute",
-           "estimate", "adaptive", "importance", "cross-check")
+METHODS = ("auto", "lifted", "wmc", "shannon", "brute", "estimate",
+           "adaptive", "importance", "cross-check")
 
 #: Methods answered by a sampler rather than an exact engine; the
 #: result's ``method`` records the sampler that actually ran
@@ -211,10 +205,6 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
                                 "lifted", safe)
     if method == "wmc":
         return EvaluationResult(exact(), "wmc", safe)
-    if method == "compiled":
-        # Same engine as "wmc" (which is circuit-backed), addressed
-        # explicitly; provenance records the caller's choice.
-        return EvaluationResult(exact(), "compiled", safe)
     if method == "shannon":
         return EvaluationResult(_shannon_query_probability(query, tid),
                                 "shannon", safe)
@@ -226,7 +216,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     shannon_value = _shannon_query_probability(query, tid)
     if wmc_value != shannon_value:  # pragma: no cover - engine bug guard
         raise AssertionError(
-            f"engine disagreement: compiled={wmc_value} "
+            f"engine disagreement: wmc={wmc_value} "
             f"shannon={shannon_value}")
     brute_value = probability_brute(query, tid)
     if wmc_value != brute_value:  # pragma: no cover - engine bug guard
@@ -287,34 +277,11 @@ def endpoint_weight_grid(formula: CNF, tid: TID, k: int,
     return grid
 
 
-def _sweep_worker(payload):
-    """Evaluate one chunk of a sweep in a worker process.
-
-    The circuit travels as its serialized bytes (``Circuit.from_bytes``
-    is cheap relative to compilation) so workers never recompile.
-    """
-    data, chunk, default, numeric = payload
-    circuit = Circuit.from_bytes(data)
-    return circuit.probability_batch(chunk, default, numeric)
-
-
-def _chunked(items: list, chunks: int) -> list[list]:
-    size, extra = divmod(len(items), chunks)
-    out, start = [], 0
-    for i in range(chunks):
-        stop = start + size + (1 if i < extra else 0)
-        if stop > start:
-            out.append(items[start:stop])
-        start = stop
-    return out
-
-
 def probability_sweep(formula: CNF,
                       weight_maps: Sequence[Mapping | None],
                       default: Fraction | None = None,
-                      numeric: str = "exact",
-                      processes: int | None = None,
-                      cross_check: int = 2, *,
+                      numeric: str = "exact", *,
+                      cross_check: int = 2,
                       budget_nodes: int | None = None,
                       epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
                       rng=None, estimator: str = "hoeffding",
@@ -326,15 +293,13 @@ def probability_sweep(formula: CNF,
     points): one exponential compilation (riding the two-tier circuit
     cache), then one batched pass over all weight maps on the circuit's
     tape (``Circuit.probability_batch``).  Each entry of
-    ``weight_maps`` may be a mapping, a callable, or None (all
-    variables at ``default``, by default 1/2).
+    ``weight_maps`` may be a mapping, a callable, a ``WeightOverlay``
+    or None (all variables at ``default``, by default 1/2).
 
     ``numeric="float"`` switches the pass to hardware floats; up to
     ``cross_check`` evenly-spaced vectors are then re-evaluated
     exactly, in one batch, and an ``ArithmeticError`` is raised if the
-    float result drifts beyond 1e-9 relative tolerance.  ``processes``
-    > 1 splits large grids across worker processes (mapping/None
-    weight maps only — callables do not pickle).
+    float result drifts beyond 1e-9 relative tolerance.
 
     Passing ``budget_nodes`` (or a ``planner``, which picks the budget
     from the observed circuit-size trajectory) switches the sweep to
@@ -345,59 +310,11 @@ def probability_sweep(formula: CNF,
     vector as early as its variance allows, and ``relative_error``
     switches them to a relative-width target).  The return stays a
     plain value list either way; callers that need the engine/interval
-    provenance should use ``repro.tid.wmc.probability_batch_auto``
-    directly.
+    provenance call ``repro.tid.wmc.probability_batch_auto``, which
+    this wraps.
     """
-    if planner is not None:
-        budget_nodes = planner.budget_for(formula, budget_nodes)
-    if budget_nodes is not None:
-        try:
-            compiled(formula, budget_nodes)
-        except CompilationBudgetExceeded:
-            values = [estimate.estimate for estimate in
-                      estimate_batch_with(
-                          estimator, formula, weight_maps, epsilon,
-                          delta, rng, default, relative_error)]
-            # Keep the documented value type of the requested numeric
-            # mode even on the degraded engine.
-            return [float(v) for v in values] \
-                if numeric == "float" else values
-        # Under budget: the circuit is now cached, so the exact path
-        # below — batched pass, float cross-check, worker processes —
-        # proceeds without recompiling.
-    circuit = compiled(formula)
-    if planner is not None and len(formula):
-        # Every exact compile feeds the planner's trajectory — also
-        # with no fallback budget, where the planner is still warming
-        # up and budget_for returned None.
-        planner.observe(len(formula), circuit.size)
-    # Resolving the tape here lets a store's sidecar satisfy the
-    # flattening, so warm processes never re-flatten.
-    ensure_tape(formula, circuit)
-    weight_maps = list(weight_maps)
-    if processes and processes > 1 and len(weight_maps) > 1:
-        if any(callable(w) for w in weight_maps):
-            raise ValueError(
-                "processes > 1 requires mapping (or None) weight maps; "
-                "callables cannot be sent to worker processes")
-        import multiprocessing
-
-        chunks = _chunked(weight_maps, min(processes, len(weight_maps)))
-        data = circuit.to_bytes()
-        payloads = [(data, chunk, default, numeric) for chunk in chunks]
-        with multiprocessing.Pool(len(chunks)) as pool:
-            parts = pool.map(_sweep_worker, payloads)
-        values = [v for part in parts for v in part]
-    else:
-        values = circuit.probability_batch(weight_maps, default, numeric)
-    if numeric == "float" and cross_check and weight_maps:
-        step = max(1, len(weight_maps) // cross_check)
-        picked = list(range(0, len(weight_maps), step))[:cross_check]
-        exacts = circuit.probability_batch(
-            [weight_maps[i] for i in picked], default)
-        for i, exact in zip(picked, map(float, exacts)):
-            if abs(values[i] - exact) > 1e-9 * max(1.0, abs(exact)):
-                raise ArithmeticError(
-                    f"float sweep drifted at vector {i}: "
-                    f"float={values[i]!r} exact={exact!r}")
-    return values
+    return probability_batch_auto(
+        formula, weight_maps, default, budget_nodes=budget_nodes,
+        epsilon=epsilon, delta=delta, rng=rng, numeric=numeric,
+        estimator=estimator, relative_error=relative_error,
+        planner=planner, cross_check=cross_check).values

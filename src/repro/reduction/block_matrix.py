@@ -32,12 +32,7 @@ from repro.core.queries import Query
 from repro.reduction.blocks import path_block
 from repro.tid.database import r_tuple
 from repro.tid.lineage import lineage
-from repro.tid.wmc import (
-    DEFAULT_BUDGET_NODES,
-    compiled,
-    ensure_tape,
-    probability_batch_auto,
-)
+from repro.tid.wmc import DEFAULT_BUDGET_NODES, probability_batch_auto
 
 HALF = Fraction(1, 2)
 
@@ -79,22 +74,13 @@ def z_matrix_direct(query: Query, p: int, *,
         (lambda t, pinned={r_u: Fraction(a), r_v: Fraction(b)}:
             pinned.get(t, base(t)))
         for a in (0, 1) for b in (0, 1)]
-    method, estimator = resolve_sweep_method(method, estimator)
-    if numeric not in ("exact", "float"):
-        raise ValueError(
-            f"numeric must be 'exact' or 'float', got {numeric!r}")
-    if method == "auto":
-        answer = probability_batch_auto(
-            formula, grid, budget_nodes=budget_nodes,
-            epsilon=epsilon, delta=delta, rng=rng,
-            estimator=estimator, relative_error=relative_error,
-            numeric=numeric, planner=planner)
-        z00, z01, z10, z11 = answer.values
-    else:
-        circuit = compiled(formula)
-        ensure_tape(formula, circuit)
-        z00, z01, z10, z11 = circuit.probability_batch(
-            grid, numeric=numeric)
+    budget_nodes, estimator, planner = resolve_sweep_method(
+        method, estimator, budget_nodes, planner)
+    z00, z01, z10, z11 = probability_batch_auto(
+        formula, grid, budget_nodes=budget_nodes, epsilon=epsilon,
+        delta=delta, rng=rng, estimator=estimator,
+        relative_error=relative_error, numeric=numeric,
+        planner=planner).values
     return Matrix([[z00, z01], [z10, z11]])
 
 

@@ -33,8 +33,6 @@ from repro.tid.lineage import lineage
 from repro.tid.wmc import (
     DEFAULT_BUDGET_NODES,
     cnf_probability,
-    compiled,
-    ensure_tape,
     probability_batch_auto,
 )
 
@@ -212,21 +210,15 @@ class TypeIIStructure:
         theta-grids; the Moebius alternating sums downstream need the
         exact rationals, so they keep the default.
         """
-        method, estimator = resolve_sweep_method(method, estimator)
-        if numeric not in ("exact", "float"):
-            raise ValueError(
-                f"numeric must be 'exact' or 'float', got {numeric!r}")
+        budget_nodes, estimator, planner = resolve_sweep_method(
+            method, estimator, budget_nodes, planner)
         formula = self.lineage_y(block, u, v, alpha, beta)
         base = block.probability
         # WeightOverlay (not a closure) so the tape lanes can
         # fill their weight matrix from the shared base plus the pins.
         specs = [WeightOverlay(base, overlay) for overlay in overlays]
-        if method == "auto":
-            return probability_batch_auto(
-                formula, specs, budget_nodes=budget_nodes,
-                epsilon=epsilon, delta=delta, rng=rng,
-                estimator=estimator, relative_error=relative_error,
-                numeric=numeric, planner=planner).values
-        circuit = compiled(formula)
-        ensure_tape(formula, circuit)
-        return circuit.probability_batch(specs, numeric=numeric)
+        return probability_batch_auto(
+            formula, specs, budget_nodes=budget_nodes, epsilon=epsilon,
+            delta=delta, rng=rng, estimator=estimator,
+            relative_error=relative_error, numeric=numeric,
+            planner=planner).values

@@ -39,10 +39,7 @@ from repro.tid.database import s_tuple
 from repro.tid.lineage import lineage
 from repro.tid.wmc import (
     DEFAULT_BUDGET_NODES,
-    cnf_probability,
     cnf_probability_auto,
-    compiled,
-    ensure_tape,
     probability_batch_auto,
 )
 
@@ -98,7 +95,8 @@ def link_matrix_type2(query: Query, symbol: str,
     aborts a hopeless factor early without strangling its siblings.
     The default is unconditionally exact.
     """
-    method, estimator = resolve_sweep_method(method, estimator)
+    budget_nodes, estimator, planner = resolve_sweep_method(
+        method, estimator, budget_nodes, planner)
     block = type2_block(query, p=1, tag=tag)
     if assignment:
         for token, value in assignment.items():
@@ -115,15 +113,11 @@ def link_matrix_type2(query: Query, symbol: str,
         for b in (False, True):
             conditioned = formula.condition(s0, a).condition(s1, b)
             factor = _middle_factor(conditioned, middle)
-            if method == "auto":
-                row.append(cnf_probability_auto(
-                    factor, block.probability,
-                    budget_nodes=budget_nodes, epsilon=epsilon,
-                    delta=delta, rng=rng, estimator=estimator,
-                    relative_error=relative_error,
-                    planner=planner).value)
-            else:
-                row.append(cnf_probability(factor, block.probability))
+            row.append(cnf_probability_auto(
+                factor, block.probability, budget_nodes=budget_nodes,
+                epsilon=epsilon, delta=delta, rng=rng,
+                estimator=estimator, relative_error=relative_error,
+                planner=planner).value)
         rows.append(row)
     return Matrix(rows)
 
@@ -163,7 +157,8 @@ def link_matrix_sweep(query: Query, symbol: str,
     matrices, so keep the exact default wherever the spectral algebra
     consumes the result.
     """
-    method, estimator = resolve_sweep_method(method, estimator)
+    budget_nodes, estimator, planner = resolve_sweep_method(
+        method, estimator, budget_nodes, planner)
     if numeric not in ("exact", "float"):
         raise ValueError(
             f"numeric must be 'exact' or 'float', got {numeric!r}")
@@ -205,18 +200,11 @@ def link_matrix_sweep(query: Query, symbol: str,
         for b in (False, True):
             conditioned = formula.condition(s0, a).condition(s1, b)
             factor = _middle_factor(conditioned, middle)
-            if method == "auto":
-                entries[int(a), int(b)] = probability_batch_auto(
-                    factor, specs, budget_nodes=budget_nodes,
-                    epsilon=epsilon, delta=delta, rng=rng,
-                    estimator=estimator,
-                    relative_error=relative_error,
-                    numeric=numeric, planner=planner).values
-            else:
-                circuit = compiled(factor)
-                ensure_tape(factor, circuit)
-                entries[int(a), int(b)] = circuit.probability_batch(
-                    specs, numeric=numeric)
+            entries[int(a), int(b)] = probability_batch_auto(
+                factor, specs, budget_nodes=budget_nodes,
+                epsilon=epsilon, delta=delta, rng=rng,
+                estimator=estimator, relative_error=relative_error,
+                numeric=numeric, planner=planner).values
     return [
         Matrix([[entries[0, 0][i], entries[0, 1][i]],
                 [entries[1, 0][i], entries[1, 1][i]]])

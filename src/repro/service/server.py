@@ -50,6 +50,7 @@ from repro.booleans.adaptive import (
     ESTIMATORS,
     BudgetPlanner,
     estimate_with,
+    resolve_estimator,
 )
 from repro.booleans.approximate import (
     DEFAULT_DELTA,
@@ -58,7 +59,7 @@ from repro.booleans.approximate import (
 )
 from repro.booleans.circuit import CompilationBudgetExceeded
 from repro.booleans.cnf import CNF
-from repro.booleans.store import cnf_fingerprint
+from repro.booleans.store import CircuitStore, cnf_fingerprint
 from repro.core.queries import Query, parse_query
 from repro.core.safety import is_safe
 from repro.evaluation import METHODS, endpoint_weight_grid, evaluate
@@ -509,8 +510,8 @@ class ReproServer(ServiceFrontEnd):
                  tracer: Tracer | None = None,
                  clock=time.monotonic,
                  worker_mode: bool = False):
-        if store is not None:
-            wmc.set_circuit_store(store)
+        if store is not None and not hasattr(store, "get"):
+            store = CircuitStore(store)
         self.pool = CompilePool(workers)
         self.coalescer = SweepCoalescer(window)
         #: Worker mode (set by ``repro.service.worker`` when this
@@ -557,6 +558,10 @@ class ReproServer(ServiceFrontEnd):
             tenant_quotas=tenant_quotas, store_max_bytes=store_max_bytes,
             tracing=tracing, slow_ms=slow_ms, trace_buffer=trace_buffer,
             trace_dir=trace_dir, tracer=tracer, clock=clock)
+        # The process-wide store switches only once nothing above can
+        # raise: a failed construction leaves it as it was.
+        if store is not None:
+            wmc.set_circuit_store(store)
 
     def _release(self) -> None:
         self.pool.shutdown()
@@ -755,22 +760,18 @@ class ReproServer(ServiceFrontEnd):
         estimator = take_str(params, "estimator", default="hoeffding",
                              choices=ESTIMATORS)
         relative = take_fraction(params, "relative_error", default=None)
-        if relative is not None:
-            if relative <= 0:
-                raise ProtocolError(
-                    "bad-request",
-                    "param 'relative_error' must be positive")
-            if estimator == "hoeffding":
-                # The fixed-n estimator has no relative mode; a
-                # relative target implies the sequential sampler
-                # unless the client named one explicitly.
-                estimator = "adaptive"
+        try:
+            estimator = resolve_estimator(estimator, relative)
+        except ValueError:
+            raise ProtocolError(
+                "bad-request",
+                "param 'relative_error' must be positive") from None
         return budget, epsilon, delta, seed, estimator, relative
 
     def _evaluate_one(self, workload: Workload, method: str,
                       budget, epsilon, delta, seed, estimator,
                       relative) -> dict:
-        if method in ("auto", "wmc", "compiled", "cross-check") \
+        if method in ("auto", "wmc", "cross-check") \
                 and not workload.safe and not workload.query.is_false():
             self._prewarm(workload,
                           budget if method == "auto" else None)
@@ -967,3 +968,18 @@ class ReproServer(ServiceFrontEnd):
                         "world": encode_world(world)}
                        for prob, world in pairs],
         }
+
+
+def serve_until_closed(server: ServiceFrontEnd, banner: str) -> int:
+    """Announce ``"<banner> <host>:<port>"`` on stdout, serve on the
+    calling thread until shutdown or KeyboardInterrupt, then close —
+    the main loop of ``repro serve`` and of each worker process."""
+    try:
+        host, port = server.address
+        print(f"{banner} {host}:{port}", flush=True)
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.close()
+    return 0

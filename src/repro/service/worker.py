@@ -33,7 +33,7 @@ import stat
 import sys
 import threading
 
-from repro.service.server import ReproServer
+from repro.service.server import ReproServer, serve_until_closed
 from repro.tid import wmc
 
 #: Start-up handshake line, completed with ``<host>:<port>``.  The
@@ -113,16 +113,8 @@ def main(argv=None) -> int:
         store_max_bytes=args.store_max_bytes,
         tracing=not args.no_tracing,
         worker_mode=True)
-    try:
-        close_on_stdin_eof(server)
-        host, port = server.address
-        print(f"{BANNER} {host}:{port}", flush=True)
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
+    close_on_stdin_eof(server)
+    return serve_until_closed(server, BANNER)
 
 
 if __name__ == "__main__":

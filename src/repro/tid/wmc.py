@@ -457,23 +457,34 @@ def probability_batch_auto(formula: CNF, weight_specs,
                            numeric: str = "exact",
                            estimator: str = "hoeffding",
                            relative_error=None,
-                           planner=None) -> AutoSweep:
+                           planner=None,
+                           cross_check: int = 0) -> AutoSweep:
     """Many-weight-vector ``auto``: one budgeted compilation backing a
     batched circuit pass, or — past budget — one estimate per weight
     vector via the chosen ``estimator`` (each vector re-samples; a
     single shared ``rng`` keeps the whole sweep reproducible, and the
     sequential samplers stop each vector as early as its variance
     allows).  ``planner`` plans the budget per formula as in
-    ``cnf_probability_auto``.
+    ``cnf_probability_auto``; a ``budget_nodes`` of None (and no
+    planner) never degrades.
 
-    This is the primitive behind the ``auto``/``adaptive`` modes of
-    the reduction sweeps (``block_matrix.z_matrix_direct``,
+    This is the one sweep path: the reduction sweeps
+    (``block_matrix.z_matrix_direct``,
     ``type2_spectral.link_matrix_sweep``,
-    ``TypeIIStructure.y_probability_sweep``) and of
-    ``repro.evaluation.probability_sweep``.  ``numeric="float"``
+    ``TypeIIStructure.y_probability_sweep``),
+    ``repro.evaluation.probability_sweep``, ``repro sweep`` and the
+    service's ``sweep`` op all run through it.  ``numeric="float"``
     yields float values from either engine (the ``estimates`` list
-    keeps the exact rationals).
+    keeps the exact rationals); a ``numeric`` other than ``"exact"``
+    or ``"float"`` raises ``ValueError`` before any work.  On the
+    exact engine, a float sweep re-evaluates up to ``cross_check``
+    evenly-spaced vectors exactly, in one batch, and raises
+    ``ArithmeticError`` naming the first vector whose float value
+    drifts beyond 1e-9 relative tolerance.
     """
+    if numeric not in ("exact", "float"):
+        raise ValueError(
+            f"numeric must be 'exact' or 'float', got {numeric!r}")
     weight_specs = list(weight_specs)
     budget_nodes = _planned_budget(formula, budget_nodes, planner)
     try:
@@ -490,9 +501,18 @@ def probability_batch_auto(formula: CNF, weight_specs,
     # Resolving the tape here lets a store's sidecar satisfy the
     # flattening, so warm services never re-flatten.
     ensure_tape(formula, circuit)
-    return AutoSweep(
-        circuit.probability_batch(weight_specs, default, numeric),
-        "exact")
+    values = circuit.probability_batch(weight_specs, default, numeric)
+    if numeric == "float" and cross_check and weight_specs:
+        step = max(1, len(weight_specs) // cross_check)
+        picked = list(range(0, len(weight_specs), step))[:cross_check]
+        exacts = circuit.probability_batch(
+            [weight_specs[i] for i in picked], default)
+        for i, exact in zip(picked, map(float, exacts)):
+            if abs(values[i] - exact) > 1e-9 * max(1.0, abs(exact)):
+                raise ArithmeticError(
+                    f"float sweep drifted at vector {i}: "
+                    f"float={values[i]!r} exact={exact!r}")
+    return AutoSweep(values, "exact")
 
 
 # ----------------------------------------------------------------------

@@ -364,14 +364,17 @@ class TestEstimatorRegistry:
         assert batch == again
 
     def test_resolve_sweep_method(self):
-        assert resolve_sweep_method("exact", "hoeffding") == \
-            ("exact", "hoeffding")
-        assert resolve_sweep_method("adaptive", "hoeffding") == \
-            ("auto", "adaptive")
-        assert resolve_sweep_method("adaptive", "importance") == \
-            ("auto", "importance")
+        planner = BudgetPlanner()
+        assert resolve_sweep_method("exact", "hoeffding", 64,
+                                    planner) == (None, "hoeffding", None)
+        assert resolve_sweep_method("auto", "hoeffding", 64,
+                                    planner) == (64, "hoeffding", planner)
+        assert resolve_sweep_method("adaptive", "hoeffding", 64,
+                                    None) == (64, "adaptive", None)
+        assert resolve_sweep_method("adaptive", "importance", 64,
+                                    None) == (64, "importance", None)
         with pytest.raises(ValueError, match="method"):
-            resolve_sweep_method("magic", "hoeffding")
+            resolve_sweep_method("magic", "hoeffding", 64, None)
 
 
 class TestBudgetPlanner:

@@ -193,12 +193,15 @@ class TestEvaluationLayer:
     def test_compiled_method_agrees(self):
         query, tids = self._query_and_tids()
         for tid in tids:
-            by_circuit = evaluate(query, tid, method="compiled")
-            assert by_circuit.method == "compiled"
+            by_circuit = evaluate(query, tid, method="wmc")
+            assert by_circuit.method == "wmc"
             assert by_circuit.value == \
                 evaluate(query, tid, method="shannon").value
             assert by_circuit.value == \
                 evaluate(query, tid, method="brute").value
+        # The circuit engine has one name.
+        with pytest.raises(ValueError, match="unknown method"):
+            evaluate(query, tids[0], method="compiled")
 
     def test_evaluate_batch(self):
         query, tids = self._query_and_tids()

@@ -37,6 +37,15 @@ def workload(text=QUERY, p=4):
     return query, tid, lineage(query, tid)
 
 
+def closed_port() -> int:
+    """A port that is definitely closed."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
 @pytest.fixture(autouse=True)
 def isolated_cache():
     wmc.clear_circuit_cache()
@@ -250,6 +259,12 @@ class TestErrors:
         with pytest.raises(ServiceError) as info:
             client.evaluate(QUERY, method="magic")
         assert info.value.code == "bad-request"
+        # The circuit engine has one name, "wmc"; the error lists the
+        # methods there are.
+        with pytest.raises(ServiceError) as info:
+            client.evaluate(QUERY, method="compiled")
+        assert info.value.code == "bad-request"
+        assert "auto, lifted, wmc, shannon" in info.value.message
 
     def test_sweep_without_endpoints_rejected(self, client):
         with pytest.raises(ServiceError) as info:
@@ -658,13 +673,20 @@ class TestCLI:
                   "--port", str(port)])
 
     def test_query_verb_connection_refused_is_friendly(self):
-        # Grab a port that is definitely closed.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
         with pytest.raises(SystemExit, match="cannot connect"):
-            main(["query", "stats", "--port", str(port)])
+            main(["query", "stats", "--port", str(closed_port())])
+
+    @pytest.mark.parametrize("verb", [
+        ["ctl", "store-gc", "--max-bytes", "0"],
+        ["ctl", "metrics"],
+        ["ctl", "trace"],
+        ["ctl", "top"],
+    ], ids=lambda verb: verb[1])
+    def test_ctl_verbs_connection_refused_is_friendly(self, verb):
+        with pytest.raises(SystemExit, match="cannot connect") as info:
+            main(verb + ["--port", str(closed_port())])
+        if "store-gc" in verb:
+            assert "or pass --store DIR" in str(info.value)
 
     def test_ctl_store_gc_local(self, tmp_path, capsys):
         wmc.set_circuit_store(str(tmp_path))
@@ -714,6 +736,25 @@ class TestCLI:
         """Before any listener or worker starts."""
         with pytest.raises(ValueError, match="budget_nodes"):
             deployment(port=0, budget_nodes=1)
+
+    @pytest.mark.parametrize("bad", [
+        {"budget_nodes": 1}, {"slow_ms": -1}, {"store_max_bytes": -5},
+        {"port": "taken"},
+    ], ids=["budget_nodes", "slow_ms", "store_max_bytes", "port in use"])
+    def test_failed_construction_leaves_the_store_alone(self, tmp_path,
+                                                        bad):
+        """The process-wide circuit store switches only when the
+        server is built."""
+        before = wmc.get_circuit_store()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            kwargs = {"port": 0, **bad}
+            if kwargs["port"] == "taken":
+                kwargs["port"] = taken.getsockname()[1]
+            with pytest.raises((ValueError, OSError)):
+                ReproServer(store=str(tmp_path), **kwargs)
+        assert wmc.get_circuit_store() is before
 
     def test_serve_verb_in_process(self, capsys):
         """The serve verb end to end without a subprocess: banner,

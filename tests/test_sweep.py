@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.booleans.circuit import compile_cnf
+from repro.booleans.circuit import Circuit, compile_cnf
 from repro.booleans.cnf import CNF
 from repro.core.catalog import example_c15, rst_query
 from repro.evaluation import endpoint_weight_grid, probability_sweep
@@ -92,17 +92,42 @@ class TestProbabilitySweep:
         for approx, truth in zip(values, exact):
             assert abs(approx - float(truth)) < 1e-9
 
-    def test_multiprocessing_chunks_match_serial(self):
-        formula, maps = endpoint_grid(k=7)
-        serial = probability_sweep(formula, maps)
-        parallel = probability_sweep(formula, maps, processes=2)
-        assert parallel == serial
-
-    def test_multiprocessing_rejects_callables(self):
+    @pytest.mark.parametrize("sweep", [
+        probability_sweep,
+        lambda *args, **kwargs:
+            wmc.probability_batch_auto(*args, **kwargs).values,
+    ], ids=["probability_sweep", "probability_batch_auto"])
+    def test_unknown_numeric_refused_past_a_blown_budget(self, sweep):
+        """An unknown numeric mode is refused before any compilation,
+        so the estimator path past a blown budget refuses it too."""
         formula, maps = endpoint_grid(k=2)
-        with pytest.raises(ValueError, match="callables"):
-            probability_sweep(
-                formula, [maps[0], lambda v: F(1, 2)], processes=2)
+        wmc.clear_circuit_cache()
+        with pytest.raises(ValueError, match="numeric"):
+            sweep(formula, maps, numeric="decimal", budget_nodes=2)
+        assert wmc.cache_info()["budget_aborts"] == 0
+
+    def test_float_drift_names_the_vector(self, monkeypatch):
+        formula, maps = endpoint_grid(k=4)
+        batch = Circuit.probability_batch
+
+        def drifting(circuit, specs, default=None, numeric="exact"):
+            values = batch(circuit, specs, default, numeric)
+            if numeric == "float":
+                values[2] += 1e-6
+            return values
+
+        monkeypatch.setattr(Circuit, "probability_batch", drifting)
+        with pytest.raises(ArithmeticError, match="vector 2"):
+            probability_sweep(formula, maps, numeric="float",
+                              cross_check=4)
+        # The primitive cross-checks only when asked to.
+        drifted = wmc.probability_batch_auto(formula, maps,
+                                             numeric="float").values
+        assert len(drifted) == 4
+        # A positional fifth argument (the old ``processes``) is refused
+        # rather than read as a cross-check count.
+        with pytest.raises(TypeError):
+            probability_sweep(formula, maps, None, "float", 2)
 
 
 class TestBlockMatrixGrid:
