@@ -9,7 +9,8 @@ The public API re-exports the main objects:
   ``is_final`` / ``find_final``;
 * tuple-independent databases and evaluation: :class:`TID`,
   ``lineage``, ``probability`` (exact WMC), ``probability_brute``,
-  ``lifted_probability`` (PTIME, safe queries only);
+  ``lifted_probability`` (PTIME, safe queries only: evaluates the
+  query's safe plan);
 * counting problems: ``pqe``, ``gfomc``, ``fomc``,
   ``generalized_model_count``, ``model_count``, :class:`P2CNF`,
   :class:`PP2CNF`;

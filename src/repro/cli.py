@@ -240,6 +240,7 @@ def cmd_compile(args) -> int:
     from repro.booleans.circuit import CompilationBudgetExceeded
     from repro.tid.wmc import cache_info, compiled
 
+    _resolve_engine(args)  # refuse bad estimator flags up front
     query, tid, formula = _block_workload(args)
     if args.load:
         circuit = _load_circuit(args.load, formula)

@@ -3,15 +3,17 @@
 ``evaluate`` routes a (query, database) pair to the right engine:
 
 * safe queries (Definition 2.4) go to the polynomial-time lifted
-  evaluator — the PTIME side of Theorem 2.1;
-* unsafe queries fall back to the weighted model counter, which
-  compiles the lineage to a d-DNNF circuit and evaluates it (they are
-  #P-hard, Theorem 2.2, so no general shortcut exists — but the
-  compilation is paid at most once per lineage).  Under the default
-  ``"auto"`` method the compilation runs under a node budget and
-  degrades to Monte-Carlo estimation with a Hoeffding confidence
-  interval when the circuit blows up — the result's ``method`` then
-  reads ``"estimate"`` and its ``estimate`` field carries the bound;
+  evaluator, which runs the query's safe plan — the PTIME side of
+  Theorem 2.1;
+* unsafe queries (#P-hard, Theorem 2.2: no general shortcut exists)
+  and the safe ones with no plan fall back to the weighted model
+  counter, which compiles the lineage to a d-DNNF circuit and
+  evaluates it, paying the compilation at most once per lineage.
+  Under the default ``"auto"`` method the compilation runs under a
+  node budget and degrades to Monte-Carlo estimation with a Hoeffding
+  confidence interval when the circuit blows up — the result's
+  ``method`` then reads ``"estimate"`` and its ``estimate`` field
+  carries the bound;
 * ``method`` can force a specific engine — ``"wmc"`` the compiled
   circuit oracle, ``"shannon"`` the legacy recursive search,
   ``"estimate"`` the Monte-Carlo estimator — or request
@@ -46,7 +48,7 @@ from repro.core.queries import Query
 from repro.core.safety import is_safe
 from repro.tid.brute import probability_brute
 from repro.tid.database import TID
-from repro.tid.lifted import lifted_probability
+from repro.tid.lifted import UnsafeQueryError, lifted_probability
 from repro.tid.lineage import lineage
 from repro.tid.wmc import (
     DEFAULT_BUDGET_NODES,
@@ -130,6 +132,15 @@ def _shannon_query_probability(query: Query, tid: TID) -> Fraction:
     return shannon_probability(lineage(query, tid), tid.probability)
 
 
+def _lifted_or_none(query: Query, tid: TID) -> Fraction | None:
+    """The safe plan's Pr(Q), or None for a safe query with no plan (a
+    full clause R(x) v T(y) sharing a symbol with another clause)."""
+    try:
+        return lifted_probability(query, tid)
+    except UnsafeQueryError:
+        return None
+
+
 def evaluate(query: Query, tid: TID, method: str = "auto", *,
              budget_nodes: int | None = DEFAULT_BUDGET_NODES,
              epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
@@ -168,9 +179,9 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
         return cnf_probability(grounded(), tid.probability)
 
     if method == "auto":
-        if safe:
-            return EvaluationResult(lifted_probability(query, tid),
-                                    "lifted", True)
+        lifted = _lifted_or_none(query, tid) if safe else None
+        if lifted is not None:
+            return EvaluationResult(lifted, "lifted", True)
         if query.is_false():
             return EvaluationResult(Fraction(0), "wmc", False)
         answer = cnf_probability_auto(
@@ -179,9 +190,9 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
             rng=rng, estimator=estimator,
             relative_error=relative_error, planner=planner)
         if answer.engine != "exact":
-            return EvaluationResult(answer.value, answer.engine, False,
+            return EvaluationResult(answer.value, answer.engine, safe,
                                     answer.estimate)
-        return EvaluationResult(answer.value, "wmc", False)
+        return EvaluationResult(answer.value, "wmc", safe)
     if method in ESTIMATE_METHODS:
         sampler = estimator if method == "estimate" else method
         label = ENGINE_LABELS[sampler]
@@ -222,11 +233,11 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     if wmc_value != brute_value:  # pragma: no cover - engine bug guard
         raise AssertionError(
             f"engine disagreement: wmc={wmc_value} brute={brute_value}")
-    if safe:
-        lifted_value = lifted_probability(query, tid)
-        if lifted_value != wmc_value:  # pragma: no cover
-            raise AssertionError(
-                f"lifted={lifted_value} disagrees with wmc={wmc_value}")
+    lifted_value = _lifted_or_none(query, tid) if safe else None
+    if lifted_value is not None \
+            and lifted_value != wmc_value:  # pragma: no cover
+        raise AssertionError(
+            f"lifted={lifted_value} disagrees with wmc={wmc_value}")
     return EvaluationResult(wmc_value, "cross-check", safe)
 
 

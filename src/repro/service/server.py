@@ -85,6 +85,7 @@ from repro.service.scheduler import CompilePool, SweepCoalescer
 from repro.service.tenants import ANONYMOUS, TenantQuota, TenantRegistry
 from repro.tid import wmc
 from repro.tid.database import TID, r_tuple, t_tuple
+from repro.tid.lifted import UnsafeQueryError
 from repro.tid.lineage import lineage
 
 #: Evaluation methods a client may force: exactly the library's —
@@ -776,12 +777,15 @@ class ReproServer(ServiceFrontEnd):
             self._prewarm(workload,
                           budget if method == "auto" else None)
         with span("evaluate", method=method):
-            result = evaluate(workload.query, workload.tid, method,
-                              budget_nodes=budget, epsilon=epsilon,
-                              delta=delta, rng=seed,
-                              estimator=estimator,
-                              relative_error=relative,
-                              formula=workload.formula)
+            try:
+                result = evaluate(workload.query, workload.tid, method,
+                                  budget_nodes=budget, epsilon=epsilon,
+                                  delta=delta, rng=seed,
+                                  estimator=estimator,
+                                  relative_error=relative,
+                                  formula=workload.formula)
+            except UnsafeQueryError as error:  # method="lifted"
+                raise ProtocolError("bad-request", str(error)) from None
         self._note_estimates([result.estimate], epsilon, delta)
         payload = result.as_dict()
         payload["p"] = workload.p

@@ -4,7 +4,7 @@ Provides bipartite TIDs with exact rational probabilities, lineage
 construction (grounding a forall-CNF query into a monotone CNF), an
 exact weighted-model-counting engine, a brute-force possible-worlds
 evaluator (for cross-validation), and the polynomial-time lifted
-evaluator for safe queries.
+evaluator for safe queries, which evaluates the query's safe plan.
 """
 
 from repro.tid.database import TID, Tuple, r_tuple, t_tuple, s_tuple

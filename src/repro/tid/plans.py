@@ -1,23 +1,31 @@
-"""Safe plans: compiled, inspectable PTIME evaluation for safe queries.
+"""Safe plans: the polynomial-time evaluator for safe queries.
 
-The lifted evaluator (``repro.tid.lifted``) computes Pr(Q) procedurally.
-This module compiles the same algorithm into an explicit *plan tree* —
-the classical "safe plan" artifact of probabilistic databases — that
-
-* can be pretty-printed (showing exactly why the query is tractable:
-  which independence the optimizer exploited, where
-  inclusion-exclusion runs, where the unary atom is Shannon-expanded);
-* evaluates over any TID in time O(|U| * |V|) per component;
-* is validated against the procedural evaluator and the exact WMC
-  engine in the test-suite.
+This is the easy side of the dichotomy (Theorem 2.1), implemented once:
+``safe_plan`` compiles a safe query into an explicit *plan tree* (the
+classical "safe plan" artifact of probabilistic databases), and
+``repro.tid.lifted.lifted_probability`` evaluates it.  The paper's two
+observations before Definition 2.4 drive the compilation: a safe query
+splits into symbol-disjoint components whose probabilities multiply,
+and a component with no right clauses factorizes over the left domain,
+Pr(Q) = prod_u Pr(Q[u/x]) (mirror-wise with no left clauses).  Each
+factor expands its Type-II disjunctions OR_l forall y S_{J_l}(u, y) by
+inclusion-exclusion over the (query-sized) set of subclause choices,
+and each signed conjunction is a product over the opposite domain of a
+constant-size CNF, evaluated as one exact batch over the CNF's
+circuit.  A plan evaluates any TID in time O(|U| * |V|) per component
+for a fixed query, and pretty-prints why the query is tractable: which
+independence it exploits, where the unary atom is Shannon-expanded and
+where inclusion-exclusion runs.
 
 Plan node algebra:
 
     IndependentJoin [components multiply]
+      IndependentOr [a full clause R(x) v T(y)]
+      PairProduct [middle clauses only: one batch over U x V]
       DomainProduct(side) [factors over u in U or v in V]
-        Shannon(unary) [condition on R(u) / T(v)]
+        Shannon(unary) [condition on R(u) / T(v), if it occurs]
           InclusionExclusion [over Type-II subclause choices]
-            LocalProduct [per opposite-domain constant]
+            LocalProduct [one batch over the opposite domain]
               LocalFormula [constant-size CNF of binary atoms]
 """
 
@@ -26,30 +34,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from typing import Sequence
+from math import prod
+from typing import Iterator, Sequence
 
 from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.safety import connected_components, is_unsafe
 from repro.core.symbols import LEFT_UNARY, RIGHT_UNARY
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
-from repro.tid.lifted import UnsafeQueryError
-from repro.tid.wmc import cnf_probability
+from repro.tid.wmc import compiled, ensure_tape
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+class UnsafeQueryError(ValueError):
+    """Raised when a query has no safe plan."""
+
+
 @dataclass(frozen=True)
 class LocalFormula:
-    """Pr of a constant-size CNF over the binary atoms at one (u, v)."""
+    """A constant-size CNF over the binary atoms at one (u, v)."""
 
     subclauses: tuple[frozenset[str], ...]
 
-    def evaluate(self, tid: TID, u, v) -> Fraction:
+    def product(self, tid: TID, pairs) -> Fraction:
+        """prod over the (independent) ``(u, v)`` of ``pairs`` of the
+        formula's probability there: one batch over its circuit."""
         formula = CNF(frozenset(j) for j in self.subclauses)
-        return cnf_probability(
-            formula, lambda s: tid.probability(s_tuple(s, u, v)))
+        circuit = compiled(formula)
+        ensure_tape(formula, circuit)
+        return prod(circuit.probability_batch([
+            (lambda symbol, u=u, v=v: tid.probability(
+                s_tuple(symbol, u, v)))
+            for u, v in pairs]), start=ONE)
 
     def describe(self) -> str:
         inner = " & ".join(
@@ -66,14 +84,11 @@ class LocalProduct:
     left_side: bool  # the *outer* variable is on the left
 
     def evaluate(self, tid: TID, w) -> Fraction:
-        inner = tid.right_domain if self.left_side else tid.left_domain
-        total = ONE
-        for z in inner:
-            u, v = (w, z) if self.left_side else (z, w)
-            total *= self.formula.evaluate(tid, u, v)
-            if total == 0:
-                return ZERO
-        return total
+        if self.left_side:
+            pairs = [(w, v) for v in tid.right_domain]
+        else:
+            pairs = [(u, w) for u in tid.left_domain]
+        return self.formula.product(tid, pairs)
 
     def describe(self) -> str:
         domain = "v in V" if self.left_side else "u in U"
@@ -100,44 +115,39 @@ class InclusionExclusion:
 
 @dataclass(frozen=True)
 class Shannon:
-    """Condition on the unary atom of the outer constant."""
+    """Condition on the unary atom of the outer constant.  A branch
+    whose weight is 0 is skipped, and ``when_false`` is None when a
+    falsified unary-only clause zeroes it."""
 
-    unary: str | None
+    unary: str
     when_false: InclusionExclusion | None
-    when_true: InclusionExclusion | None
+    when_true: InclusionExclusion
 
     def evaluate(self, tid: TID, w) -> Fraction:
-        if self.unary is None:
-            return self.when_false.evaluate(tid, w)
         token = r_tuple(w) if self.unary == LEFT_UNARY else t_tuple(w)
         p = tid.probability(token)
         total = ZERO
         if p != 1 and self.when_false is not None:
             total += (ONE - p) * self.when_false.evaluate(tid, w)
         if p != 0:
-            high = ONE if self.when_true is None \
-                else self.when_true.evaluate(tid, w)
-            total += p * high
+            total += p * self.when_true.evaluate(tid, w)
         return total
 
     def describe(self) -> str:
-        if self.unary is None:
-            return self.when_false.describe()
         false_part = "0" if self.when_false is None \
             else self.when_false.describe()
-        true_part = "1" if self.when_true is None \
-            else self.when_true.describe()
         return (f"shannon({self.unary}): [0 -> {false_part}] "
-                f"[1 -> {true_part}]")
+                f"[1 -> {self.when_true.describe()}]")
 
 
 @dataclass(frozen=True)
 class DomainProduct:
     """prod over the shared-variable domain of the per-constant factor
-    (the first observation before Definition 2.4)."""
+    (the first observation before Definition 2.4); the factor is
+    Shannon-expanded when the side's clauses carry the unary atom."""
 
     left_side: bool
-    factor: Shannon
+    factor: Shannon | InclusionExclusion
 
     def evaluate(self, tid: TID) -> Fraction:
         outer = tid.left_domain if self.left_side else tid.right_domain
@@ -155,10 +165,42 @@ class DomainProduct:
 
 
 @dataclass(frozen=True)
+class PairProduct:
+    """prod over every (u, v) of a local formula: a component of middle
+    clauses only, whose ground atoms are independent pair by pair."""
+
+    formula: LocalFormula
+
+    def evaluate(self, tid: TID) -> Fraction:
+        return self.formula.product(tid, [
+            (u, v) for u in tid.left_domain for v in tid.right_domain])
+
+    def describe(self, indent: str = "") -> str:
+        return f"{indent}prod_{{u in U, v in V}} {self.formula.describe()}"
+
+
+@dataclass(frozen=True)
+class IndependentOr:
+    """A full clause R(x) v T(y) with no binary atoms: the independent
+    disjunction (forall x R) v (forall y T)."""
+
+    def evaluate(self, tid: TID) -> Fraction:
+        pr_r = prod((tid.probability(r_tuple(u))
+                     for u in tid.left_domain), start=ONE)
+        pr_t = prod((tid.probability(t_tuple(v))
+                     for v in tid.right_domain), start=ONE)
+        return pr_r + pr_t - pr_r * pr_t
+
+    def describe(self, indent: str = "") -> str:
+        return (f"{indent}independent-or[ prod_{{u in U}} {LEFT_UNARY} "
+                f"| prod_{{v in V}} {RIGHT_UNARY} ]")
+
+
+@dataclass(frozen=True)
 class IndependentJoin:
     """Symbol-disjoint components multiply (the second observation)."""
 
-    components: tuple[DomainProduct, ...]
+    components: tuple[DomainProduct | PairProduct | IndependentOr, ...]
 
     def evaluate(self, tid: TID) -> Fraction:
         total = ONE
@@ -179,55 +221,74 @@ def safe_plan(query: Query) -> IndependentJoin:
     """Compile a safe bipartite query into a plan tree.
 
     Raises :class:`UnsafeQueryError` on unsafe input — there is no safe
-    plan for those (that is the dichotomy).
+    plan for those (that is the dichotomy) — and on a safe full clause
+    sharing a symbol with another clause, which falls outside the
+    paper's bipartite fragment.
     """
     if query.is_constant():
         raise ValueError("constant queries need no plan")
     if is_unsafe(query):
         raise UnsafeQueryError(f"no safe plan exists for {query!r}")
-    if query.full_clauses:
-        raise UnsafeQueryError("H0-like queries are outside plan space")
     components = []
     for component in connected_components(query):
         components.append(_compile_component(component))
     return IndependentJoin(tuple(components))
 
 
-def _compile_component(component: Query) -> DomainProduct:
-    has_left = any(c.side == "left" for c in component.clauses)
-    has_right = any(c.side == "right" for c in component.clauses)
-    if has_left and has_right:  # pragma: no cover - safety excludes it
-        raise UnsafeQueryError("component touches both sides")
-    left_side = has_left or not has_right
-    side = "left" if left_side else "right"
-    unary_symbol = LEFT_UNARY if left_side else RIGHT_UNARY
-
-    side_clauses = [c for c in component.clauses if c.side == side]
+def _compile_component(component: Query):
+    if component.full_clauses:
+        # Safety leaves full clauses without binary atoms: R(x) v T(y).
+        if len(component.clauses) > 1:
+            raise UnsafeQueryError(
+                "full clauses mixing with other clauses are outside the "
+                "paper's bipartite fragment")
+        return IndependentOr()
     middles = tuple(j for c in component.clauses if c.side == "middle"
                     for j in c.subclauses)
-    has_unary = any(unary_symbol in c.unaries for c in side_clauses)
+    # Safety puts left and right clauses in different components.
+    left_side = any(c.side == "left" for c in component.clauses)
+    side = "left" if left_side else "right"
+    side_clauses = [c for c in component.clauses if c.side == side]
+    if not side_clauses:
+        return PairProduct(_local_formula(middles))
+    unary_symbol = LEFT_UNARY if left_side else RIGHT_UNARY
+    when_false = _compile_choices(side_clauses, middles, left_side)
+    if not any(unary_symbol in c.unaries for c in side_clauses):
+        return DomainProduct(left_side, when_false)
+    when_true = _compile_choices(side_clauses, middles, left_side,
+                                 satisfied=unary_symbol)
+    return DomainProduct(left_side,
+                         Shannon(unary_symbol, when_false, when_true))
 
-    when_false = _compile_choices(side_clauses, middles, left_side,
-                                  unary_true=False)
-    if has_unary:
-        when_true = _compile_choices(side_clauses, middles, left_side,
-                                     unary_true=True)
-        factor = Shannon(unary_symbol, when_false, when_true)
-    else:
-        factor = Shannon(None, when_false, None)
-    return DomainProduct(left_side, factor)
+
+def _local_formula(subclauses) -> LocalFormula:
+    return LocalFormula(tuple(
+        sorted(set(map(frozenset, subclauses)),
+               key=lambda j: (len(j), sorted(j)))))
 
 
 def _compile_choices(side_clauses, middles: Sequence[frozenset],
-                     left_side: bool,
-                     unary_true: bool) -> InclusionExclusion | None:
-    unary_symbol = LEFT_UNARY if left_side else RIGHT_UNARY
-    active = [c for c in side_clauses
-              if not (unary_true and unary_symbol in c.unaries)]
+                     left_side: bool, satisfied: str | None = None
+                     ) -> InclusionExclusion | None:
+    """The factor's inclusion-exclusion once the clauses holding the
+    unary atom ``satisfied`` (conditioned true, if any) drop out."""
+    active = [c for c in side_clauses if satisfied not in c.unaries]
     if any(not c.subclauses for c in active):
         return None  # a falsified unary-only clause: contributes 0
+    terms = []
+    for sign, chosen in subclause_choices(active):
+        local = _local_formula(list(middles) + chosen)
+        terms.append((sign, LocalProduct(local, left_side)))
+    return InclusionExclusion(tuple(terms))
+
+
+def subclause_choices(clauses) -> Iterator[tuple[int, list[frozenset]]]:
+    """Inclusion-exclusion over the Type-II disjunctions ``clauses``:
+    one ``(sign, chosen)`` per pick of a non-empty subclause subset A_c
+    from each clause c, where sign = prod_c (-1)^{|A_c|+1} and
+    ``chosen`` lists the picked subclauses."""
     subset_lists = []
-    for clause in active:
+    for clause in clauses:
         options = []
         subs = clause.subclauses
         for size in range(1, len(subs) + 1):
@@ -235,15 +296,10 @@ def _compile_choices(side_clauses, middles: Sequence[frozenset],
                 sign = -1 if size % 2 == 0 else 1
                 options.append((sign, [subs[i] for i in combo]))
         subset_lists.append(options)
-    terms = []
     for picks in iter_product(*subset_lists):
         sign = 1
-        chosen: list[frozenset] = list(middles)
+        chosen: list[frozenset] = []
         for s, subclauses in picks:
             sign *= s
             chosen.extend(subclauses)
-        local = LocalFormula(tuple(
-            sorted(set(map(frozenset, chosen)),
-                   key=lambda j: (len(j), sorted(j)))))
-        terms.append((sign, LocalProduct(local, left_side)))
-    return InclusionExclusion(tuple(terms))
+        yield sign, chosen

@@ -21,7 +21,7 @@ phenomenon on our bipartite fragment:
 * With Type-II clauses on one side, conditioning on the opposite unary
   count still works: per-constant factors depend only on the count and
   multiply (inclusion-exclusion over subclause choices, as in the
-  lifted evaluator).
+  safe plan: ``repro.tid.plans.subclause_choices``).
 * Type-II clauses on *both* sides are rejected (outside this
   restriction's easy fragment).
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
 from math import comb
 from typing import Mapping
 
@@ -38,6 +37,7 @@ from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.symbols import LEFT_UNARY, RIGHT_UNARY
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
+from repro.tid.plans import subclause_choices
 from repro.tid.wmc import cnf_probability
 
 ONE = Fraction(1)
@@ -188,22 +188,9 @@ def _one_sided_type2(query: Query, stid: SymmetricTID) -> Fraction:
 def _choice_sum(active, middles, right_subs, t_true, m, local) -> Fraction:
     """Inclusion-exclusion over Type-II subclause choices; each signed
     term is q1^l * q0^(m-l) with q depending on the T-value."""
-    subset_lists = []
-    for clause in active:
-        options = []
-        subs = clause.subclauses
-        for size in range(1, len(subs) + 1):
-            for combo in combinations(range(len(subs)), size):
-                sign = -1 if size % 2 == 0 else 1
-                options.append((sign, [subs[i] for i in combo]))
-        subset_lists.append(options)
     total = ZERO
-    for picks in iter_product(*subset_lists):
-        sign = 1
-        chosen = list(middles)
-        for s, subclauses in picks:
-            sign *= s
-            chosen.extend(subclauses)
+    for sign, picked in subclause_choices(active):
+        chosen = middles + picked
         q1 = local(chosen)
         q0 = local(chosen + right_subs)
         total += sign * q1 ** t_true * q0 ** (m - t_true)

@@ -216,6 +216,15 @@ class TestCommands:
         assert "exceeded 2 nodes" in out
         assert "samples:" in out
 
+    @pytest.mark.parametrize("budget", [[], ["--budget", "2"]])
+    def test_compile_refuses_bad_relative_error(self, budget):
+        """The estimator flags are checked whether or not compilation
+        stays under budget (before, an exact compile ignored them)."""
+        with pytest.raises(SystemExit, match="relative-error must be "
+                                             "positive, got 0"):
+            main(["compile", "(R|S1)(S1|T)", "--p", "3",
+                  "--relative-error", "0"] + budget)
+
     def test_sweep_budget_degrades_to_estimate(self, capsys):
         from repro.tid import wmc
 

@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 
 from repro.core.catalog import rst_query, safe_left_only
+from repro.core.clauses import Clause
+from repro.core.queries import Query
+from repro.core.safety import is_safe
 from repro.evaluation import EvaluationResult, evaluate
+from repro.tid.brute import probability_brute
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
+from repro.tid.lifted import UnsafeQueryError
 
 F = Fraction
 
@@ -30,6 +35,25 @@ class TestRouting:
         result = evaluate(q, small_tid(q))
         assert result.method == "wmc"
         assert not result.safe
+
+    def test_safe_query_without_a_plan_answers_exactly(self):
+        """R(x) v T(y) sharing R with another clause is safe but has no
+        safe plan: auto answers on the WMC path and still records the
+        query as safe, and cross-check skips the lifted comparison."""
+        q = Query([Clause("full", {"R", "T"}, []),
+                   Clause.left_type1("S1")])
+        assert is_safe(q)
+        tid = TID(["u1", "u2"], ["v1"], {
+            r_tuple("u1"): F(1, 2), r_tuple("u2"): F(1, 3),
+            t_tuple("v1"): F(1, 4), s_tuple("S1", "u1", "v1"): F(1, 2),
+            s_tuple("S1", "u2", "v1"): F(2, 3)})
+        exact = probability_brute(q, tid)
+        assert exact == F(13, 48)
+        assert evaluate(q, tid) == EvaluationResult(exact, "wmc", True)
+        assert evaluate(q, tid, method="cross-check") \
+            == EvaluationResult(exact, "cross-check", True)
+        with pytest.raises(UnsafeQueryError, match="full clauses"):
+            evaluate(q, tid, method="lifted")
 
     def test_forced_methods_agree(self):
         q = safe_left_only()

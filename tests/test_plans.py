@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.core import catalog
 from repro.core.clauses import Clause
 from repro.core.generate import GeneratorConfig, random_query
-from repro.core.queries import Query, query
+from repro.core.queries import Query, parse_query, query
 from repro.core.safety import is_safe
+from repro.reduction.blocks import path_block
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
 from repro.tid.lifted import UnsafeQueryError, lifted_probability
 from repro.tid.plans import safe_plan
@@ -51,11 +53,14 @@ SAFE_QUERIES = [
 class TestCompilation:
     @pytest.mark.parametrize("name,q", SAFE_QUERIES)
     def test_plan_matches_lifted(self, name, q):
+        """``lifted_probability`` evaluates this plan, so both are held
+        to the exact WMC engine, an independent oracle."""
         plan = safe_plan(q)
         for seed in range(4):
             tid = build_tid(q, seed)
-            assert plan.evaluate(tid) == lifted_probability(q, tid), \
-                (name, seed)
+            expected = probability(q, tid)
+            assert plan.evaluate(tid) == expected, (name, seed)
+            assert lifted_probability(q, tid) == expected, (name, seed)
 
     @pytest.mark.parametrize("name,q", SAFE_QUERIES[:3])
     def test_plan_matches_wmc(self, name, q):
@@ -74,6 +79,22 @@ class TestCompilation:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             safe_plan(Query.TRUE)
+
+    def test_full_clause_r_or_t(self):
+        full = Clause("full", {"R", "T"}, [])
+        q = Query([full])
+        plan = safe_plan(q)
+        assert "independent-or[ prod_{u in U} R | prod_{v in V} T ]" \
+            in plan.describe()
+        for seed in range(4):
+            tid = build_tid(q, seed, n_left=3, n_right=2)
+            assert plan.evaluate(tid) == probability(q, tid), seed
+        # Sharing R with another clause leaves the query safe but
+        # outside the bipartite fragment the plan algebra covers.
+        shared = Query([full, Clause.left_type1("S1")])
+        assert is_safe(shared)
+        with pytest.raises(UnsafeQueryError, match="full clauses"):
+            safe_plan(shared)
 
 
 class TestPlanShape:
@@ -99,17 +120,47 @@ class TestPlanShape:
         text = safe_plan(q).describe()
         assert "prod_{v in V}" in text
 
+    def test_middle_only_component_is_one_pair_product(self):
+        text = safe_plan(query(Clause.middle("S1", "S2"))).describe()
+        assert text == ("independent-join\n"
+                        "  prod_{u in U, v in V} local (S1|S2)")
+
+
+def kernel_spans(plan, tid) -> int:
+    """How many ``kernel`` spans a traced evaluation of ``plan`` opens:
+    one per exact batch the tape runs."""
+    tracer = obs.Tracer()
+    with tracer.root("plan"):
+        plan.evaluate(tid)
+    spans = tracer.recent(1)[0]["spans"]
+    return sum(1 for s in spans if s["name"] == "kernel")
+
+
+class TestBatching:
+    """Each local formula runs as one batch per outer constant (one in
+    all for a middle-only component), not one kernel call per (u, v)."""
+
+    def test_serve_safe_query_batches_per_outer_constant(self):
+        q = parse_query("(R|S1|S2)(S2|S3)")
+        tid = path_block(q, 12)
+        assert kernel_spans(safe_plan(q), tid) == 26
+
+    def test_middle_only_query_is_one_batch(self):
+        q = parse_query("(S1|S2)")
+        tid = path_block(q, 12)
+        assert kernel_spans(safe_plan(q), tid) == 1
+
 
 class TestRandomSafeQueries:
     @pytest.mark.parametrize("seed", range(30))
     def test_plan_agrees_on_random_queries(self, seed):
         q = random_query(seed, GeneratorConfig(n_symbols=3,
                                                max_clauses=3))
-        if not is_safe(q) or q.full_clauses:
+        if not is_safe(q):
             return
         plan = safe_plan(q)
         tid = build_tid(q, seed, n_left=2, n_right=1)
-        assert plan.evaluate(tid) == lifted_probability(q, tid)
+        assert plan.evaluate(tid) == probability(q, tid)
 
     def test_plan_is_reusable_across_databases(self):
         q = catalog.safe_left_only()

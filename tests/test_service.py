@@ -266,6 +266,20 @@ class TestErrors:
         assert info.value.code == "bad-request"
         assert "auto, lifted, wmc, shannon" in info.value.message
 
+    def test_lifted_on_unsafe_query_is_a_bad_request(self, client):
+        """Forcing the safe-plan evaluator on an unsafe query is the
+        client's error, not an ``internal`` one, in ``evaluate`` and
+        ``evaluate_batch`` alike."""
+        with pytest.raises(ServiceError) as info:
+            client.evaluate(QUERY, p=2, method="lifted")
+        assert info.value.code == "bad-request"
+        assert "no safe plan exists" in info.value.message
+        with pytest.raises(ServiceError) as info:
+            client.evaluate_batch(QUERY, ps=[2, 3], method="lifted")
+        assert info.value.code == "bad-request"
+        assert client.evaluate("(R|S1)", p=2,
+                               method="lifted")["method"] == "lifted"
+
     def test_sweep_without_endpoints_rejected(self, client):
         with pytest.raises(ServiceError) as info:
             client.sweep("(S1|S2)", p=3)

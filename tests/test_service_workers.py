@@ -111,6 +111,8 @@ class TestDispatcherParity:
         cases = [
             (dict(op="evaluate", query="no parens"), "bad-query"),
             (dict(op="evaluate", query=QUERY, tpyo=1), "bad-request"),
+            (dict(op="evaluate", query=QUERY, p=2, method="lifted"),
+             "bad-request"),
             (dict(op="sweep", query="(S1|S2)", p=3), "bad-query"),
             # A formula no other test warms: the tiny budget must
             # abort a *fresh* compile to surface the structured code.
