@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algebra.matrices import Matrix
+from repro.algebra.matrices import Matrix, select_rows
 from repro.core import catalog
 from repro.counting.p2cnf import P2CNF
 from repro.reduction.block_matrix import z_matrix_direct, z_matrix_power
-from repro.reduction.type1 import Type1Reduction
+from repro.reduction.type1 import Type1Reduction, valid_signatures
 
 F = Fraction
 
@@ -50,10 +50,11 @@ def test_ablation_multiset_rows_full_rank(benchmark):
     m = 2
 
     def build():
-        return reduction._select_rows(m, max_parameter=16)
+        return select_rows(lambda params: reduction.coefficient_row(m, params),
+                           len(valid_signatures(m)), 2, 16)
 
-    selected = benchmark(build)
-    rows = [row for _, row in selected]
+    kept, _ = benchmark(build)
+    rows = [reduction.coefficient_row(m, params) for params in kept]
     assert not Matrix(rows).is_singular()
 
 

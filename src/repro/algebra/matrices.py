@@ -11,10 +11,11 @@ Every elimination is fraction-free elimination over the integers
 ``int``/``Fraction`` entries is scaled once by the lcm of its
 denominators, after which every entry is an integer minor of the
 scaled input and every step divides exactly, with no gcd until the one
-division per result entry.  ``Matrix.determinant``, ``rank``, ``solve``
-and ``inverse`` (one elimination of ``[A | I]``) read their answers
-off a basis of the matrix's rows, and the reductions' greedy row
-selection keeps a basis of the rows it accepts.  Elimination takes
+division per result entry.  ``Matrix.determinant``, ``rank``,
+``solve`` and ``inverse`` read their answers off a basis of the
+matrix's rows, and both reductions' :func:`select_rows` keeps a basis
+of the rows it accepts, whose ``solve`` replays the recorded steps on
+the oracle answers: each system is eliminated once.  Elimination takes
 rational entries only (``int`` and ``Fraction``) and raises
 ``TypeError`` on anything else.
 
@@ -28,7 +29,9 @@ stay generic: their entries may be any exact field elements supporting
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations_with_replacement
+from math import lcm, prod
+from operator import getitem
 from typing import Callable, Sequence
 
 
@@ -135,7 +138,7 @@ class Matrix:
         if basis.rank < self.nrows:
             return Fraction(0)
         return Fraction(_permutation_sign(basis.pivots) * basis.last_pivot,
-                        basis.scale)
+                        prod(basis.scales))
 
     def rank(self) -> int:
         return _eliminate(self.rows, self.ncols).rank
@@ -147,42 +150,13 @@ class Matrix:
         """Solve ``self @ x = rhs`` exactly (square, non-singular)."""
         if self.nrows != self.ncols:
             raise ValueError("solve needs a square matrix")
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        return [x for (x,) in self._solve_block([[b] for b in rhs], 1)]
+        return _eliminate(self.rows, self.ncols).solve(rhs)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse needs a square matrix")
-        n = self.nrows
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        return Matrix(self._solve_block(identity, n))
-
-    def _solve_block(self, right: list[list], width: int
-                     ) -> list[list[Fraction]]:
-        """X with ``self @ X = right`` for an n x ``width`` block: one
-        elimination of ``[self | right]``, then back substitution on
-        the integers scaled by the last pivot p (p * X is integral,
-        because p = +-det of the scaled system), and one division per
-        entry."""
-        n = self.nrows
-        basis = _eliminate([(*row, *extra)
-                            for row, extra in zip(self.rows, right)],
-                           n + width)
-        if basis.rank < n or any(col >= n for col in basis.pivots):
-            raise ValueError("matrix is singular")
-        det = basis.last_pivot
-        scaled: list = [None] * n  # column -> det * that row of X
-        for k in range(n - 1, -1, -1):
-            row, col = basis.rows[k], basis.pivots[k]
-            acc = [det * value for value in row[n:]]
-            for later in basis.pivots[k + 1:]:
-                coeff = row[later]
-                if coeff:
-                    acc = [a - coeff * x for a, x in zip(acc, scaled[later])]
-            pivot = row[col]
-            scaled[col] = [a // pivot for a in acc]
-        return [[Fraction(x, det) for x in values] for values in scaled]
+        identity = Matrix.identity(self.nrows, 1, 0).rows
+        return Matrix(_eliminate(self.rows, self.ncols).solve(identity))
 
     def kronecker(self, other: "Matrix") -> "Matrix":
         """Kronecker product (used by Lemma 3.7's Vandermonde argument)."""
@@ -216,6 +190,20 @@ def _one_like(matrix: Matrix):
     return Fraction(1)
 
 
+def common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """``(numerators, d)`` with ``values[i] == numerators[i] / d`` for
+    the lcm d of the denominators of ``int``/``Fraction`` values;
+    ``TypeError`` on any other value."""
+    for value in values:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(
+                f"elimination takes int or Fraction entries, got "
+                f"{type(value).__name__}")
+    d = lcm(*[value.denominator for value in values])
+    return [value.numerator * (d // value.denominator)
+            for value in values], d
+
+
 class IncrementalBasis:
     """Linearly independent rows kept in fraction-free echelon form.
 
@@ -232,12 +220,13 @@ class IncrementalBasis:
     rows plus the new one, on the kept pivot columns plus the entry's
     own), so every division is exact, entry sizes grow only linearly
     with the number of kept rows, and p_k is the determinant of the k
-    kept rows on their pivot columns.  This one routine backs
-    ``Matrix.determinant``/``rank``/``solve``/``inverse`` and the
-    reductions' greedy row selection.
+    kept rows on their pivot columns.  Each kept row's scale and
+    multipliers r[c_j] are recorded for :meth:`solve`.  This one routine
+    backs ``Matrix.determinant``/``rank``/``solve``/``inverse`` and
+    :func:`select_rows`.
     """
 
-    __slots__ = ("width", "rows", "pivots", "scale")
+    __slots__ = ("width", "rows", "pivots", "scales", "steps")
 
     def __init__(self, width: int):
         self.width = width
@@ -245,8 +234,10 @@ class IncrementalBasis:
         self.rows: list[list[int]] = []
         #: The pivot column of each kept row.
         self.pivots: list[int] = []
-        #: The product of the kept rows' denominator-clearing scales.
-        self.scale = 1
+        #: The denominator-clearing scale of each kept row.
+        self.scales: list[int] = []
+        #: Per kept row, the multiplier r[c_j] of each step j before it.
+        self.steps: list[list[int]] = []
 
     @property
     def rank(self) -> int:
@@ -261,30 +252,77 @@ class IncrementalBasis:
         """Keep ``row`` if it is independent of the kept rows."""
         if len(row) != self.width:
             raise ValueError("row length mismatch")
-        for entry in row:
-            if not isinstance(entry, (int, Fraction)):
-                raise TypeError(
-                    f"elimination takes int or Fraction entries, got "
-                    f"{type(entry).__name__}")
-        scale = lcm(*[entry.denominator for entry in row])
-        reduced = [entry.numerator * (scale // entry.denominator)
-                   for entry in row]
+        reduced, scale = common_denominator(row)
+        factors = []
         previous = 1
         for kept, col in zip(self.rows, self.pivots):
             pivot, factor = kept[col], reduced[col]
-            if factor:
-                reduced = [(pivot * a - factor * b) // previous
-                           for a, b in zip(reduced, kept)]
-            elif pivot != previous:
-                reduced = [pivot * a // previous for a in reduced]
+            reduced = _step(reduced, kept, pivot, factor, previous)
+            factors.append(factor)
             previous = pivot
         col = next((i for i, a in enumerate(reduced) if a), None)
         if col is None:
             return False
         self.rows.append(reduced)
         self.pivots.append(col)
-        self.scale *= scale
+        self.scales.append(scale)
+        self.steps.append(factors)
         return True
+
+    def solve(self, right: Sequence) -> list:
+        """X with ``A @ X == right`` for the kept rows A (in the order
+        kept) of a full-rank basis; ``right`` is a vector or a block
+        (one list per row), and X has its shape.  ``right`` goes over its
+        common denominator D (a column scale, so the replayed steps of
+        ``[A | D * right]`` divide exactly), back substitution runs on
+        the integers p * D * X (p = +-det of the scaled A, the last
+        pivot), and each entry of X is one division."""
+        if self.rank < self.width:
+            raise ValueError(f"matrix is singular: the basis has rank "
+                             f"{self.rank} of {self.width}")
+        if len(right) != self.rank:
+            raise ValueError("rhs length mismatch")
+        vector = not (right and isinstance(right[0], (list, tuple)))
+        block = [[entry] for entry in right] if vector else right
+        columns = len(block[0]) if block else 0
+        if any(len(row) != columns for row in block):
+            raise ValueError("ragged rhs")
+        flat, common = common_denominator(
+            [entry for row in block for entry in row])
+        pivots = [row[col] for row, col in zip(self.rows, self.pivots)]
+        replayed: list[list[int]] = []
+        for i, (scale, factors) in enumerate(zip(self.scales, self.steps)):
+            reduced = [scale * a
+                       for a in flat[i * columns:(i + 1) * columns]]
+            previous = 1
+            for factor, pivot, kept in zip(factors, pivots, replayed):
+                reduced = _step(reduced, kept, pivot, factor, previous)
+                previous = pivot
+            replayed.append(reduced)
+        det = self.last_pivot
+        scaled: list = [None] * self.width  # column -> p * D * its row of X
+        for k in range(self.rank - 1, -1, -1):
+            row, col = self.rows[k], self.pivots[k]
+            acc = [det * a for a in replayed[k]]
+            for later in self.pivots[k + 1:]:
+                coeff = row[later]
+                if coeff:
+                    acc = [a - coeff * x for a, x in zip(acc, scaled[later])]
+            scaled[col] = [a // pivots[k] for a in acc]
+        denominator = det * common
+        solution = [[Fraction(x, denominator) for x in values]
+                    for values in scaled]
+        return [x for (x,) in solution] if vector else solution
+
+
+def _step(reduced, kept, pivot, factor, previous):
+    """The Bareiss step r <- (p_j * r - factor * b_j) // p_(j-1)."""
+    if factor:
+        return [(pivot * a - factor * b) // previous
+                for a, b in zip(reduced, kept)]
+    if pivot != previous:
+        return [pivot * a // previous for a in reduced]
+    return reduced
 
 
 def _eliminate(rows, width: int) -> IncrementalBasis:
@@ -298,3 +336,40 @@ def _permutation_sign(permutation: Sequence[int]) -> int:
     inversions = sum(a > b for i, a in enumerate(permutation)
                      for b in permutation[i + 1:])
     return -1 if inversions % 2 else 1
+
+
+def select_rows(row: Callable[[tuple[int, ...]], Sequence], width: int,
+                size: int, cap: int
+                ) -> tuple[list[tuple[int, ...]], IncrementalBasis]:
+    """Greedy full-rank row selection: walk the multisets of ``size``
+    >= 1 parameters from 1..``cap`` once, as ascending tuples in (max,
+    sum, tuple) order, and keep each tuple whose ``row(params)`` raises
+    the rank of a ``width``-column basis, up to full rank.  Returns the
+    kept tuples and the basis (short of full rank if the walk ran out),
+    whose ``solve`` takes one entry per kept tuple.  For rows symmetric
+    in their parameters, walking all tuples would keep the same ones: a
+    permutation repeats a row, and a rejected row stays dependent."""
+    basis = IncrementalBasis(width)
+    kept: list[tuple[int, ...]] = []
+    for top in range(1, cap + 1):
+        heads = combinations_with_replacement(range(1, top + 1), size - 1)
+        for params in sorted(((*head, top) for head in heads),
+                             key=lambda t: (sum(t), t)):
+            if basis.rank == width:
+                return kept, basis
+            if basis.add(row(params)):
+                kept.append(params)
+    return kept, basis
+
+
+def monomial_row(values: Sequence, exponents: Sequence[Sequence[int]]
+                 ) -> list[Fraction]:
+    """``[prod_i values[i] ** k[i] for k in exponents]``, exactly: the
+    values go over their common denominator d, so each entry is one
+    integer product of powers over d ** sum(k)."""
+    numerators, d = common_denominator(values)
+    top = max(map(sum, exponents), default=0)
+    powers = [[n ** e for e in range(top + 1)] for n in numerators]
+    scales = [d ** e for e in range(top + 1)]
+    return [Fraction(prod(map(getitem, powers, k)), scales[sum(k)])
+            for k in exponents]

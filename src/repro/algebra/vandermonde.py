@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from repro.algebra.matrices import Matrix
+from repro.algebra.matrices import Matrix, monomial_row
 
 
 def vandermonde(points: Sequence[Fraction], degree: int | None = None) -> Matrix:
@@ -37,14 +37,9 @@ def monomial_evaluation_matrix(grids: Sequence[Sequence[Fraction]],
     per-coordinate Vandermonde matrices, hence is non-singular whenever
     each grid consists of max_degree+1 distinct values.
     """
-    h = len(grids)
-    exponents = list(product(range(max_degree + 1), repeat=h))
-    rows = []
-    for point in product(*grids):
-        rows.append([
-            _prod(Fraction(point[i]) ** k[i] for i in range(h))
-            for k in exponents])
-    return Matrix(rows)
+    exponents = list(product(range(max_degree + 1), repeat=len(grids)))
+    return Matrix([monomial_row(point, exponents)
+                   for point in product(*grids)])
 
 
 def kronecker_of_vandermondes(grids: Sequence[Sequence[Fraction]],
@@ -57,10 +52,3 @@ def kronecker_of_vandermondes(grids: Sequence[Sequence[Fraction]],
     if result is None:
         raise ValueError("need at least one grid")
     return result
-
-
-def _prod(factors):
-    total = Fraction(1)
-    for f in factors:
-        total *= f
-    return total

@@ -19,12 +19,12 @@ Zones:
   exact surfaces including its shared lane loop ``Tape._lanes``,
   ``_Flattener``/``flatten_circuit``), of the integer algebra in
   ``algebra/matrices.py`` (``IncrementalBasis``, ``Matrix.determinant``/
-  ``rank``/``solve``/``inverse`` and their helpers), and of
-  ``reduction/type1.py`` (``Type1Reduction.coefficient_row``/
-  ``product_oracle_value`` and their integer y values).  Flags float literals,
-  ``float(...)``/``complex(...)`` casts, and any ``math.*`` use other
-  than the exact-integer helpers (``isqrt``/``gcd``/``lcm``/``comb``/
-  ``perm``/``factorial``).
+  ``rank``/``solve``/``inverse``, ``select_rows``, ``monomial_row``
+  and their helpers), and of ``Type1Reduction``/``Type2Reduction``; a
+  test checks that every entry names live code.  Flags float
+  literals, ``float(...)``/``complex(...)`` casts, and any ``math.*``
+  use other than the exact-integer helpers (``isqrt``/``gcd``/``lcm``/
+  ``comb``/``perm``/``factorial``).
 * **float** — functions whose qualname contains ``float``, ``numpy``,
   or ``lanes``.  Flags ``Fraction(...)`` constructed inside a loop or
   comprehension (hoisting to before the loop is always possible and is
@@ -61,14 +61,11 @@ _EXACT_ZONES = {
                          "_Flattener", "flatten_circuit"),
     "algebra/matrices.py": (
         "IncrementalBasis", "Matrix.determinant", "Matrix.rank",
-        "Matrix.solve", "Matrix.inverse", "Matrix._solve_block",
-        "_eliminate", "_permutation_sign",
+        "Matrix.solve", "Matrix.inverse", "common_denominator",
+        "_eliminate", "_permutation_sign", "select_rows", "monomial_row",
     ),
-    "reduction/type1.py": (
-        "Type1Reduction.coefficient_row",
-        "Type1Reduction.product_oracle_value",
-        "Type1Reduction._y_integers",
-    ),
+    "reduction/type1.py": ("Type1Reduction",),
+    "reduction/type2.py": ("Type2Reduction",),
 }
 
 #: ``math.*`` members that stay in exact integer arithmetic.

@@ -31,14 +31,18 @@ from repro.counting.p2cnf import P2CNF
 from repro.counting.pp2cnf import PP2CNF
 
 
-def parse_query(text: str) -> Query:
-    """``repro.core.queries.parse_query`` as the CLI's front door:
-    malformed input exits with a friendly message (``SystemExit``)
-    instead of a bare traceback."""
+def _or_exit(build, *args):
+    """``build(*args)``, with a ``ValueError`` (bad user input) turned
+    into a one-line ``repro: ...`` exit instead of a traceback."""
     try:
-        return queries.parse_query(text)
+        return build(*args)
     except ValueError as error:
         raise SystemExit(f"repro: {error}") from None
+
+
+def parse_query(text: str) -> Query:
+    """``repro.core.queries.parse_query`` as the CLI's front door."""
+    return _or_exit(queries.parse_query, text)
 
 
 def parse_edges(text: str) -> list[tuple[int, int]]:
@@ -95,9 +99,9 @@ def cmd_reduce(args) -> int:
     from repro.core.catalog import path_query
     from repro.reduction.type1 import Type1Reduction
 
-    phi = P2CNF(args.vars, tuple(parse_edges(args.edges)))
-    query = path_query(args.length)
-    reduction = Type1Reduction(query)
+    phi = _or_exit(P2CNF, args.vars, tuple(parse_edges(args.edges)))
+    query = _or_exit(path_query, args.length)
+    reduction = _or_exit(Type1Reduction, query)
     result = reduction.run(phi)
     print(f"query: {query}")
     print(f"phi: n={phi.n}, m={phi.m}, edges={phi.edges}")
@@ -115,7 +119,8 @@ def cmd_reduce(args) -> int:
 def cmd_h0(args) -> int:
     from repro.reduction.h0 import count_pp2cnf_via_h0
 
-    phi = PP2CNF(args.left, args.right, tuple(parse_edges(args.edges)))
+    phi = _or_exit(PP2CNF, args.left, args.right,
+                   tuple(parse_edges(args.edges)))
     count = count_pp2cnf_via_h0(phi)
     print(f"#PP2CNF = {count}")
     if args.check:

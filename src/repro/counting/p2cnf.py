@@ -30,6 +30,8 @@ class P2CNF:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative variable count: {self.n}")
         seen = set()
         for (i, j) in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n):

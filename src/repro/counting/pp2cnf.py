@@ -21,6 +21,9 @@ class PP2CNF:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n_left < 0 or self.n_right < 0:
+            raise ValueError(f"negative side size: n_left={self.n_left}, "
+                             f"n_right={self.n_right}")
         seen = set()
         for (i, j) in self.edges:
             if not (0 <= i < self.n_left and 0 <= j < self.n_right):

@@ -12,25 +12,26 @@ over n variables, the reduction:
    coefficient y00^{k00} * y10^{k01,10} * y11^{k11} where
    y_ab(p) = z_ab(p1) z_ab(p2) (Eq. 25) and z_ab(p) comes from the
    block-matrix power A(p) = A(1)^p / 2^{p-1} (Lemma 3.19);
-4. solves it exactly by fraction-free elimination over the integers
-   (``Matrix.solve``), recovering every signature count #k', and returns
-   #Phi = sum of #k' over signatures with k00 = 0.
+4. solves it exactly with the fraction-free basis that selected the
+   rows (``IncrementalBasis.solve``), recovering every signature count
+   #k', and returns #Phi = sum of #k' over signatures with k00 = 0.
 
 Row selection.  Since y_ab is symmetric in (p1, p2), rows indexed by the
 full grid {1..m+1}^2 repeat; we therefore enumerate parameter
 *multisets* p1 <= p2 in increasing order and keep exactly those rows
-that increase the rank, stopping at full rank.  The rank test is one
-``IncrementalBasis.add`` per candidate row, which reduces the row
-fraction-free against the rows kept so far, exactly over Q.
+that increase the rank, stopping at full rank (``select_rows``, shared
+with the Type-II reduction).  The rank test is one
+``IncrementalBasis.add`` per candidate row, exactly over Q, and that
+basis then solves the system, so the kept rows are eliminated once.
 Theorem 3.6 (via conditions (22)-(24), which hold for final queries by
 Theorem 3.14) guarantees the row space reaches full rank; the oracle is
 consulted only for kept rows, so the reduction stays polynomial.
 
 Integer arithmetic.  Every tuple probability lies in {1/2, 1}, so each
-y_ab is dyadic.  The coefficient rows and the product oracle put the
-three y values over their common denominator d and multiply integer
-numerators: every monomial and every block-product term has total
-degree m, so each result is one ``Fraction(N, d**m)``.
+y_ab is dyadic.  The coefficient rows (``monomial_row``) and the product
+oracle put the three y values over their common denominator d and
+multiply integer numerators: every monomial and every block-product
+term has total degree m, so each result is one ``Fraction(N, d**m)``.
 
 Two built-in oracles:
 
@@ -49,10 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
 from typing import Callable
 
-from repro.algebra.matrices import IncrementalBasis, Matrix
+from repro.algebra.matrices import (
+    common_denominator, monomial_row, select_rows,
+)
 from repro.core.final import is_final
 from repro.core.safety import query_type
 from repro.counting.p2cnf import P2CNF, Signature
@@ -123,24 +125,9 @@ class Type1Reduction:
                         params: tuple[int, int]) -> list[Fraction]:
         """The Eq. (10) coefficients of the unknowns #k' for one
         parameter pair."""
-        (y00, y10, y11), d = self._y_integers(params)
-        powers00 = [y00 ** k for k in range(m + 1)]
-        powers10 = [y10 ** k for k in range(m + 1)]
-        powers11 = [y11 ** k for k in range(m + 1)]
-        denominator = d ** m
-        return [Fraction(powers00[k00] * powers10[k01_10] * powers11[k11],
-                         denominator)
-                for (k00, k01_10, k11) in valid_signatures(m)]
-
-    def _y_integers(self, params: tuple[int, int]
-                    ) -> tuple[tuple[int, int, int], int]:
-        """((Y00, Y10, Y11), d) with y_ab = Y_ab / d over the common
-        denominator d of the three y values."""
         y = self.y_values(params)
-        values = (y["00"], y["10"], y["11"])
-        d = lcm(*[value.denominator for value in values])
-        return tuple(value.numerator * (d // value.denominator)
-                     for value in values), d
+        return monomial_row((y["00"], y["10"], y["11"]),
+                            valid_signatures(m))
 
     # ------------------------------------------------------------------
     def product_oracle_value(self, phi: P2CNF,
@@ -148,7 +135,8 @@ class Type1Reduction:
         """2^n * Pr_Delta(Q) by the block-product formula (Theorem 3.4 /
         Eq. 8): sum over theta of the per-edge conditioned lineage
         probabilities."""
-        (y00, y10, y11), d = self._y_integers(params)
+        y = self.y_values(params)
+        (y00, y10, y11), d = common_denominator((y["00"], y["10"], y["11"]))
         lookup = {(0, 0): y00, (0, 1): y10, (1, 0): y10, (1, 1): y11}
         total = 0
         for bits in iter_product((0, 1), repeat=phi.n):
@@ -177,45 +165,22 @@ class Type1Reduction:
         return circuit.probability(tid.probability) * Fraction(2) ** phi.n
 
     # ------------------------------------------------------------------
-    def _select_rows(self, m: int, max_parameter: int
-                     ) -> list[tuple[tuple[int, int], list[Fraction]]]:
-        """Greedily pick parameter multisets whose Eq. (10) rows reach
-        full rank (exact arithmetic)."""
-        target = len(valid_signatures(m))
-        selected: list[tuple[tuple[int, int], list[Fraction]]] = []
-        basis = IncrementalBasis(target)
-        limit = max(m + 1, 2)
-        while len(selected) < target and limit <= max_parameter:
-            candidates = [(p1, p2)
-                          for p2 in range(1, limit + 1)
-                          for p1 in range(1, p2 + 1)]
-            candidates.sort(key=lambda p: (max(p), sum(p), p))
-            for params in candidates:
-                if len(selected) == target:
-                    break
-                if any(params == used for used, _ in selected):
-                    continue
-                row = self.coefficient_row(m, params)
-                if basis.add(row):
-                    selected.append((params, row))
-            limit += m + 1
-        if len(selected) < target:
-            raise AssertionError(
-                "could not reach full rank; Theorem 3.6's conditions "
-                "appear violated (is the query final?)")
-        return selected
-
-    def run(self, phi: P2CNF, oracle: str | Oracle = "product",
-            max_parameter: int = 64) -> ReductionResult:
+    def run(self, phi: P2CNF,
+            oracle: str | Oracle = "product") -> ReductionResult:
         """Execute the reduction and recover #Phi."""
         m = phi.m
         if m == 0:
             count = 2 ** phi.n
             return ReductionResult({(0, 0, 0): count}, count, 0, 0, ())
         signatures = valid_signatures(m)
-        selected = self._select_rows(m, max_parameter)
-        rows = [row for _, row in selected]
-        params_used = tuple(params for params, _ in selected)
+        kept, basis = select_rows(
+            lambda params: self.coefficient_row(m, params),
+            len(signatures), 2, 64)
+        if basis.rank < len(signatures):
+            raise AssertionError(
+                "could not reach full rank; Theorem 3.6's conditions "
+                "appear violated (is the query final?)")
+        params_used = tuple(kept)
 
         rhs = []
         for params in params_used:
@@ -228,7 +193,7 @@ class Type1Reduction:
                 value = oracle(tid) * Fraction(2) ** phi.n
             rhs.append(value)
 
-        solution = Matrix(rows).solve(rhs)
+        solution = basis.solve(rhs)
 
         counts: dict[Signature, int] = {}
         total = 0

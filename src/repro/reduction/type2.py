@@ -19,22 +19,25 @@ reduction.  Appendix C splits the proof into two halves:
 
 ``Type2Reduction`` implements the counting half in full generality: it
 enumerates the consistent coloring signatures, assembles the Eq. (66)
-system with greedy full-rank row selection (exactly as in the Type-I
-reduction), solves it exactly, and extracts #PP2CNF.  The oracle values
-are computed through the Moebius block-product expansion of Corollary
-C.20 — the same formula a real GFOMC oracle call factors through.
+system by greedy full-rank selection over p-vector multisets (a row is
+symmetric in its p-vector; ``select_rows``, as in the Type-I
+reduction), solves it with the selecting basis, and extracts #PP2CNF.
+The oracle values are computed through the Moebius block-product
+expansion of Corollary C.20 — the same formula a real GFOMC oracle call
+factors through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Mapping, Sequence
 
-from repro.algebra.matrices import IncrementalBasis, Matrix
+from repro.algebra.matrices import monomial_row, select_rows
 from repro.counting.ccp import TOP_COLOR
 from repro.counting.pp2cnf import PP2CNF
+from repro.reduction.big_matrix import conditions_11_13
 
 Pair = tuple  # (alpha, beta); TOP_COLOR plays the paper's "1^".
 
@@ -62,19 +65,9 @@ def exponential_y_provider(coeffs: Mapping[Pair, tuple[Fraction, Fraction]],
 
 def conditions_68_70(coeffs: Mapping[Pair, tuple[Fraction, Fraction]],
                      lambda1: Fraction, lambda2: Fraction) -> bool:
-    """Check conditions (68)-(70) on the coefficient family."""
-    if lambda1 in (0, lambda2, -lambda2) or lambda2 == 0:
-        return False
-    if any(b == 0 for _, b in coeffs.values()):
-        return False
-    items = list(coeffs.values())
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            ai, bi = items[i]
-            aj, bj = items[j]
-            if ai * bj == aj * bi:
-                return False
-    return True
+    """Check conditions (68)-(70) on the coefficient family: Type-I's
+    conditions (11)-(13) on the pairs' (a, b) coefficients."""
+    return conditions_11_13(lambda1, lambda2, list(coeffs.values()))
 
 
 @dataclass
@@ -92,7 +85,6 @@ class Type2Reduction:
     mu_left: Mapping
     mu_right: Mapping
     y_single: Callable[[Pair, int], Fraction]
-    _row_cache: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     @property
@@ -126,14 +118,9 @@ class Type2Reduction:
         return signatures
 
     def coefficient_row(self, signatures, p_vector) -> list[Fraction]:
-        y_values = [self.y_value(pair, p_vector) for pair in self.pairs]
-        row = []
-        for signature in signatures:
-            coeff = Fraction(1)
-            for y, k in zip(y_values, signature):
-                coeff *= y ** k
-            row.append(coeff)
-        return row
+        """The Eq. (66) coefficients of the unknowns for one p-vector."""
+        return monomial_row([self.y_value(pair, p_vector)
+                             for pair in self.pairs], signatures)
 
     # ------------------------------------------------------------------
     def oracle_value(self, phi: PP2CNF, p_vector) -> Fraction:
@@ -160,41 +147,18 @@ class Type2Reduction:
         return total
 
     # ------------------------------------------------------------------
-    def run(self, phi: PP2CNF, max_candidates: int = 4096
-            ) -> dict[tuple[int, ...], int]:
+    def run(self, phi: PP2CNF) -> dict[tuple[int, ...], int]:
         """Recover every coloring count #k of phi's graph (Eq. 66)."""
         signatures = self.valid_signatures(phi.m, phi.n_left, phi.n_right)
-        h = len(self.pairs)
-        target = len(signatures)
-
-        selected: list[tuple[tuple[int, ...], list[Fraction]]] = []
-        basis = IncrementalBasis(target)
-        width = 2
-        while len(selected) < target:
-            candidates = sorted(
-                iter_product(range(1, width + 1), repeat=h),
-                key=lambda p: (max(p), sum(p), p))
-            if len(candidates) > max_candidates:
-                candidates = candidates[:max_candidates]
-            for p_vector in candidates:
-                if len(selected) == target:
-                    break
-                if any(p_vector == used for used, _ in selected):
-                    continue
-                row = self.coefficient_row(signatures, p_vector)
-                if basis.add(row):
-                    selected.append((p_vector, row))
-            if len(selected) < target:
-                width += 1
-                if width > 8:
-                    raise AssertionError(
-                        "cannot reach full rank; conditions (68)-(70) "
-                        "appear violated")
-
-        rows = [row for _, row in selected]
-        rhs = [self.oracle_value(phi, p_vector)
-               for p_vector, _ in selected]
-        solution = Matrix(rows).solve(rhs)
+        kept, basis = select_rows(
+            lambda p_vector: self.coefficient_row(signatures, p_vector),
+            len(signatures), len(self.pairs), 8)
+        if basis.rank < len(signatures):
+            raise AssertionError(
+                "cannot reach full rank; conditions (68)-(70) "
+                "appear violated")
+        solution = basis.solve([self.oracle_value(phi, p_vector)
+                                for p_vector in kept])
 
         counts: dict[tuple[int, ...], int] = {}
         pair_list = self.pairs

@@ -315,6 +315,22 @@ class TestNumericBoundaryRule:
             [("IncrementalBasis.add", 4)]
         assert "float literal 0.5" in found[0].message
 
+    def test_every_exact_zone_names_live_code(self):
+        """An entry that matches no scope checks nothing, silently: each
+        one must name a function or class of the module it is keyed
+        by."""
+        import ast
+
+        from repro.analysis.engine import iter_scopes
+        from repro.analysis.numeric import _EXACT_ZONES
+
+        for suffix, entries in _EXACT_ZONES.items():
+            path = REPO_ROOT / "src" / "repro" / suffix
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {qualname for qualname, _ in iter_scopes(tree)}
+            missing = [entry for entry in entries if entry not in names]
+            assert missing == [], f"{suffix}: {missing}"
+
     def test_flags_fraction_in_float_lane_loop(self, tmp_path):
         make_repo(tmp_path, {"src/mod.py": """
             from fractions import Fraction

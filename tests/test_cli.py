@@ -84,6 +84,44 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "#PP2CNF = 3" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--edges", "", "--vars", "-2"], "negative variable count"),
+        (["--edges", "0-2", "--vars", "2"], "edge off-range"),
+        (["--edges", "0-1,1-0", "--vars", "2"], "duplicate edge"),
+        (["--edges", "1-1", "--vars", "2"], "self-loop"),
+        (["--edges", "0-1", "--vars", "2", "--length", "0"],
+         "length >= 1"),
+    ], ids=["negative-vars", "off-range", "duplicate", "self-loop",
+            "length-0"])
+    def test_reduce_bad_instance_exits_friendly(self, capsys, argv,
+                                                message):
+        with pytest.raises(SystemExit, match=f"^repro: .*{message}"):
+            main(["reduce", *argv])
+        assert "#Phi" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--left", "-1", "--right", "0", "--edges", ""],
+         "negative side size"),
+        (["--left", "1", "--right", "1", "--edges", "0-1"],
+         "edge off-range"),
+        (["--left", "1", "--right", "1", "--edges", "0-0,0-0"],
+         "duplicate edge"),
+    ], ids=["negative-left", "off-range", "duplicate"])
+    def test_h0_bad_instance_exits_friendly(self, capsys, argv, message):
+        with pytest.raises(SystemExit, match=f"^repro: .*{message}"):
+            main(["h0", *argv])
+        assert "#PP2CNF" not in capsys.readouterr().out
+
+    def test_reduce_non_final_query_exits_friendly(self, monkeypatch):
+        """A query the reduction refuses (here, a non-final one standing
+        in for the path query) exits with its ValueError's message."""
+        from repro.core import catalog
+
+        monkeypatch.setattr(catalog, "path_query",
+                            lambda length: catalog.intro_example())
+        with pytest.raises(SystemExit, match="^repro: .*final"):
+            main(["reduce", "--edges", "0-1", "--vars", "2"])
+
     def test_compile(self, capsys):
         assert main(["compile", "(R|S1)(S1|T)", "--p", "2"]) == 0
         out = capsys.readouterr().out

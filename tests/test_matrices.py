@@ -1,12 +1,18 @@
 """Exact linear algebra tests for repro.algebra.matrices."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.matrices import IncrementalBasis, Matrix
+from repro.algebra.matrices import (
+    IncrementalBasis,
+    Matrix,
+    monomial_row,
+    select_rows,
+)
 from repro.algebra.quadratic import QuadraticNumber
 
 F = Fraction
@@ -311,3 +317,166 @@ class TestFractionFreeFixedCases:
             mat([[1, 2], [3, 4]]).solve([bad, 1])
         with pytest.raises(TypeError):
             IncrementalBasis(2).add([1, bad])
+
+
+#: Right-hand-side entries whose denominators share nothing with the
+#: rows' (powers of 2 and small odd primes up to 11).
+UNRELATED = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                      st.sampled_from([1, 13, 17, 19 * 23, 29 ** 3]))
+
+
+class TestBasisSolve:
+    """``IncrementalBasis.solve`` replays the kept rows' Bareiss steps on
+    a right-hand side; it must agree with a fresh Gauss-Jordan solve."""
+
+    @given(rational_rows(square=True), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_vector_agrees_with_reference(self, rows, data):
+        rhs = [data.draw(UNRELATED) for _ in rows]
+        basis = IncrementalBasis(len(rows))
+        for row in rows:
+            basis.add(row)
+        try:
+            expected = reference_solve(rows, rhs)
+        except ValueError:
+            with pytest.raises(ValueError, match="rank"):
+                basis.solve(rhs)
+            return
+        solution = basis.solve(rhs)
+        assert all(type(x) is F for x in solution)
+        assert solution == expected
+
+    @given(rational_rows(square=True), st.integers(1, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_block_agrees_with_reference_per_column(self, rows, width,
+                                                    data):
+        block = [[data.draw(UNRELATED) for _ in range(width)]
+                 for _ in rows]
+        basis = IncrementalBasis(len(rows))
+        for row in rows:
+            basis.add(row)
+        if reference_rank(rows) < len(rows):
+            with pytest.raises(ValueError, match="rank"):
+                basis.solve(block)
+            return
+        solution = basis.solve(block)
+        assert len(solution) == len(rows)
+        for j in range(width):
+            column = [row[j] for row in block]
+            assert [row[j] for row in solution] == \
+                reference_solve(rows, column)
+
+    def test_short_of_full_rank_raises(self):
+        basis = IncrementalBasis(3)
+        assert basis.add([1, 2, 3])
+        assert basis.add([0, 1, F(1, 7)])
+        assert not basis.add([2, 5, F(43, 7)])
+        with pytest.raises(ValueError, match="rank 2 of 3"):
+            basis.solve([1, 2])
+
+    def test_shape_and_type_errors(self):
+        basis = IncrementalBasis(2)
+        basis.add([1, 2])
+        basis.add([3, 4])
+        with pytest.raises(ValueError, match="length"):
+            basis.solve([1, 2, 3])
+        with pytest.raises(ValueError, match="ragged"):
+            basis.solve([[1, 2], [3]])
+        with pytest.raises(TypeError):
+            basis.solve([0.5, 1])
+
+    def test_solves_in_kept_order_past_rejected_rows(self):
+        """The rows a basis rejects get no right-hand side: ``solve``
+        takes one entry per kept row, in the order kept."""
+        basis = IncrementalBasis(2)
+        kept = [row for row in ([0, 3], [0, 6], [F(1, 2), 1])
+                if basis.add(row)]
+        assert kept == [[0, 3], [F(1, 2), 1]]
+        assert basis.solve([3, F(5, 3)]) == reference_solve(kept,
+                                                            [3, F(5, 3)])
+
+
+class TestRowSelection:
+    @staticmethod
+    def walk(size, cap):
+        """Every tuple ``select_rows`` visits, through a row that never
+        raises the rank."""
+        visited = []
+        kept, basis = select_rows(
+            lambda params: visited.append(params) or [0], 1, size, cap)
+        assert (kept, basis.rank) == ([], 0)
+        return visited
+
+    def test_walks_multisets_by_max_then_sum_then_tuple(self):
+        assert self.walk(2, 3) == [
+            (1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+        for size, cap in ((1, 4), (3, 4), (4, 3)):
+            expected = sorted(
+                combinations_with_replacement(range(1, cap + 1), size),
+                key=lambda t: (max(t), sum(t), t))
+            assert self.walk(size, cap) == expected
+
+    @given(st.lists(ENTRIES["fraction"], min_size=1, max_size=4),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_monomial_row_is_the_product_of_powers(self, values, data):
+        exponents = data.draw(st.lists(
+            st.tuples(*[st.integers(0, 4) for _ in values]), max_size=6))
+        expected = []
+        for k in exponents:
+            entry = F(1)
+            for value, e in zip(values, k):
+                entry *= F(value) ** e
+            expected.append(entry)
+        row = monomial_row(values, exponents)
+        assert row == expected
+        assert all(type(x) is F for x in row)
+
+    def test_select_rows_keeps_the_rank_raising_multisets(self):
+        """Rows that depend only on max(params) repeat; the walk keeps
+        the first tuple of each new max and stops at full rank."""
+        calls = []
+
+        def row(params):
+            calls.append(params)
+            top = max(params)
+            return [F(top) ** k for k in range(3)]
+
+        kept, basis = select_rows(row, 3, 2, 10)
+        assert kept == [(1, 1), (1, 2), (1, 3)]
+        assert basis.rank == 3
+        assert calls == [(1, 1), (1, 2), (2, 2), (1, 3)]
+        rows = [row(p) for p in kept]
+        rhs = [F(1), F(2, 3), F(-5)]
+        assert basis.solve(rhs) == reference_solve(rows, rhs)
+
+    def test_select_rows_reports_a_short_walk(self):
+        kept, basis = select_rows(lambda params: [1, sum(params)], 2, 1, 1)
+        assert kept == [(1,)]
+        assert basis.rank == 1
+
+    def test_select_rows_matches_a_walk_over_all_tuples(self):
+        """For a row symmetric in its parameters (here, as in Eq. (66),
+        monomials in y_i = prod_j f_i(p_j)), walking every tuple in
+        (max, sum, tuple) order keeps the ascending forms of the
+        multisets the stream keeps."""
+        exponents = [(a, b, 3 - a - b) for a in range(4)
+                     for b in range(4 - a)]
+
+        def row(params):
+            ys = []
+            for a, b in ((1, 1), (2, 1), (1, 3)):
+                y = F(1)
+                for p in params:
+                    y *= a + F(b, p + 1)
+                ys.append(y)
+            return monomial_row(ys, exponents)
+
+        kept, basis = select_rows(row, len(exponents), 3, 4)
+        assert basis.rank == len(exponents)
+        reference_basis, reference = IncrementalBasis(len(exponents)), []
+        for params in sorted(product(range(1, 5), repeat=3),
+                             key=lambda t: (max(t), sum(t), t)):
+            if reference_basis.add(row(params)):
+                reference.append(params)
+        assert reference == kept

@@ -43,6 +43,11 @@ class TestP2CNF:
         with pytest.raises(ValueError):
             P2CNF(2, ((0, 2),))
 
+    def test_negative_variable_count_raises(self):
+        with pytest.raises(ValueError, match="negative variable count"):
+            P2CNF(-2, ())
+        assert P2CNF(0, ()).count_satisfying_brute() == 1
+
 
 class TestSignatures:
     def test_signature_of_assignment(self):
@@ -93,6 +98,11 @@ class TestPP2CNF:
     def test_off_range_raises(self):
         with pytest.raises(ValueError):
             PP2CNF(1, 1, ((0, 1),))
+
+    @pytest.mark.parametrize("left,right", [(-1, 0), (0, -1), (-2, -2)])
+    def test_negative_side_raises(self, left, right):
+        with pytest.raises(ValueError, match="negative side size"):
+            PP2CNF(left, right, ())
 
     def test_satisfied(self):
         phi = PP2CNF.matching(2)

@@ -83,6 +83,24 @@ class TestRowSelection:
             assert result.oracle_calls == len(expected)
 
 
+class TestOneElimination:
+    def test_run_never_calls_matrix_solve(self, monkeypatch):
+        """The basis that selects the rows also solves the system: the
+        kept rows are not eliminated a second time."""
+        from repro.algebra.matrices import Matrix
+
+        def refuse(self, rhs):
+            raise AssertionError("Matrix.solve called")
+
+        monkeypatch.setattr(Matrix, "solve", refuse)
+        red = Type1Reduction(catalog.rst_query())
+        for phi in FORMULAS:
+            result = red.run(phi)
+            assert result.model_count == phi.count_satisfying_brute()
+            assert result.signature_counts == \
+                {k: v for k, v in phi.signature_counts().items() if v}
+
+
 class TestHonestOracle:
     """The 'wmc' oracle grounds the actual database; it must agree with
     the block-product fast path (Theorem 3.4, experiment E8)."""

@@ -2,7 +2,11 @@
 (Theorem C.4's counting half; experiment E12) and Lemma C.35."""
 
 from fractions import Fraction
+from itertools import product
 
+import pytest
+
+from repro.algebra.matrices import IncrementalBasis, Matrix
 from repro.counting.ccp import TOP_COLOR, coloring_counts
 from repro.counting.pp2cnf import PP2CNF
 from repro.reduction.type2 import (
@@ -93,6 +97,68 @@ class TestRecovery:
         counts = red.run(phi)
         assert counts == brute_counts_as_signatures(red, phi)
         assert red.count_pp2cnf(phi, "a1", "a2", "b1", "b2") == 4
+
+
+#: The suite's two instances and the rows their multiset walk builds
+#: (a walk over every permutation of each p-vector built 1,212 and 38).
+INSTANCES = [(PP2CNF(1, 1, ((0, 0),)), 16), (PP2CNF(1, 1, ()), 4)]
+
+
+def permutation_walk(reduction, phi):
+    """The p-vectors a greedy walk over *all* tuples keeps: widths 2, 3,
+    ... of {1..width}^h in (max, sum, tuple) order, stopping at full
+    rank (the enumeration the multiset walk replaced)."""
+    signatures = reduction.valid_signatures(phi.m, phi.n_left, phi.n_right)
+    basis, kept = IncrementalBasis(len(signatures)), []
+    seen = set()
+    for width in range(2, 9):
+        for p_vector in sorted(
+                product(range(1, width + 1), repeat=len(reduction.pairs)),
+                key=lambda p: (max(p), sum(p), p)):
+            if basis.rank == len(signatures):
+                return kept
+            if p_vector in seen:
+                continue
+            seen.add(p_vector)
+            if basis.add(reduction.coefficient_row(signatures, p_vector)):
+                kept.append(p_vector)
+    raise AssertionError("no full rank")
+
+
+class TestMultisetWalk:
+    @pytest.mark.parametrize("phi,rows", INSTANCES,
+                             ids=["single-edge", "no-edges"])
+    def test_keeps_the_permutation_walks_p_vectors(self, monkeypatch, phi,
+                                                   rows):
+        red = make_reduction()
+        expected = permutation_walk(red, phi)
+        built, asked = [], []
+        row, oracle = red.coefficient_row, red.oracle_value
+
+        def counting_row(signatures, p_vector):
+            built.append(p_vector)
+            return row(signatures, p_vector)
+
+        def recording_oracle(phi_, p_vector):
+            asked.append(p_vector)
+            return oracle(phi_, p_vector)
+
+        monkeypatch.setattr(red, "coefficient_row", counting_row)
+        monkeypatch.setattr(red, "oracle_value", recording_oracle)
+        assert red.run(phi) == brute_counts_as_signatures(red, phi)
+        assert asked == expected
+        assert len(built) == rows
+
+    def test_run_never_calls_matrix_solve(self, monkeypatch):
+        def refuse(self, rhs):
+            raise AssertionError("Matrix.solve called")
+
+        monkeypatch.setattr(Matrix, "solve", refuse)
+        red = make_reduction()
+        for phi, _ in INSTANCES:
+            assert red.run(phi) == brute_counts_as_signatures(red, phi)
+        assert red.count_pp2cnf(INSTANCES[0][0], "a1", "a2", "b1",
+                                "b2") == 3
 
 
 class TestLemmaC35:
