@@ -48,8 +48,8 @@ from repro.tid.lineage import lineage
 F = Fraction
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: The acceptance floor for tape-float over node-float (numpy kernel;
-#: the stdlib fallback kernel only has to *win*, not rout).
+#: The acceptance floor for tape-float over node-float (numpy rows;
+#: the float lanes on list rows only have to *win*, not rout).
 SPEEDUP_GATE = 10.0
 
 
@@ -210,7 +210,7 @@ def _best_of(fn, *args, repeats=3):
 
 def check_tape_beats_node(p, k) -> tuple[bool, dict]:
     """tape-float must beat node-float by ``SPEEDUP_GATE`` on the
-    theta family (numpy kernel; the fallback kernel must just win),
+    theta family (numpy rows; list rows without numpy must just win),
     while agreeing with the exact values to 1e-9."""
     circuit, closure_specs, overlay_specs = theta_workload(p=p, k=k)
     start = time.perf_counter()

@@ -76,7 +76,7 @@ def reduction_section() -> None:
     print("Counting half of Theorem C.4 on Phi = (X0 v Y0):")
     counts = reduction.run(phi)
     print(f"   recovered {len(counts)} coloring signatures")
-    got = reduction.count_pp2cnf(phi, "a1", "a2", "b1", "b2")
+    got = reduction.count_from_colorings(counts, "a1", "a2", "b1", "b2")
     print(f"   #PP2CNF from the reduction: {got}")
     print(f"   #PP2CNF by brute force:     {phi.count_satisfying()}")
     assert got == phi.count_satisfying()

@@ -9,6 +9,12 @@ inputs.  The mirror-image bug is building ``Fraction`` objects inside
 the per-lane loops of the float kernels, which erases the 10x+ speedup
 the tape exists for.
 
+One lane loop, ``Tape._lanes``, runs the integer, ``Fraction`` and
+float lanes alike.  It stays in the exact zone: it holds no float
+literal, and whatever the float lanes need (their weights, the NEG
+constant 1, numpy's row type) reaches it as arguments from
+``Tape.evaluate``, which is not a zone.
+
 Zones:
 
 * **exact** — functions whose qualname contains ``exact``, plus the
@@ -16,7 +22,8 @@ Zones:
   ``booleans/tape.py`` (``Circuit.probability``/``_forward``/
   ``model_count``/``marginals``/``sample``/``top_k_worlds``, the
   ``_kbest_*`` helpers, ``_Compiler``, ``compile_cnf``, the tape's
-  exact surfaces including its shared lane loop ``Tape._lanes``,
+  exact surfaces including the lane loop ``Tape._lanes`` (shared
+  with the float lanes), its decoded program and list-row helpers,
   ``_Flattener``/``flatten_circuit``), of the integer algebra in
   ``algebra/matrices.py`` (``IncrementalBasis``, ``Matrix.determinant``/
   ``rank``/``solve``/``inverse``, ``select_rows``, ``monomial_row``
@@ -28,7 +35,7 @@ Zones:
 * **float** — functions whose qualname contains ``float``, ``numpy``,
   or ``lanes``.  Flags ``Fraction(...)`` constructed inside a loop or
   comprehension (hoisting to before the loop is always possible and is
-  the idiom ``_weight_rows`` uses).
+  the idiom ``Tape._lane_rows`` uses).
 
 ``Circuit.probability_batch`` and ``Tape.evaluate`` are deliberately
 *not* zones: they dispatch between the exact and float lanes.
@@ -57,8 +64,9 @@ _EXACT_ZONES = {
         "_Compiler", "compile_cnf",
     ),
     "booleans/tape.py": ("Tape.probability", "Tape._lanes",
-                         "Tape._exponent_table", "Tape._lane_denominator",
-                         "_Flattener", "flatten_circuit"),
+                         "Tape._program", "Tape._exponent_table",
+                         "Tape._lane_denominator", "_row_mul", "_row_add",
+                         "_row_sub", "_Flattener", "flatten_circuit"),
     "algebra/matrices.py": (
         "IncrementalBasis", "Matrix.determinant", "Matrix.rank",
         "Matrix.solve", "Matrix.inverse", "common_denominator",

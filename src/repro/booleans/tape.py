@@ -4,10 +4,17 @@ A compiled :class:`~repro.booleans.circuit.Circuit` is lowered *once*
 into a :class:`Tape` — parallel arrays of opcodes, operand index
 ranges, and a literal→slot table — so k weight vectors cost one pass
 over flat arrays, not a Python-level dispatch per node per vector.
-Every ``Circuit.probability``/``probability_batch`` call runs here:
+Every ``Circuit.probability``/``probability_batch`` call runs here, in
+one lane loop (``Tape._lanes``).  A register holds one scalar while it
+is the same in every lane and widens to a row of k only where lanes
+diverge: sweeps vary a handful of variables (an Eq. 20 endpoint grid
+pins two), so most of the tape runs once whatever k is.  Three kinds
+of lanes share the loop:
 
-* **float lanes**: one (slots x k) weight matrix and one numpy vector
-  operation per instruction (without numpy, the lane loop over floats);
+* **float lanes**: Python floats, with numpy float64 rows for the
+  divergent registers when numpy is importable (list rows otherwise).
+  AND and OR fold their operands in operand order, so every lane
+  rounds exactly as a full-width pass over k lanes would;
 * **integer lanes**, the exact default: the batch's weights go over
   their least common denominator D and register ``i`` holds an integer
   over ``D**e[i]``, with ``e`` fixed by the instructions alone (LIT 1,
@@ -16,14 +23,15 @@ Every ``Circuit.probability``/``probability_batch`` call runs here:
   runs on plain ints (no gcd, no ``Fraction``) and each lane divides
   once at the root.  Probabilities in {0, 1/2, 1} plus a few small
   grid denominators keep D tiny;
-* **Fraction lanes** run the same loop over ``Fraction``s when the
-  denominators are too wide and varied for integers
-  (``INT_LANE_RATIO``); a single such lane takes the circuit's own
-  node-table pass instead.
+* **Fraction lanes** run over ``Fraction``s when the denominators are
+  too wide and varied for integers (``INT_LANE_RATIO``); a single such
+  lane takes the circuit's own node-table pass instead.
 
 Both exact lanes return the same ``Fraction``s whatever the association
 order (an ``("ite", v, hi, lo)`` node lowers to ``p*hi + (1-p)*lo``
-spelled as ``OR(AND(LIT, hi), AND(NEG, lo))``).
+spelled as ``OR(AND(LIT, hi), AND(NEG, lo))``).  Lanes given as
+``WeightOverlay(base, pinned)`` fill in O(slots x bases + pins): one
+converted column per distinct base, and a row only where a lane pins.
 
 Lowering rules (one pass over the topologically ordered node table):
 
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 
 from array import array
@@ -67,7 +76,7 @@ from repro.booleans.circuit import (
 )
 from repro import obs
 
-try:  # optional accelerator only — every kernel has a stdlib fallback
+try:  # optional accelerator only: without it, float lane rows are lists
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via monkeypatching
     _np = None
@@ -112,6 +121,8 @@ def reset_tape_stats() -> None:
 
 
 def _float_weight(value, var, lane) -> float:
+    if type(value) is Fraction:  # finite; int / int rounds as float()
+        return value.numerator / value.denominator
     weight = float(value)
     if not math.isfinite(weight):
         raise ValueError(
@@ -125,6 +136,37 @@ def _exact_weight(value, var, lane) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _probe(spec):
+    """``probe(var, fallback)`` for one weight spec: a mapping's
+    ``get``, or a callable called with the variable."""
+    if callable(spec):
+        return lambda var, _fallback: spec(var)
+    return (spec if type(spec) is dict else dict(spec or {})).get
+
+
+def _row_mul(a, b):
+    """Lane-wise ``a * b`` of list rows; either may be a scalar."""
+    if type(a) is not list:
+        return [a * y for y in b]
+    if type(b) is not list:
+        return [x * b for x in a]
+    return [x * y for x, y in zip(a, b)]
+
+
+def _row_add(a, b):
+    """Lane-wise ``a + b`` of list rows; either may be a scalar."""
+    if type(a) is not list:
+        return [a + y for y in b]
+    if type(b) is not list:
+        return [x + b for x in a]
+    return [x + y for x, y in zip(a, b)]
+
+
+def _row_sub(top, row):
+    """Lane-wise ``top - row`` of a scalar and a list row."""
+    return [top - x for x in row]
+
+
 class Tape:
     """A flattened circuit: parallel instruction arrays plus the
     literal→slot table.  Instruction ``i`` writes register ``i``; the
@@ -133,7 +175,7 @@ class Tape:
 
     __slots__ = ("ops", "arg0", "arg1", "operands", "slots", "root",
                  "circuit_nodes", "circuit_root", "_slot_index",
-                 "_exponents")
+                 "_exponents", "_decoded")
 
     def __init__(self, ops: array, arg0: array, arg1: array,
                  operands: array, slots: tuple, root: int,
@@ -148,6 +190,7 @@ class Tape:
         self.circuit_root = circuit_root
         self._slot_index = None
         self._exponents = None
+        self._decoded = None
 
     # ------------------------------------------------------------------
     @property
@@ -270,7 +313,8 @@ class Tape:
         ``Circuit.probability_batch``.  ``numeric="exact"`` runs the
         integer lanes, or the Fraction lanes when the batch's
         denominators are too wide (``INT_LANE_RATIO``);
-        ``numeric="float"`` runs the float lanes and rejects non-finite
+        ``numeric="float"`` runs the float lanes (numpy rows where
+        lanes diverge, when numpy is importable) and rejects non-finite
         weights with a ``ValueError`` naming the lane.  The ``kernel``
         span records the ``arith`` that ran (``"int"``, ``"fraction"``,
         ``"float"``) and, for exact batches, the widest root
@@ -289,11 +333,14 @@ class Tape:
                 return self._exact_lanes(rows, k,
                                          self._lane_denominator(rows), sp)
             sp.tag(arith="float")
+            rows = self._lane_rows(weight_specs, default, _float_weight)
+            vector = list
             if _np is not None:
-                return self._eval_numpy(weight_specs, default)
-            root = self._lanes(self._lane_rows(
-                weight_specs, default, _float_weight), None, (1,))
-            return [float(x) for x in root] if type(root) is list \
+                vector = _np.ndarray
+                rows = [_np.array(row) if type(row) is list else row
+                        for row in rows]
+            root = self._lanes(rows, None, (1,), vector)
+            return list(map(float, root)) if type(root) is vector \
                 else [float(root)] * k
 
     def probability(self, weights, default, forward) -> Fraction:
@@ -311,27 +358,23 @@ class Tape:
             sp.tag(arith="fraction", bits=value.numerator.bit_length())
             return value
 
-    def _weight_rows(self, weight_specs, default, convert) -> list:
-        """Per-slot rows of lane weights, each value passed through
-        ``convert(value, var, lane)`` once: sweep lanes repeat weight
-        objects heavily, so conversions are memoized by ``id`` (the
-        memo keeps each object alive, so no id is recycled mid-pass).
-        Mappings are probed through ``dict.get``; callables are called
-        with the variable.
+    def _lane_rows(self, weight_specs, default,
+                   convert=_exact_weight) -> list:
+        """Per-slot lane weights for ``_lanes``: one value where every
+        lane agrees, else the list of k lane weights.  Each weight
+        object passes through ``convert(value, var, lane)`` once: sweep
+        lanes repeat weight objects heavily, so conversions are
+        memoized by ``id`` (the memo keeps each object alive, so no id
+        is recycled mid-pass).  Mappings are probed through
+        ``dict.get``, callables are called with the variable, and an
+        all-``WeightOverlay`` batch takes ``_overlay_rows``.
         """
         if weight_specs and all(type(spec) is WeightOverlay
                                 for spec in weight_specs):
-            rows = self._overlay_rows(weight_specs, convert)
-            if rows is not None:
-                return rows
+            return self._overlay_rows(weight_specs, convert)
+        k = len(weight_specs)
         fallback = HALF if default is None else Fraction(default)
-        probes = []
-        for spec in weight_specs:
-            if callable(spec):
-                probes.append(lambda var, _d, spec=spec: spec(var))
-            else:
-                table = spec if type(spec) is dict else dict(spec or {})
-                probes.append(table.get)
+        probes = [_probe(spec) for spec in weight_specs]
         memo: dict = {}
         rows = []
         for var in self.slots:
@@ -344,77 +387,77 @@ class Tape:
                     hit = memo[id(value)] = (
                         value, convert(value, var, len(row)))
                 ap(hit[1])
-            rows.append(row)
+            rows.append(row[0] if row.count(row[0]) == k else row)
         return rows
 
-    def _overlay_rows(self, specs, convert):
-        """Fast fill for an all-``WeightOverlay`` batch sharing one
-        base: convert the base column once, replicate it across lanes
-        (C-speed list repeat), then poke the per-lane replacements —
-        O(slots + overrides) weight probes instead of O(slots x lanes).
-        Base-map misses take 1/2, as calling the overlay does: a batch
-        ``default`` does not reach inside a ``WeightOverlay``.  Returns
-        None when lanes disagree on the base object; the generic path
-        handles that correctly, just slower."""
-        base = specs[0].base
-        if any(spec.base is not base for spec in specs):
-            return None
+    def _overlay_rows(self, specs, convert) -> list:
+        """``_lane_rows`` of an all-``WeightOverlay`` batch in
+        O(slots x bases + pins) weight probes instead of
+        O(slots x lanes): each distinct base object's column is
+        converted once, a slot keeps one value where every base agrees
+        and no lane pins it, and gets a list of k lane weights
+        otherwise.  Base-map misses take 1/2, as calling the overlay
+        does: a batch ``default`` does not reach inside a
+        ``WeightOverlay``."""
         k = len(specs)
-        rows = [[weight] * k
-                for (weight,) in self._weight_rows([base], None, convert)]
+        slots = self.slots
+        memo: dict = {}
+        columns: dict = {}
+        lane_columns = []
+        for lane, spec in enumerate(specs):
+            column = columns.get(id(spec.base))
+            if column is None:
+                probe = _probe(spec.base)
+                column = columns[id(spec.base)] = []
+                for var in slots:
+                    value = probe(var, HALF)
+                    hit = memo.get(id(value))
+                    if hit is None:
+                        hit = memo[id(value)] = (
+                            value, convert(value, var, lane))
+                    column.append(hit[1])
+            lane_columns.append(column)
+        first, *others = columns.values()
+        rows = first if not others else [
+            first[s] if all(other[s] == first[s] for other in others)
+            else [column[s] for column in lane_columns]
+            for s in range(len(slots))]
         index = self._slot_index
         if index is None:
-            index = self._slot_index = {
-                var: s for s, var in enumerate(self.slots)}
-        memo: dict = {}
+            # A pin reaches every slot whose token equals its key, as
+            # calling the overlay does (True and 1 are distinct slots).
+            index = {}
+            for s, var in enumerate(slots):
+                index.setdefault(var, []).append(s)
+            self._slot_index = index
         for lane, spec in enumerate(specs):
             for var, value in spec.pinned.items():
-                s = index.get(var)
-                if s is None:  # variable absent from the circuit
+                pinned = index.get(var)
+                if pinned is None:  # variable absent from the circuit
                     continue
                 hit = memo.get(id(value))
                 if hit is None:
                     hit = memo[id(value)] = (value,
                                              convert(value, var, lane))
-                rows[s][lane] = hit[1]
+                for s in pinned:
+                    row = rows[s]
+                    if type(row) is not list:
+                        row = rows[s] = [row] * k
+                    row[lane] = hit[1]
         return rows
 
-    def _eval_numpy(self, weight_specs, default) -> list:
-        np = _np
-        k = len(weight_specs)
-        w = np.array(self._weight_rows(weight_specs, default, _float_weight),
-                     dtype=np.float64).reshape(len(self.slots), k)
-        ops, arg0, arg1 = self.ops, self.arg0, self.arg1
-        operands = self.operands
-        multiply, add = np.multiply, np.add
-        regs: list = [None] * len(ops)
-        for i in range(len(ops)):
-            op = ops[i]
-            if op == OP_LIT:
-                regs[i] = w[arg0[i]]
-            elif op == OP_AND or op == OP_OR:
-                ufunc = multiply if op == OP_AND else add
-                j = arg0[i]
-                acc = ufunc(regs[operands[j]], regs[operands[j + 1]])
-                for j in range(j + 2, arg1[i]):
-                    ufunc(acc, regs[operands[j]], out=acc)
-                regs[i] = acc
-            elif op == OP_NEG:
-                regs[i] = 1.0 - regs[arg0[i]]
-            elif op == OP_CONST1:
-                regs[i] = np.ones(k)
-            else:
-                regs[i] = np.zeros(k)
-        return [float(x) for x in regs[self.root]]
-
-    def _lane_rows(self, weight_specs, default,
-                   convert=_exact_weight) -> list:
-        """Per-slot lane weights for ``_lanes``: one value where every
-        lane agrees, else the row of k lane weights."""
-        k = len(weight_specs)
-        return [row[0] if row.count(row[0]) == k else row
-                for row in self._weight_rows(weight_specs, default,
-                                             convert)]
+    def _program(self) -> list:
+        """The instructions decoded for ``_lanes``, one ``(op, arg)``
+        per register: ``arg`` is a LIT's slot, a NEG's source register,
+        or the tuple of an AND's or OR's operand registers.  Built once
+        per tape and cached, never serialized."""
+        program = self._decoded
+        if program is None:
+            operands = self.operands
+            program = self._decoded = [
+                (op, tuple(operands[a:b]) if op in (OP_AND, OP_OR) else a)
+                for op, a, b in zip(self.ops, self.arg0, self.arg1)]
+        return program
 
     def _exponent_table(self) -> tuple:
         """``(e, max(e))``: each register's power of D on the integer
@@ -423,19 +466,17 @@ class Tape:
         a sidecar computes it on first use."""
         table = self._exponents
         if table is None:
-            ops, arg0, arg1 = self.ops, self.arg0, self.arg1
-            operands = self.operands
-            exps = [0] * len(ops)
-            for i in range(len(ops)):
-                op = ops[i]
+            program = self._program()
+            exps = [0] * len(program)
+            for i, (op, arg) in enumerate(program):
                 if op == OP_LIT:
                     exps[i] = 1
                 elif op == OP_NEG:
-                    exps[i] = exps[arg0[i]]
+                    exps[i] = exps[arg]
                 elif op == OP_AND:
-                    exps[i] = sum(exps[r] for r in operands[arg0[i]:arg1[i]])
+                    exps[i] = sum(exps[r] for r in arg)
                 elif op == OP_OR:
-                    exps[i] = max(exps[r] for r in operands[arg0[i]:arg1[i]])
+                    exps[i] = max(exps[r] for r in arg)
             table = self._exponents = (exps, max(exps, default=0))
         return table
 
@@ -482,70 +523,74 @@ class Tape:
                  bits=max(x.numerator.bit_length() for x in roots))
         return values if type(root) is list else values * k
 
-    def _lanes(self, weights, exps, pows):
-        """The lane loop of the integer, Fraction and (without numpy)
-        float lanes; returns the root register.
+    def _lanes(self, weights, exps, pows, vector=list):
+        """The lane loop of the integer, Fraction and float lanes;
+        returns the root register.
 
-        A register keeps one shared value while it is the same in every
-        lane and widens to a row of k only where lanes diverge: sweeps
-        vary a handful of variables, so most of the tape runs once.  On
-        integer lanes an OR operand is scaled by ``pows[gap]``, D to the
-        gap between its exponent and the OR's, and NEG subtracts from
+        A register keeps one scalar while it is the same in every lane
+        and widens to a ``vector`` of k only where lanes diverge: a
+        list, or on float lanes a numpy row when numpy is importable.
+        Sweeps vary a handful of variables, so most of the tape runs
+        once.  AND and OR fold their operands in operand order, a
+        scalar standing for k equal lanes, so every float lane rounds
+        as a full-width pass over k lanes would; a scalar zero operand
+        makes an AND zero, as it makes every finite lane.  On integer
+        lanes an OR operand is scaled by ``pows[gap]``, D to the gap
+        between its exponent and the OR's, and NEG subtracts from
         ``pows[e]``; ``exps=None`` sets every exponent to 0.  Stored
         rows are never mutated, so registers may share them.
         """
-        ops, arg0, arg1 = self.ops, self.arg0, self.arg1
-        operands = self.operands
+        program = self._program()
         if exps is None:
-            exps = bytes(len(ops))
-        regs: list = [None] * len(ops)
-        for i in range(len(ops)):
-            op = ops[i]
-            if op == OP_LIT:
-                regs[i] = weights[arg0[i]]
-            elif op == OP_AND:
-                scalar = 1
-                wide = None
-                for j in range(arg0[i], arg1[i]):
-                    row = regs[operands[j]]
-                    if type(row) is list:
-                        wide = row if wide is None else [
-                            a * b for a, b in zip(wide, row)]
+            exps = bytes(len(program))
+        if vector is list:
+            mul, add, sub = _row_mul, _row_add, _row_sub
+        else:  # numpy broadcasts a scalar operand itself
+            mul, add, sub = operator.mul, operator.add, operator.sub
+        regs: list = [None] * len(program)
+        for i, (op, arg) in enumerate(program):
+            if op == OP_AND:
+                acc = None
+                for src in arg:
+                    row = regs[src]
+                    if type(row) is vector:
+                        acc = row if acc is None else mul(acc, row)
+                    elif not row:
+                        acc = row
+                        break
+                    elif acc is None:
+                        acc = row
+                    elif type(acc) is vector:
+                        acc = mul(acc, row)
                     else:
-                        scalar *= row
-                        if not scalar:
-                            break
-                if wide is None or not scalar:
-                    regs[i] = scalar
-                else:
-                    regs[i] = wide if scalar == 1 else [
-                        scalar * x for x in wide]
+                        acc = acc * row
+                regs[i] = acc
             elif op == OP_OR:
                 top = exps[i]
-                scalar = 0
-                wide = None
-                for j in range(arg0[i], arg1[i]):
-                    src = operands[j]
+                acc = None
+                for src in arg:
                     row = regs[src]
                     gap = top - exps[src]
-                    if type(row) is list:
+                    if type(row) is vector:
                         if gap:
-                            scale = pows[gap]
-                            row = [scale * x for x in row]
-                        wide = row if wide is None else [
-                            a + b for a, b in zip(wide, row)]
+                            row = mul(row, pows[gap])
+                        acc = row if acc is None else add(acc, row)
                     else:
-                        scalar += pows[gap] * row if gap else row
-                if wide is None:
-                    regs[i] = scalar
-                else:
-                    regs[i] = [scalar + x for x in wide] if scalar \
-                        else wide
+                        if gap:
+                            row = pows[gap] * row
+                        if acc is None:
+                            acc = row
+                        elif type(acc) is vector:
+                            acc = add(acc, row)
+                        else:
+                            acc = acc + row
+                regs[i] = acc
+            elif op == OP_LIT:
+                regs[i] = weights[arg]
             elif op == OP_NEG:
-                src = arg0[i]
-                top = pows[exps[src]]
-                row = regs[src]
-                regs[i] = [top - x for x in row] if type(row) is list \
+                top = pows[exps[arg]]
+                row = regs[arg]
+                regs[i] = sub(top, row) if type(row) is vector \
                     else top - row
             elif op == OP_CONST1:
                 regs[i] = 1

@@ -343,7 +343,8 @@ def cmd_sweep(args) -> int:
         print(f"engine:  {engine}")
     print(f"{'w(R(u))':>10s} {'w(T(v))':>10s}  Pr(Q)")
     for weights, value in zip(weight_maps, values):
-        print(f"{str(weights[r_u]):>10s} {str(weights[t_v]):>10s}  "
+        pinned = weights.pinned
+        print(f"{str(pinned[r_u]):>10s} {str(pinned[t_v]):>10s}  "
               f"{value}")
     info = cache_info()
     print(f"compilations: {info['compiles']} "

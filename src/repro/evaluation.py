@@ -43,6 +43,7 @@ from repro.booleans.approximate import (
     DEFAULT_EPSILON,
     ProbabilityEstimate,
 )
+from repro.booleans.circuit import WeightOverlay
 from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.safety import is_safe
@@ -266,26 +267,26 @@ def evaluate_batch(query: Query, tids: Iterable[TID],
 
 
 def endpoint_weight_grid(formula: CNF, tid: TID, k: int,
-                         u="u", v="v") -> list[dict]:
+                         u="u", v="v") -> list[WeightOverlay]:
     """k weight vectors varying the R(u)/T(v) endpoint marginals over
     a fixed block lineage — the Eq. 20 / interpolation grid shape
-    shared by the ``repro sweep`` CLI, ``benchmarks/bench_sweep.py``,
-    and the sweep tests.
+    shared by the ``repro sweep`` CLI, the service ``sweep`` op,
+    ``benchmarks/bench_sweep.py`` and the sweep tests.
 
-    Vector i pins R(u) to (i+1)/(k+2) and T(v) to (k+1-i)/(k+2); all
-    other tuple marginals stay at the TID's values.
+    Vector i is a ``WeightOverlay`` pinning R(u) to (i+1)/(k+2) and
+    T(v) to (k+1-i)/(k+2) (read them from its ``pinned`` map) on one
+    base map shared by all k vectors, which holds the TID's marginals
+    of the lineage's tuples; the tape's lanes then fill in
+    O(tuples + k) and run the unpinned part of the circuit once.
     """
     from repro.tid.database import r_tuple, t_tuple
 
     base = {var: tid.probability(var) for var in formula.variables()}
     r_u, t_v = r_tuple(u), t_tuple(v)
-    grid = []
-    for i in range(k):
-        weights = dict(base)
-        weights[r_u] = Fraction(i + 1, k + 2)
-        weights[t_v] = Fraction(k + 1 - i, k + 2)
-        grid.append(weights)
-    return grid
+    # One object per step value: the lanes convert each object once.
+    steps = [Fraction(j, k + 2) for j in range(k + 2)]
+    return [WeightOverlay(base, {r_u: steps[i + 1], t_v: steps[k + 1 - i]})
+            for i in range(k)]
 
 
 def probability_sweep(formula: CNF,

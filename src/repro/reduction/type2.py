@@ -181,29 +181,24 @@ class Type2Reduction:
     # ------------------------------------------------------------------
     def count_pp2cnf(self, phi: PP2CNF, false_left, true_left,
                      false_right, true_right) -> int:
-        """#Phi via the recovered coloring counts (Theorem C.3): sum the
-        counts of colorings that use only the designated truth-value
-        colors and have no (false, false) edge."""
-        counts = self.run(phi)
-        pair_list = self.pairs
-        total = 0
-        allowed_left = {false_left, true_left}
-        allowed_right = {false_right, true_right}
-        for signature, count in counts.items():
-            valid = True
-            for pair, k in zip(pair_list, signature):
-                if k == 0:
-                    continue
-                alpha, beta = pair
-                if alpha not in allowed_left | {TOP_COLOR}:
-                    valid = False
-                    break
-                if beta not in allowed_right | {TOP_COLOR}:
-                    valid = False
-                    break
-                if alpha == false_left and beta == false_right:
-                    valid = False
-                    break
-            if valid:
-                total += count
-        return total
+        """#Phi via the recovered coloring counts (Theorem C.3):
+        ``count_from_colorings(run(phi), ...)``."""
+        return self.count_from_colorings(self.run(phi), false_left,
+                                         true_left, false_right,
+                                         true_right)
+
+    def count_from_colorings(self, counts, false_left, true_left,
+                             false_right, true_right) -> int:
+        """#Phi from the coloring counts ``run`` returned (Theorem
+        C.3): sum the counts of colorings that use only the designated
+        truth-value colors and have no (false, false) edge."""
+        allowed_left = {false_left, true_left, TOP_COLOR}
+        allowed_right = {false_right, true_right, TOP_COLOR}
+        pairs = self.pairs
+        return sum(
+            count for signature, count in counts.items()
+            if all(not k or (alpha in allowed_left
+                             and beta in allowed_right
+                             and (alpha, beta) != (false_left,
+                                                   false_right))
+                   for (alpha, beta), k in zip(pairs, signature)))

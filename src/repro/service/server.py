@@ -897,7 +897,8 @@ class ReproServer(ServiceFrontEnd):
             "engine": engine,
             "numeric": numeric,
             "count": len(values),
-            "grid": [[str(w[r_u]), str(w[t_v])] for w in weight_maps],
+            "grid": [[str(w.pinned[r_u]), str(w.pinned[t_v])]
+                     for w in weight_maps],
             "values": [v if numeric == "float" else str(v)
                        for v in values],
         }

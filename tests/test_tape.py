@@ -4,8 +4,10 @@ Contracts pinned here: the tape's integer lanes, its Fraction lanes and
 the recursive ``shannon_probability`` oracle return *equal* Fractions
 on arbitrary formulas and weight batches (not approximations), and the
 selection rule sends wide denominators to the Fraction lanes; the float
-kernels (numpy and the stdlib fallback) agree with the exact values to
-float tolerance and reject non-finite weights loudly;
+lanes (numpy rows and the stdlib list rows) equal, float for float, the
+full-width numpy loop they replaced (``full_width_float_lanes``), agree
+with the exact values to float tolerance and reject non-finite weights
+loudly;
 ``to_bytes``/``from_bytes`` round trips exactly and is byte-identical
 across ``PYTHONHASHSEED`` values; ``tape_for_circuit`` flattens once
 per circuit and the counters prove it.
@@ -30,6 +32,7 @@ from repro.booleans.circuit import (
     UnsupportedVersionError,
     WeightOverlay,
     compile_cnf,
+    make_lookup,
 )
 from repro.booleans.cnf import CNF
 from repro.booleans.tape import (
@@ -92,6 +95,50 @@ def integer_lanes(tape, specs, default=None):
     return tape._exact_lanes(rows, len(specs), common, obs.NULL_SPAN)
 
 
+def full_width_float_lanes(tape, specs, default=None):
+    """The float kernel the lane loop replaced, kept as the reference:
+    one (slots x k) weight matrix and one numpy operation per
+    instruction over all k lanes, each AND and OR folded in operand
+    order.  The float lanes must equal it float for float."""
+    np = pytest.importorskip("numpy")
+    k = len(specs)
+    lookups = [make_lookup(spec, default) for spec in specs]
+    w = np.array([[float(lookup(var)) for lookup in lookups]
+                  for var in tape.slots],
+                 dtype=np.float64).reshape(len(tape.slots), k)
+    ops, arg0, arg1 = tape.ops, tape.arg0, tape.arg1
+    operands = tape.operands
+    regs = [None] * len(ops)
+    for i in range(len(ops)):
+        op = ops[i]
+        if op == tape_module.OP_LIT:
+            regs[i] = w[arg0[i]]
+        elif op in (tape_module.OP_AND, tape_module.OP_OR):
+            ufunc = np.multiply if op == tape_module.OP_AND else np.add
+            j = arg0[i]
+            acc = ufunc(regs[operands[j]], regs[operands[j + 1]])
+            for j in range(j + 2, arg1[i]):
+                ufunc(acc, regs[operands[j]], out=acc)
+            regs[i] = acc
+        elif op == tape_module.OP_NEG:
+            regs[i] = 1.0 - regs[arg0[i]]
+        elif op == tape_module.OP_CONST1:
+            regs[i] = np.ones(k)
+        else:
+            regs[i] = np.zeros(k)
+    return [float(x) for x in regs[tape.root]]
+
+
+def float_lanes_without_numpy(tape, specs, default=None):
+    """The float lanes on list rows, as without numpy."""
+    saved = tape_module._np
+    tape_module._np = None
+    try:
+        return tape.evaluate(specs, numeric="float", default=default)
+    finally:
+        tape_module._np = saved
+
+
 def kernel_tags(run):
     """The tags of the ``kernel`` span ``run()`` opens under a live
     trace."""
@@ -133,14 +180,7 @@ class TestKernelAgreement:
         formula, specs = random_formula_and_weights(qs, ts)
         tape = flatten_circuit(compile_cnf(formula))
         with_numpy = tape.evaluate(specs, numeric="float")
-        saved = tape_module._np
-        tape_module._np = None
-        try:
-            without = tape.evaluate(specs, numeric="float")
-        finally:
-            tape_module._np = saved
-        assert all(abs(a - b) < 1e-12
-                   for a, b in zip(with_numpy, without))
+        assert float_lanes_without_numpy(tape, specs) == with_numpy
 
     def test_empty_batch(self):
         formula, _ = rst_formula()
@@ -292,6 +332,78 @@ class TestIntegerLanes:
         assert Tape.from_bytes(data)._exponents is None
 
 
+def float_weights():
+    """Float-lane weights: the exact families, binary floats, and
+    fractions whose float rounding depends on the operation order."""
+    return st.one_of(
+        weight_family("paper"), weight_family("grid"),
+        st.floats(0, 1),
+        st.builds(F, st.integers(0, 997), st.just(997)))
+
+
+def lane_specs(data, weights, k):
+    """k lanes: overlays on one shared base, overlays on a few bases,
+    or any mix of mappings, callables, None and overlays."""
+    shape = data.draw(st.sampled_from(["shared", "bases", "mixed"]))
+    if shape == "mixed":
+        return [data.draw(weight_specs(weights, False)) for _ in range(k)]
+    bases = [data.draw(weight_tables(weights, data.draw(st.booleans())))
+             for _ in range(1 if shape == "shared" else 2)]
+    return [WeightOverlay(data.draw(st.sampled_from(bases)),
+                          data.draw(st.dictionaries(
+                              st.sampled_from(VARS), weights, max_size=2)))
+            for _ in range(k)]
+
+
+class TestFloatLanesBitIdentical:
+    """One lane loop runs the float lanes: scalar registers where lanes
+    agree, numpy (or list) rows where they diverge, operands folded in
+    operand order.  Each lane must round exactly as the full-width
+    loop did."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_float_lanes_equal_the_full_width_loop(self, data):
+        formula = data.draw(cnfs())
+        weights = float_weights()
+        default = data.draw(st.none() | weights)
+        k = data.draw(st.integers(1, 6))
+        specs = lane_specs(data, weights, k)
+        tape = flatten_circuit(compile_cnf(formula))
+        want = full_width_float_lanes(tape, specs, default)
+        assert tape.evaluate(specs, numeric="float",
+                             default=default) == want
+        assert float_lanes_without_numpy(tape, specs, default) == want
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_endpoint_grids_equal_the_full_width_loop(self, length):
+        from repro.core.catalog import path_query
+        from repro.evaluation import endpoint_weight_grid
+        from repro.reduction.blocks import path_block
+
+        query = path_query(length)
+        tid = path_block(query, 5)
+        formula = lineage(query, tid)
+        tape = flatten_circuit(compile_cnf(formula))
+        grid = endpoint_weight_grid(formula, tid, 40)
+        want = full_width_float_lanes(tape, grid)
+        assert tape.evaluate(grid, numeric="float") == want
+        assert float_lanes_without_numpy(tape, grid) == want
+
+    def test_operands_fold_in_operand_order(self):
+        """AND(x0, x1, x2) with x1 the same in every lane: each lane is
+        (x0 * x1) * x2, as the full-width pass rounds it, not
+        x1 * (x0 * x2)."""
+        tape = flatten_circuit(compile_cnf(CNF([["x0"], ["x1"], ["x2"]])))
+        a, s, c = 0.2550690257394217, 0.49543508709194095, 0.4494910647887381
+        specs = [{"x0": a, "x1": s, "x2": c}, {"x0": c, "x1": s, "x2": a}]
+        want = [(a * s) * c, (c * s) * a]
+        assert want != [s * (a * c), s * (c * a)]  # the order shows
+        assert full_width_float_lanes(tape, specs) == want
+        assert tape.evaluate(specs, numeric="float") == want
+        assert float_lanes_without_numpy(tape, specs) == want
+
+
 class TestWeightOverlay:
     def test_overlay_specs_match_dicts(self):
         formula, tid = rst_formula()
@@ -311,11 +423,7 @@ class TestWeightOverlay:
                                              numeric=numeric)
             got = circuit.probability_batch(overlay_specs,
                                             numeric=numeric)
-            if numeric == "exact":
-                assert got == want
-            else:
-                assert all(abs(a - b) < 1e-12
-                           for a, b in zip(got, want))
+            assert got == want
 
     def test_overlay_is_callable_spec(self):
         overlay = WeightOverlay({"x": F(1, 3)}, {"y": F(1, 5)})
@@ -323,9 +431,9 @@ class TestWeightOverlay:
         assert overlay("x") == F(1, 3)
         assert overlay("z") == F(1, 2)  # base-map miss -> default 1/2
 
-    def test_mixed_bases_fall_back_to_generic_path(self):
-        """Lanes with *different* base objects still evaluate
-        correctly (the fast fill requires one shared base)."""
+    def test_mixed_bases_match_per_lane_probability(self):
+        """Lanes with *different* base objects evaluate as each lane
+        alone does, on both arithmetics."""
         formula, tid = rst_formula()
         circuit = compile_cnf(formula)
         variables = sorted(circuit.variables(), key=repr)
@@ -338,8 +446,56 @@ class TestWeightOverlay:
         floats = tape.evaluate(specs, numeric="float")
         want = [circuit.probability(spec) for spec in specs]
         assert exact == want
+        assert floats == full_width_float_lanes(tape, specs)
         assert all(abs(f - float(e)) < 1e-9
                    for f, e in zip(floats, want))
+
+    def test_mixed_bases_probe_each_base_once_per_slot(self):
+        """A batch of several overlay bases (the service's coalesced
+        sweeps bring one grid base per request) fills one column per
+        distinct base, not one per lane."""
+        formula, tid = rst_formula()
+        circuit = compile_cnf(formula)
+        variables = sorted(circuit.variables(), key=repr)
+        probed = {"a": 0, "b": 0}
+
+        def counting(name, weight):
+            def base(var):
+                probed[name] += 1
+                return weight(var)
+            return base
+
+        base_a = counting("a", tid.probability)
+        base_b = counting("b", lambda var: F(1, 3))
+        specs = [WeightOverlay(base_a if j % 2 else base_b,
+                               {variables[j % len(variables)]:
+                                F(j + 1, 11)})
+                 for j in range(8)]
+        tape = flatten_circuit(circuit)
+        for numeric in ("exact", "float"):
+            probed.update(a=0, b=0)
+            values = tape.evaluate(specs, numeric=numeric)
+            assert probed == {"a": len(tape.slots), "b": len(tape.slots)}
+            if numeric == "exact":
+                assert values == [circuit.probability(spec)
+                                  for spec in specs]
+            else:
+                assert values == full_width_float_lanes(tape, specs)
+
+    def test_agreeing_bases_keep_unpinned_slots_scalar(self):
+        """Distinct base objects that agree on a slot leave it one
+        value, so coalesced grids over one lineage still run the
+        unpinned part of the circuit once."""
+        formula, tid = rst_formula()
+        tape = flatten_circuit(compile_cnf(formula))
+        pinned = tape.slots[0]
+        bases = [{var: tid.probability(var) for var in tape.slots}
+                 for _ in range(3)]
+        specs = [WeightOverlay(bases[j % 3], {pinned: F(j, 9)})
+                 for j in range(9)]
+        rows = tape._lane_rows(specs, None)
+        assert rows[0] == [F(j, 9) for j in range(9)]
+        assert not any(isinstance(row, list) for row in rows[1:])
 
     def test_exact_overlay_fill_probes_the_base_once_per_slot(self):
         formula, tid = rst_formula()
@@ -372,8 +528,24 @@ class TestWeightOverlay:
         assert circuit.probability_batch(specs, F(1, 5)) == want
         floats = circuit.probability_batch(specs, F(1, 5),
                                            numeric="float")
+        assert floats == full_width_float_lanes(
+            tape_for_circuit(circuit), specs, F(1, 5))
         assert all(abs(f - float(w)) < 1e-12
                    for f, w in zip(floats, want))
+
+    def test_pins_reach_hash_equal_slots_as_a_call_does(self):
+        """``True`` and ``1`` are distinct slots, but a pin keyed 1 is
+        what calling the overlay returns for both: the fill agrees."""
+        from repro.booleans.circuit import AND, LEAF, Circuit
+
+        circuit = Circuit(((LEAF, True), (LEAF, 1), (AND, (0, 1))), 2)
+        tape = flatten_circuit(circuit)
+        specs = [WeightOverlay(lambda var: F(1, 3), {1: F(1, 5)}),
+                 WeightOverlay(lambda var: F(1, 3))]
+        assert tape.evaluate(specs) == [F(1, 25), F(1, 9)] == [
+            circuit.probability(spec) for spec in specs]
+        assert tape.evaluate(specs, numeric="float") == \
+            full_width_float_lanes(tape, specs)
 
     def test_overlay_of_unknown_variable_is_ignored(self):
         formula, tid = rst_formula()
@@ -415,6 +587,16 @@ class TestNonFiniteGuards:
         specs = [WeightOverlay(tid.probability, {}),
                  WeightOverlay(tid.probability, {var: float("inf")})]
         with pytest.raises(ValueError, match="float lane 1"):
+            circuit.probability_batch(specs, numeric="float")
+
+    def test_mixed_base_fill_names_the_first_lane_of_a_base(self):
+        formula, tid = rst_formula()
+        circuit = compile_cnf(formula)
+        bad = {var: float("nan") for var in circuit.variables()}
+        specs = [WeightOverlay(tid.probability, {}),
+                 WeightOverlay(tid.probability, {}),
+                 WeightOverlay(bad, {}), WeightOverlay(bad, {})]
+        with pytest.raises(ValueError, match="float lane 2"):
             circuit.probability_batch(specs, numeric="float")
 
     def test_exact_path_accepts_what_float_rejects(self):

@@ -1,8 +1,10 @@
 """The Type-II counting pipeline: CCP recovery from oracle values
 (Theorem C.4's counting half; experiment E12) and Lemma C.35."""
 
+import importlib.util
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,42 @@ class TestRecovery:
         counts = red.run(phi)
         assert counts == brute_counts_as_signatures(red, phi)
         assert red.count_pp2cnf(phi, "a1", "a2", "b1", "b2") == 4
+
+    def test_count_from_colorings_reads_the_counts_run_returned(self):
+        red = make_reduction()
+        for phi in (PP2CNF(1, 1, ((0, 0),)), PP2CNF(1, 1, ())):
+            brute = brute_counts_as_signatures(red, phi)
+            assert red.count_from_colorings(brute, "a1", "a2", "b1",
+                                            "b2") == \
+                phi.count_satisfying()
+            # The designated colors choose which colorings count.
+            assert red.count_from_colorings(brute, "a2", "a1", "b2",
+                                            "b1") == \
+                red.count_pp2cnf(phi, "a2", "a1", "b2", "b1")
+
+    def test_pipeline_example_runs_the_reduction_once(self, monkeypatch,
+                                                       capsys):
+        """``examples/type2_pipeline.py`` selects rows, asks the oracle
+        and solves once for its instance: 16 coefficient rows, not the
+        32 of a second ``run`` inside ``count_pp2cnf``."""
+        path = (Path(__file__).resolve().parent.parent / "examples"
+                / "type2_pipeline.py")
+        spec = importlib.util.spec_from_file_location(
+            "type2_pipeline_example", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        built = []
+        row = Type2Reduction.coefficient_row
+
+        def counting_row(self, signatures, p_vector):
+            built.append(p_vector)
+            return row(self, signatures, p_vector)
+
+        monkeypatch.setattr(Type2Reduction, "coefficient_row",
+                            counting_row)
+        example.reduction_section()
+        assert len(built) == 16
+        assert "#PP2CNF from the reduction: 3" in capsys.readouterr().out
 
 
 #: The suite's two instances and the rows their multiset walk builds
