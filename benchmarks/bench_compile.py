@@ -25,9 +25,9 @@ import _bench_io
 from repro.booleans.circuit import compile_cnf
 from repro.core import catalog
 from repro.reduction.blocks import path_block
+from repro.tid.brute import shannon_probability
 from repro.tid.database import r_tuple
 from repro.tid.lineage import lineage
-from repro.tid.wmc import shannon_probability
 
 F = Fraction
 HALF = F(1, 2)

@@ -29,11 +29,16 @@ hash-seed-deterministic like the rest of the codebase:
   sampler for small Pr(F): literal weights are tilted *toward*
   satisfying assignments (monotone CNFs are monotone in every
   marginal, so raising marginals raises the hit rate), with the total
-  tilt capped so every likelihood ratio stays in ``[0, weight_cap]``
-  and the empirical-Bernstein machinery above still applies.  The
-  interval is centered on the unbiased importance-weighted mean; the
-  reported point estimate is the lower-variance self-normalized ratio,
-  clamped into the interval.
+  tilt capped so every likelihood ratio stays in
+  ``[0, DEFAULT_WEIGHT_CAP]`` and the empirical-Bernstein machinery
+  above still applies.  The interval is centered on the unbiased
+  importance-weighted mean; the reported point estimate is the
+  lower-variance self-normalized ratio, clamped into the interval.
+
+  Both are one sequential loop (``_sequential_estimate``) over the
+  shared world draws of ``repro.booleans.approximate.draw_worlds``: a
+  draw's weight is the product of its tilted variables' likelihood
+  ratios, and with no tilt every weight is exactly 1.
 
 * ``BudgetPlanner`` — budget-aware sweep planning: a log-linear fit of
   observed ``(clause count, circuit nodes)`` compilation outcomes (the
@@ -63,9 +68,12 @@ from repro.booleans.approximate import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
     ProbabilityEstimate,
+    draw_worlds,
+    estimate_probability,
     hoeffding_sample_count,
+    sampling_frame,
 )
-from repro.booleans.circuit import Weights, make_lookup
+from repro.booleans.circuit import Weights, as_rng
 from repro.booleans.cnf import CNF
 
 __all__ = [
@@ -119,7 +127,7 @@ def resolve_estimator(estimator: str, relative_error) -> str:
     each front end words that for its own users."""
     if relative_error is None:
         return estimator
-    if relative_error <= 0:
+    if Fraction(relative_error) <= 0:
         raise ValueError(
             f"relative_error must be positive, got {relative_error}")
     return "adaptive" if estimator == "hoeffding" else estimator
@@ -194,7 +202,7 @@ def _checkpoint_delta(delta: Fraction, checkpoint: int) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# The sequential empirical-Bernstein estimator
+# The sequential empirical-Bernstein loop, plain and importance-weighted
 # ----------------------------------------------------------------------
 def _targets_met(radius: Fraction, mean: Fraction, epsilon: Fraction,
                  relative_error: Fraction | None) -> bool:
@@ -208,27 +216,119 @@ def _targets_met(radius: Fraction, mean: Fraction, epsilon: Fraction,
     return radius <= epsilon
 
 
-def _finish(mean, radius, epsilon, delta, samples, successes, method,
-            cap, center=None) -> ProbabilityEstimate:
-    """Assemble the returned estimate: the achieved half-width is the
-    best certified bound (never wider than the additive guarantee the
-    run's sample cap underwrites), and the achieved relative error is
-    reported whenever the interval stays away from 0."""
-    achieved = radius
-    if samples >= cap:
-        # The delta/2 Hoeffding fallback certifies epsilon at the cap
-        # even when the Bernstein radius is still wider.
-        achieved = min(achieved, epsilon)
-    interval_center = mean if center is None else center
-    low = interval_center - achieved
-    relative = achieved / low if low > 0 else None
-    estimate = mean if center is None else \
-        min(max(center - achieved, mean), center + achieved)
+def tilted_proposal(marginals: list[Fraction],
+                    weight_cap: Fraction = DEFAULT_WEIGHT_CAP,
+                    tilt: Fraction = Fraction(2)) -> list[Fraction]:
+    """Proposal marginals tilted toward satisfying assignments.
+
+    Each variable's failure mass shrinks by up to ``tilt``
+    (``q = 1 - (1 - p)/t``), lowest-marginal variables first — they
+    are the likely falsifiers of a monotone clause — with the *total*
+    tilt capped so the product of per-variable likelihood ratios never
+    exceeds ``weight_cap``.  A draw of False at a tilted variable
+    contributes ratio exactly ``t``; a draw of True contributes
+    ``p/q <= 1``; so every world's weight lies in ``[0, weight_cap]``
+    — the bounded range the Bernstein machinery needs.  A cap of 1
+    tilts nothing.
+    """
+    weight_cap = Fraction(weight_cap)
+    tilt = Fraction(tilt)
+    if weight_cap < 1:
+        raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
+    if tilt <= 1:
+        raise ValueError(f"tilt must exceed 1, got {tilt}")
+    proposal = list(marginals)
+    budget = weight_cap
+    order = sorted(range(len(marginals)), key=lambda i: marginals[i])
+    for i in order:
+        if budget <= 1:
+            break
+        p = marginals[i]
+        if not 0 < p < 1:
+            continue  # pinned variables cannot be tilted
+        step = min(tilt, budget)
+        proposal[i] = 1 - (1 - p) / step
+        budget /= step
+    return proposal
+
+
+def _sequential_estimate(formula: CNF, weights: Weights, epsilon, delta,
+                         rng, default, relative_error,
+                         weight_cap: Fraction) -> ProbabilityEstimate:
+    """The one sequential sampler: worlds from the proposal
+    ``tilted_proposal(marginals, weight_cap)``, each weighted by the
+    product of its tilted variables' likelihood ratios, in geometric
+    batches until an empirical-Bernstein bound over the weighted hits
+    (range ``weight_cap``) meets the target.
+
+    A ``weight_cap`` of 1 tilts nothing, so every weight is exactly 1
+    and this is the plain Bernstein sampler.  The run is capped at the
+    Hoeffding count for range ``weight_cap`` at ``delta/2``, which
+    certifies the additive target whatever the Bernstein radius says.
+    """
+    epsilon = Fraction(epsilon)
+    delta = Fraction(delta)
+    if relative_error is not None:
+        relative_error = Fraction(relative_error)
+        if relative_error <= 0:
+            raise ValueError(
+                f"relative_error must be positive, got {relative_error}")
+    # Hoeffding for draws in [0, R] needs R^2 times the unit-range
+    # count; the ceiling is taken on the exact rational, since rounding
+    # through floats could land one sample short.
+    cap = math.ceil(hoeffding_sample_count(epsilon, delta / 2)
+                    * weight_cap ** 2)
+    rng = as_rng(rng)
+    marginals, clauses = sampling_frame(formula, weights, default)
+    proposal = tilted_proposal(marginals, weight_cap)
+    # (index, ratio of a True draw, ratio of a False draw) per tilted
+    # variable; an untilted variable's ratios are exactly 1.
+    tilts = [(i, p / q, (1 - p) / (1 - q))
+             for i, (p, q) in enumerate(zip(marginals, proposal))
+             if p != q]
+    samples = successes = checkpoint = 0
+    weight_sum = hit_sum = hit_square_sum = 0
+    while samples < cap:
+        checkpoint += 1
+        target = min(cap, INITIAL_BATCH * GROWTH ** (checkpoint - 1))
+        for world, satisfied in draw_worlds(proposal, clauses, rng,
+                                            target - samples):
+            weight = 1
+            for i, ratio_true, ratio_false in tilts:
+                weight *= ratio_true if world[i] else ratio_false
+            weight_sum += weight
+            if satisfied:
+                successes += 1
+                hit_sum += weight
+                hit_square_sum += weight * weight
+        samples = target
+        mean = Fraction(hit_sum, samples)
+        # Unbiased sample variance of the weighted hits.
+        variance = ((hit_square_sum - samples * mean * mean)
+                    / (samples - 1) if samples > 1 else ONE)
+        radius = bernstein_radius(samples, mean, variance,
+                                  _checkpoint_delta(delta, checkpoint),
+                                  range_high=weight_cap)
+        if _targets_met(radius, mean, epsilon, relative_error):
+            break
+    # The delta/2 Hoeffding fallback certifies epsilon at the cap even
+    # when the Bernstein radius is still wider.
+    achieved = radius if samples < cap else min(radius, epsilon)
+    center = min(ONE, max(ZERO, mean))
+    low = center - achieved
+    importance = weight_cap > 1
+    estimate = center
+    if importance:
+        # The self-normalized ratio (every weight is positive, so
+        # weight_sum is too), clamped into the interval.
+        normalized = min(ONE, max(ZERO, Fraction(hit_sum, weight_sum)))
+        estimate = min(max(low, normalized), center + achieved)
     return ProbabilityEstimate(
         estimate=estimate, epsilon=achieved, delta=delta,
-        samples=samples, successes=successes, method=method,
-        relative_error=relative, samples_used=samples,
-        center=None if center is None else interval_center)
+        samples=samples, successes=successes,
+        method="importance" if importance else "bernstein",
+        relative_error=achieved / low if low > 0 else None,
+        samples_used=samples, center=center if importance else None)
 
 
 def adaptive_estimate_probability(formula: CNF, weights: Weights = None,
@@ -257,84 +357,8 @@ def adaptive_estimate_probability(formula: CNF, weights: Weights = None,
     pinned, so a fixed ``rng`` seed reproduces the estimate across
     processes and ``PYTHONHASHSEED`` values.
     """
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
-    if relative_error is not None:
-        relative_error = Fraction(relative_error)
-        if relative_error <= 0:
-            raise ValueError(
-                f"relative_error must be positive, got {relative_error}")
-    cap = hoeffding_sample_count(epsilon, delta / 2)
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
-    lookup = make_lookup(weights, default)
-    variables = sorted(formula.variables(), key=repr)
-    index = {var: i for i, var in enumerate(variables)}
-    marginals = [Fraction(lookup(var)) for var in variables]
-    clauses = sorted(
-        (sorted(index[var] for var in clause)
-         for clause in formula.clauses),
-        key=lambda c: (len(c), c))
-    samples = successes = 0
-    checkpoint = 0
-    mean = radius = ONE
-    while samples < cap:
-        checkpoint += 1
-        target = min(cap, INITIAL_BATCH * GROWTH ** (checkpoint - 1))
-        while samples < target:
-            world = [rng.random() < p for p in marginals]
-            samples += 1
-            if all(any(world[i] for i in clause) for clause in clauses):
-                successes += 1
-        mean = Fraction(successes, samples)
-        # Unbiased sample variance of 0/1 draws.
-        variance = (Fraction(successes * (samples - successes),
-                             samples * (samples - 1))
-                    if samples > 1 else ONE)
-        radius = bernstein_radius(samples, mean, variance,
-                                  _checkpoint_delta(delta, checkpoint))
-        if _targets_met(radius, mean, epsilon, relative_error):
-            break
-    return _finish(mean, radius, epsilon, delta, samples, successes,
-                   "bernstein", cap)
-
-
-# ----------------------------------------------------------------------
-# Self-normalized importance sampling for small-probability lineages
-# ----------------------------------------------------------------------
-def tilted_proposal(marginals: list[Fraction],
-                    weight_cap: Fraction = DEFAULT_WEIGHT_CAP,
-                    tilt: Fraction = Fraction(2)) -> list[Fraction]:
-    """Proposal marginals tilted toward satisfying assignments.
-
-    Each variable's failure mass shrinks by up to ``tilt``
-    (``q = 1 - (1 - p)/t``), lowest-marginal variables first — they
-    are the likely falsifiers of a monotone clause — with the *total*
-    tilt capped so the product of per-variable likelihood ratios never
-    exceeds ``weight_cap``.  A draw of False at a tilted variable
-    contributes ratio exactly ``t``; a draw of True contributes
-    ``p/q <= 1``; so every world's weight lies in ``[0, weight_cap]``
-    — the bounded range the Bernstein machinery needs.
-    """
-    weight_cap = Fraction(weight_cap)
-    tilt = Fraction(tilt)
-    if weight_cap < 1:
-        raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
-    if tilt <= 1:
-        raise ValueError(f"tilt must exceed 1, got {tilt}")
-    proposal = list(marginals)
-    budget = weight_cap
-    order = sorted(range(len(marginals)), key=lambda i: marginals[i])
-    for i in order:
-        if budget <= 1:
-            break
-        p = marginals[i]
-        if not 0 < p < 1:
-            continue  # pinned variables cannot be tilted
-        step = min(tilt, budget)
-        proposal[i] = 1 - (1 - p) / step
-        budget /= step
-    return proposal
+    return _sequential_estimate(formula, weights, epsilon, delta, rng,
+                                default, relative_error, ONE)
 
 
 def importance_estimate_probability(formula: CNF,
@@ -344,23 +368,19 @@ def importance_estimate_probability(formula: CNF,
                                     rng: random.Random | int |
                                     None = None,
                                     default: Fraction | None = None,
-                                    relative_error=None,
-                                    weight_cap=DEFAULT_WEIGHT_CAP,
-                                    max_samples: int | None = None
+                                    relative_error=None
                                     ) -> ProbabilityEstimate:
     """Sequential self-normalized importance sampling of Pr(F).
 
-    Worlds are drawn from the tilted proposal of ``tilted_proposal``;
-    each satisfying draw contributes its exact likelihood ratio, whose
-    mean is *unbiasedly* Pr(F) under the target weights.  The interval
-    comes from the empirical-Bernstein bound on those bounded weighted
-    draws (range ``weight_cap``), with the same checkpointed delta
-    spending as ``adaptive_estimate_probability``; the run is capped at
-    the Hoeffding count for range ``weight_cap`` (certifying the
-    additive target through the reserved ``delta/2``) or at
-    ``max_samples`` when given — an explicit cap trades the guarantee
-    for bounded work, and the achieved half-width is reported either
-    way.
+    Worlds are drawn from the tilted proposal of ``tilted_proposal``
+    at ``DEFAULT_WEIGHT_CAP``; each satisfying draw contributes its
+    exact likelihood ratio, whose mean is *unbiasedly* Pr(F) under the
+    target weights.  The interval comes from the empirical-Bernstein
+    bound on those bounded weighted draws, with the same checkpointed
+    delta spending as ``adaptive_estimate_probability``; the run is
+    capped at the Hoeffding count for range ``DEFAULT_WEIGHT_CAP``,
+    which certifies the additive target through the reserved
+    ``delta/2``.
 
     The reported point estimate is the self-normalized ratio
     ``sum(w * sat) / sum(w)`` — the mean weight estimates 1, and
@@ -371,73 +391,9 @@ def importance_estimate_probability(formula: CNF,
     magnitude higher, so the variance of the weighted draws — and with
     it the stopping time for a *relative*-error target — collapses.
     """
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
-    weight_cap = Fraction(weight_cap)
-    if relative_error is not None:
-        relative_error = Fraction(relative_error)
-        if relative_error <= 0:
-            raise ValueError(
-                f"relative_error must be positive, got {relative_error}")
-    # Hoeffding for draws in [0, R] needs R^2 times the unit-range
-    # count for the same additive target; an explicit max_samples may
-    # stop before that, trading the epsilon certificate for bounded
-    # work (the achieved half-width is reported either way).  The
-    # ceiling is taken on the exact rational — rounding through floats
-    # could land one sample short of what the delta/2 fallback needs.
-    full_cap = math.ceil(hoeffding_sample_count(epsilon, delta / 2)
-                         * weight_cap ** 2)
-    cap = full_cap if max_samples is None \
-        else min(full_cap, max(2, max_samples))
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
-    lookup = make_lookup(weights, default)
-    variables = sorted(formula.variables(), key=repr)
-    index = {var: i for i, var in enumerate(variables)}
-    marginals = [Fraction(lookup(var)) for var in variables]
-    proposal = tilted_proposal(marginals, weight_cap)
-    # Per-variable likelihood ratios for draws of True / False.
-    ratio_true = [p / q if q else ONE
-                  for p, q in zip(marginals, proposal)]
-    ratio_false = [(1 - p) / (1 - q) if q != 1 else ONE
-                   for p, q in zip(marginals, proposal)]
-    clauses = sorted(
-        (sorted(index[var] for var in clause)
-         for clause in formula.clauses),
-        key=lambda c: (len(c), c))
-    samples = successes = 0
-    weight_sum = ZERO          # sum of w (all draws)
-    hit_sum = ZERO             # sum of w * 1[sat]
-    hit_square_sum = ZERO      # sum of (w * 1[sat])^2
-    checkpoint = 0
-    mean = radius = weight_cap
-    while samples < cap:
-        checkpoint += 1
-        target = min(cap, INITIAL_BATCH * GROWTH ** (checkpoint - 1))
-        while samples < target:
-            world = [rng.random() < q for q in proposal]
-            samples += 1
-            weight = ONE
-            for i, bit in enumerate(world):
-                weight *= ratio_true[i] if bit else ratio_false[i]
-            weight_sum += weight
-            if all(any(world[i] for i in clause) for clause in clauses):
-                successes += 1
-                hit_sum += weight
-                hit_square_sum += weight * weight
-        mean = hit_sum / samples
-        variance = ((hit_square_sum - samples * mean * mean)
-                    / (samples - 1) if samples > 1 else ONE)
-        radius = bernstein_radius(samples, mean, variance,
-                                  _checkpoint_delta(delta, checkpoint),
-                                  range_high=weight_cap)
-        if _targets_met(radius, mean, epsilon, relative_error):
-            break
-    self_normalized = (hit_sum / weight_sum if weight_sum > 0
-                       else mean)
-    return _finish(min(ONE, max(ZERO, self_normalized)), radius,
-                   epsilon, delta, samples, successes, "importance",
-                   full_cap, center=min(ONE, max(ZERO, mean)))
+    return _sequential_estimate(formula, weights, epsilon, delta, rng,
+                                default, relative_error,
+                                DEFAULT_WEIGHT_CAP)
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +413,6 @@ def estimate_with(estimator: str, formula: CNF, weights: Weights = None,
             raise ValueError(
                 "the fixed-n Hoeffding estimator has no relative-error "
                 "mode; use estimator='adaptive' or 'importance'")
-        from repro.booleans.approximate import estimate_probability
         return estimate_probability(formula, weights, epsilon, delta,
                                     rng, default)
     if estimator == "adaptive":
@@ -480,8 +435,7 @@ def estimate_batch_with(estimator: str, formula: CNF, weight_specs,
                         ) -> list[ProbabilityEstimate]:
     """One estimate per weight specification via the named sampler,
     sharing a single seeded ``rng`` so the whole sweep reproduces."""
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
+    rng = as_rng(rng)
     return [estimate_with(estimator, formula, spec, epsilon, delta,
                           rng, default, relative_error)
             for spec in weight_specs]

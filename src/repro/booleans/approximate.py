@@ -9,6 +9,11 @@ world costs one pass over the variables and testing it one pass over
 the clauses, so the estimator's cost is ``samples * |F|`` regardless of
 how large the exact circuit would have been.
 
+``sampling_frame`` and ``draw_worlds`` are the one world-draw loop of
+every sampler: the fixed-n ``estimate_probability`` here counts its
+satisfied draws, and the sequential samplers of
+``repro.booleans.adaptive`` weigh them.
+
 The pieces compose into the ``auto`` evaluation policy (wired up in
 ``repro.tid.wmc.cnf_probability_auto``): try exact compilation under
 ``compile_cnf(formula, budget_nodes=...)``, and when that raises
@@ -16,9 +21,9 @@ The pieces compose into the ``auto`` evaluation policy (wired up in
 instead — every result records which engine produced it.
 
 All randomness flows through a seeded ``random.Random`` and every
-iteration order is pinned (sorted-repr variables, list-ordered
-clauses), so estimates are bit-reproducible across processes and
-``PYTHONHASHSEED`` values, like the rest of the codebase.
+iteration order is pinned (sorted-repr variables, sorted clauses), so
+estimates are bit-reproducible across processes and ``PYTHONHASHSEED``
+values, like the rest of the codebase.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from fractions import Fraction
 from repro.booleans.circuit import (
     CompilationBudgetExceeded,
     Weights,
+    as_rng,
     make_lookup,
 )
 from repro.booleans.cnf import CNF
@@ -177,6 +183,34 @@ class AutoSweep:
     estimates: list | None = None
 
 
+def sampling_frame(formula: CNF, weights: Weights = None,
+                   default: Fraction | None = None) -> tuple:
+    """The pinned order every sampler draws and checks in:
+    ``(marginals, clauses)`` with the exact marginal of each variable
+    in sorted-repr order, and each clause as a sorted list of variable
+    indices, shortest clauses first."""
+    lookup = make_lookup(weights, default)
+    variables = sorted(formula.variables(), key=repr)
+    index = {var: i for i, var in enumerate(variables)}
+    clauses = sorted(
+        (sorted(index[var] for var in clause)
+         for clause in formula.clauses),
+        key=lambda c: (len(c), c))
+    return [Fraction(lookup(var)) for var in variables], clauses
+
+
+def draw_worlds(marginals: list, clauses: list, rng: random.Random,
+                count: int):
+    """Yield ``count`` independent ``(world, satisfied)`` draws: each
+    variable i is true when ``rng.random() < marginals[i]``, compared
+    with the exact rational, so the sampled distribution is the weight
+    vector itself and not a float rounding of it."""
+    for _ in range(count):
+        world = [rng.random() < p for p in marginals]
+        yield world, all(any(world[i] for i in clause)
+                         for clause in clauses)
+
+
 def estimate_probability(formula: CNF, weights: Weights = None,
                          epsilon=DEFAULT_EPSILON,
                          delta=DEFAULT_DELTA,
@@ -189,9 +223,7 @@ def estimate_probability(formula: CNF, weights: Weights = None,
     from the product distribution given by ``weights`` (missing
     variables fall back to ``default``, 1/2 when unspecified — the same
     convention as ``cnf_probability``) and reports the satisfaction
-    frequency.  Each draw is compared against the exact rational
-    marginal, so the sampled distribution is the weight vector itself,
-    not a float rounding of it.
+    frequency of ``draw_worlds``.
 
     ``rng`` is a ``random.Random``, an int seed, or None (seed 0);
     fixed seeds make the estimate fully reproducible.
@@ -199,21 +231,9 @@ def estimate_probability(formula: CNF, weights: Weights = None,
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
     samples = hoeffding_sample_count(epsilon, delta)
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
-    lookup = make_lookup(weights, default)
-    variables = sorted(formula.variables(), key=repr)
-    index = {var: i for i, var in enumerate(variables)}
-    marginals = [Fraction(lookup(var)) for var in variables]
-    clauses = sorted(
-        (sorted((index[var] for var in clause))
-         for clause in formula.clauses),
-        key=lambda c: (len(c), c))
-    successes = 0
-    for _ in range(samples):
-        world = [rng.random() < p for p in marginals]
-        if all(any(world[i] for i in clause) for clause in clauses):
-            successes += 1
+    marginals, clauses = sampling_frame(formula, weights, default)
+    successes = sum(satisfied for _, satisfied in
+                    draw_worlds(marginals, clauses, as_rng(rng), samples))
     return ProbabilityEstimate(
         estimate=Fraction(successes, samples),
         epsilon=epsilon, delta=delta,

@@ -142,6 +142,15 @@ def make_lookup(weights: Weights = None,
     return lambda v: table.get(v, fallback)
 
 
+def as_rng(rng: random.Random | int | None) -> random.Random:
+    """Normalize a sampler's ``rng`` argument: a ``random.Random`` is
+    used as is, an int seeds a fresh one, and None means seed 0, so a
+    fixed seed reproduces every draw."""
+    if isinstance(rng, random.Random):
+        return rng
+    return random.Random(0 if rng is None else rng)
+
+
 class WeightOverlay:
     """A weight spec "shared base with a few per-variable replacements".
 
@@ -458,8 +467,7 @@ class Circuit:
             raise ValueError(
                 "cannot sample: the formula has probability 0 under "
                 "these weights")
-        if not isinstance(rng, random.Random):
-            rng = random.Random(0 if rng is None else rng)
+        rng = as_rng(rng)
         # Posterior branch thresholds and prior marginals depend only
         # on the weights, not the sample — hoist the exact-Fraction
         # arithmetic out of the per-sample loop.

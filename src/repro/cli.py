@@ -666,6 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_h0.add_argument("--check", action="store_true")
     p_h0.set_defaults(fn=cmd_h0)
 
+    from repro.booleans.adaptive import ESTIMATORS
     from repro.booleans.approximate import DEFAULT_DELTA, DEFAULT_EPSILON
 
     def estimator_flags(p, with_budget=True):
@@ -688,8 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {DEFAULT_DELTA})")
         p.add_argument("--seed", type=int, default=0,
                        help="random seed of the estimator (default 0)")
-        p.add_argument("--engine",
-                       choices=("hoeffding", "adaptive", "importance"),
+        p.add_argument("--engine", choices=ESTIMATORS,
                        default="hoeffding",
                        help="sampler: hoeffding (fixed-n), adaptive "
                             "(empirical-Bernstein early stopping), or "

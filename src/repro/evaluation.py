@@ -37,7 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from repro.booleans.adaptive import ENGINE_LABELS, estimate_with
+from repro.booleans.adaptive import (
+    ENGINE_LABELS,
+    estimate_with,
+    resolve_estimator,
+)
 from repro.booleans.approximate import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
@@ -47,7 +51,7 @@ from repro.booleans.circuit import WeightOverlay
 from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.safety import is_safe
-from repro.tid.brute import probability_brute
+from repro.tid.brute import probability_brute, shannon_probability
 from repro.tid.database import TID
 from repro.tid.lifted import UnsafeQueryError, lifted_probability
 from repro.tid.lineage import lineage
@@ -56,7 +60,6 @@ from repro.tid.wmc import (
     cnf_probability,
     cnf_probability_auto,
     probability_batch_auto,
-    shannon_probability,
 )
 
 METHODS = ("auto", "lifted", "wmc", "shannon", "brute", "estimate",
@@ -158,8 +161,10 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     query's lineage exceeds the node budget.  ``estimator`` picks the
     fallback sampler (``"hoeffding"``/``"adaptive"``/``"importance"``)
     and ``relative_error`` switches the sequential samplers to a
-    relative-width target; methods ``"adaptive"``/``"importance"``
-    force the named sampler directly, as ``"estimate"`` forces the
+    relative-width target (it picks ``"adaptive"`` in place of
+    ``"hoeffding"``, and a non-positive target raises ``ValueError``
+    before any work); methods ``"adaptive"``/``"importance"`` force
+    the named sampler directly, as ``"estimate"`` forces the
     ``estimator`` (default fixed-n Hoeffding).  ``planner`` is an
     optional ``repro.booleans.adaptive.BudgetPlanner`` choosing the
     compilation budget from the observed circuit-size trajectory.
@@ -169,6 +174,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
+    estimator = resolve_estimator(estimator, relative_error)
     safe = is_safe(query)
 
     def grounded() -> CNF:

@@ -691,9 +691,9 @@ class ReproServer(ServiceFrontEnd):
         against one fixed baseline — the unit-range Hoeffding count at
         the request's (epsilon, delta), i.e. what the default engine
         would have drawn — and clamped at zero: the importance
-        sampler's own worst case is ``weight_cap^2`` times larger, so
-        its runs can legitimately exceed the baseline without being
-        early-stop failures."""
+        sampler's own worst case is ``DEFAULT_WEIGHT_CAP^2`` times
+        larger, so its runs can legitimately exceed the baseline
+        without being early-stop failures."""
         sequential = [e for e in estimates
                       if e is not None and e.method != "hoeffding"
                       and e.samples > 0]

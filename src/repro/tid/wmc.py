@@ -22,8 +22,9 @@ interpolation) pay the exponential search at most once per formula:
   entirely.
 
 The pre-compilation recursive engine survives as
-``shannon_probability``; it restarts its search on every call and is
-kept as an independent validation oracle and as the benchmark baseline
+``repro.tid.brute.shannon_probability``, next to the brute-force
+oracle; it restarts its search on every call and is kept as an
+independent validation oracle and as the benchmark baseline
 (``benchmarks/bench_compile.py``).
 """
 
@@ -40,6 +41,7 @@ from repro.booleans.adaptive import (
     ENGINE_LABELS,
     estimate_batch_with,
     estimate_with,
+    resolve_estimator,
 )
 from repro.booleans.approximate import (
     AutoProbability,
@@ -50,12 +52,9 @@ from repro.booleans.approximate import (
 from repro.booleans.circuit import (
     Circuit,
     CompilationBudgetExceeded,
-    branch_variable,
     compile_cnf,
-    make_lookup,
 )
 from repro.booleans.cnf import CNF
-from repro.booleans.connectivity import clause_components
 from repro import obs
 from repro.booleans.tape import (
     Tape,
@@ -68,8 +67,6 @@ from repro.booleans.tape import (
 from repro.core.queries import Query
 from repro.tid.database import TID
 from repro.tid.lineage import lineage
-
-ONE = Fraction(1)
 
 #: Guards every piece of module-level cache state below — the LRU
 #: mapping and its node counter, the stats counters, the budget-failure
@@ -378,8 +375,8 @@ def cnf_probability(formula: CNF, prob: Mapping | None = None,
     ``prob`` maps variables to marginals; it may be a dict or a callable.
     Missing variables use ``default`` (or 1/2 when unspecified).  The
     first call for a given formula compiles it (cost comparable to one
-    run of ``shannon_probability``); subsequent calls with any weight
-    vector are linear in the circuit size.
+    run of ``repro.tid.brute.shannon_probability``); subsequent calls
+    with any weight vector are linear in the circuit size.
     """
     circuit = compiled(formula)
     ensure_tape(formula, circuit)
@@ -422,11 +419,13 @@ def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
     empirical-Bernstein, stops early on low-variance lineages), or
     ``"importance"`` (self-normalized tilted sampling for small
     probabilities); ``relative_error`` switches the sequential
-    samplers to a relative-width target.  ``planner`` — a
-    ``repro.booleans.adaptive.BudgetPlanner`` — overrides
-    ``budget_nodes`` with a per-formula plan from the observed
-    circuit-size trajectory, and successful compilations feed the
-    trajectory back.
+    samplers to a relative-width target (and picks ``"adaptive"`` in
+    place of ``"hoeffding"``, as ``resolve_estimator`` rules; a
+    non-positive target raises ``ValueError`` before any work).
+    ``planner`` — a ``repro.booleans.adaptive.BudgetPlanner`` —
+    overrides ``budget_nodes`` with a per-formula plan from the
+    observed circuit-size trajectory, and successful compilations feed
+    the trajectory back.
 
     The returned ``AutoProbability`` records which engine answered
     (``engine`` is ``"exact"``, ``"estimate"``, ``"adaptive"``, or
@@ -434,6 +433,7 @@ def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
     ``ProbabilityEstimate`` with its interval.  A budget of None never
     degrades (plain ``cnf_probability`` semantics).
     """
+    estimator = resolve_estimator(estimator, relative_error)
     budget_nodes = _planned_budget(formula, budget_nodes, planner)
     try:
         circuit = compiled(formula, budget_nodes)
@@ -466,7 +466,8 @@ def probability_batch_auto(formula: CNF, weight_specs,
     sequential samplers stop each vector as early as its variance
     allows).  ``planner`` plans the budget per formula as in
     ``cnf_probability_auto``; a ``budget_nodes`` of None (and no
-    planner) never degrades.
+    planner) never degrades.  ``relative_error`` resolves the sampler
+    as in ``cnf_probability_auto``.
 
     This is the one sweep path: the reduction sweeps
     (``block_matrix.z_matrix_direct``,
@@ -485,6 +486,7 @@ def probability_batch_auto(formula: CNF, weight_specs,
     if numeric not in ("exact", "float"):
         raise ValueError(
             f"numeric must be 'exact' or 'float', got {numeric!r}")
+    estimator = resolve_estimator(estimator, relative_error)
     weight_specs = list(weight_specs)
     budget_nodes = _planned_budget(formula, budget_nodes, planner)
     try:
@@ -513,67 +515,3 @@ def probability_batch_auto(formula: CNF, weight_specs,
                     f"float sweep drifted at vector {i}: "
                     f"float={values[i]!r} exact={exact!r}")
     return AutoSweep(values, "exact")
-
-
-# ----------------------------------------------------------------------
-# The legacy recursive engine (validation oracle / benchmark baseline)
-# ----------------------------------------------------------------------
-def shannon_probability(formula: CNF, prob: Mapping | None = None,
-                        default: Fraction | None = None) -> Fraction:
-    """Pr(F) by the pre-compilation recursive engine.
-
-    Recomputes from scratch on every call (the memo cache is per-call),
-    exactly as ``cnf_probability`` behaved before the circuit backend;
-    kept as an independent implementation for cross-checks and as the
-    recompute-every-call baseline in ``benchmarks/bench_compile.py``.
-    """
-    lookup = make_lookup(prob, default)
-    cache: dict[CNF, Fraction] = {}
-    return _probability(formula, lookup, cache)
-
-
-def _probability(formula: CNF, prob, cache) -> Fraction:
-    if formula.is_true():
-        return ONE
-    if formula.is_false():
-        return Fraction(0)
-    hit = cache.get(formula)
-    if hit is not None:
-        return hit
-
-    result = _probability_uncached(formula, prob, cache)
-    cache[formula] = result
-    return result
-
-
-def _probability_uncached(formula: CNF, prob, cache) -> Fraction:
-    # Unit clauses force their variable true.  Like the compiler
-    # (circuit.py), pick the min-by-repr unit rather than the first in
-    # frozenset iteration order, which varies with PYTHONHASHSEED —
-    # the result is the same either way, but the recursion trace (and
-    # hence timing and cache shape) stays run-to-run deterministic.
-    units = [clause for clause in formula.clauses if len(clause) == 1]
-    if units:
-        var = min((next(iter(c)) for c in units), key=repr)
-        p = Fraction(prob(var))
-        if p == 0:
-            return Fraction(0)
-        return p * _probability(formula.condition(var, True),
-                                prob, cache)
-
-    groups = clause_components(formula)
-    if len(groups) > 1:
-        result = ONE
-        for group in groups:
-            result *= _probability(CNF._from_minimized(group), prob, cache)
-            if result == 0:
-                return result
-        return result
-
-    var = branch_variable(formula)
-    p = Fraction(prob(var))
-    high = _probability(formula.condition(var, True), prob, cache)
-    if p == ONE:
-        return high
-    low = _probability(formula.condition(var, False), prob, cache)
-    return p * high + (ONE - p) * low

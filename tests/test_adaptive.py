@@ -42,7 +42,7 @@ from repro.booleans.adaptive import (
 )
 from repro.booleans.approximate import hoeffding_sample_count
 from repro.booleans.cnf import CNF
-from repro.core.catalog import rst_query
+from repro.core.catalog import path_query, rst_query
 from repro.evaluation import evaluate, probability_sweep
 from repro.reduction.block_matrix import z_matrix_direct
 from repro.reduction.blocks import path_block
@@ -313,14 +313,6 @@ class TestTiltedProposal:
             total += q_prob * ratio
         assert total == brute_force_probability(formula, weights)
 
-    def test_max_samples_caps_the_run(self):
-        formula = random_cnf(5)
-        weights = random_weights(formula, 6)
-        estimate = importance_estimate_probability(
-            formula, weights, F(1, 100), F(1, 20), rng=0,
-            max_samples=256)
-        assert estimate.samples <= 256
-
     def test_pinned_marginals_sample_correctly(self):
         """Variables at 0/1 cannot be tilted; the sampler must still
         cover the exact probability of the residual formula."""
@@ -551,6 +543,42 @@ class TestPolicyThreading:
         wmc.clear_circuit_cache()
         probability_sweep(formula, [None], planner=planner)
         assert planner.observations == 1
+
+    def test_relative_target_picks_sequential_sampler_past_budget(self):
+        """A relative target implies the sequential sampler at every
+        library front door, as it does in the CLI and the service: the
+        default Hoeffding estimator has no relative mode, so a
+        past-budget call must not fall through to it."""
+        query = path_query(1)
+        tid = path_block(query, 4)
+        formula = lineage(query, tid)
+        specs = [None, {v: F(1, 4) for v in formula.variables()}]
+        wmc.clear_circuit_cache()
+        result = evaluate(query, tid, budget_nodes=2, rng=0,
+                          relative_error=F(1, 2))
+        assert result.method == "adaptive"
+        assert result.estimate.method == "bernstein"
+        wmc.clear_circuit_cache()
+        values = probability_sweep(formula, specs, budget_nodes=2,
+                                   rng=0, relative_error=F(1, 2))
+        expected = estimate_batch_with("adaptive", formula, specs,
+                                       rng=0, relative_error=F(1, 2))
+        assert values == [e.estimate for e in expected]
+
+    def test_non_positive_relative_target_refused_before_work(self):
+        """A relative target that is not positive is refused on entry,
+        even where exact compilation would answer without sampling."""
+        query = path_query(1)
+        tid = path_block(query, 4)
+        formula = lineage(query, tid)
+        wmc.clear_circuit_cache()
+        for target in (F(-1, 2), F(0), "-1/2"):
+            with pytest.raises(ValueError, match="must be positive"):
+                evaluate(query, tid, relative_error=target)
+            with pytest.raises(ValueError, match="must be positive"):
+                probability_sweep(formula, [None],
+                                  relative_error=target)
+        assert wmc.cache_info()["compiles"] == 0
 
     def test_y_sweep_adaptive_method_accepted(self):
         from repro.core.catalog import example_c15

@@ -24,8 +24,12 @@ from repro.evaluation import (
     evaluate_batch,
     probability_sweep,
 )
-from repro.tid.brute import cnf_probability_brute, count_models
-from repro.tid.wmc import cnf_probability, compiled, shannon_probability
+from repro.tid.brute import (
+    cnf_probability_brute,
+    count_models,
+    shannon_probability,
+)
+from repro.tid.wmc import cnf_probability, compiled
 
 F = Fraction
 HALF = F(1, 2)

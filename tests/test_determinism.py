@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.booleans.circuit import compile_cnf
 from repro.booleans.cnf import CNF
-from repro.tid.wmc import shannon_probability
+from repro.tid.brute import shannon_probability
 
 F = Fraction
 
@@ -31,8 +31,8 @@ from repro.booleans.circuit import compile_cnf
 from repro.booleans.store import cnf_fingerprint
 from repro.core.catalog import rst_query
 from repro.reduction.blocks import path_block
+from repro.tid.brute import shannon_probability
 from repro.tid.lineage import lineage
-from repro.tid.wmc import shannon_probability
 
 query = rst_query()
 tid = path_block(query, 3)

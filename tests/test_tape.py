@@ -45,8 +45,8 @@ from repro.booleans.tape import (
     tape_stats,
 )
 from repro.core.generate import random_query
+from repro.tid.brute import shannon_probability
 from repro.tid.lineage import lineage
-from repro.tid.wmc import shannon_probability
 
 from test_property_evaluation import SMALL, build_tid
 
