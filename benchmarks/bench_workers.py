@@ -214,12 +214,11 @@ def main(argv=None) -> int:
     print(f"workers bench: {len(mix)} mix entries, {clients} clients "
           f"x {per_client} requests, {cpus} cpu(s)")
 
-    with ReproServer(port=0, window=0.0) as solo_server:
+    with ReproServer(port=0) as solo_server:
         solo_values = warm_up(solo_server.address, mix)
         solo = measure(solo_server.address, clients, per_client, mix)
 
-    with ReproDispatcher(port=0, workers=POOL_WORKERS,
-                         window=0.0) as pool_server:
+    with ReproDispatcher(port=0, workers=POOL_WORKERS) as pool_server:
         pool_values = warm_up(pool_server.address, mix)
         pool = measure(pool_server.address, clients, per_client, mix)
         trace_check = check_cross_process_trace(

@@ -68,6 +68,7 @@ from repro.booleans.approximate import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
     ProbabilityEstimate,
+    check_accuracy,
     draw_worlds,
     estimate_probability,
     hoeffding_sample_count,
@@ -77,6 +78,7 @@ from repro.booleans.circuit import Weights, as_rng
 from repro.booleans.cnf import CNF
 
 __all__ = [
+    "BOUND_LABELS",
     "ENGINE_LABELS",
     "ESTIMATORS",
     "BudgetPlanner",
@@ -98,6 +100,11 @@ ESTIMATORS = ("hoeffding", "adaptive", "importance")
 #: ``"estimate"`` keeps the PR 3 name for the fixed-n Hoeffding path.
 ENGINE_LABELS = {"hoeffding": "estimate", "adaptive": "adaptive",
                  "importance": "importance"}
+
+#: The ``ProbabilityEstimate.method`` a run of each sampler reports:
+#: the bound behind its interval.
+BOUND_LABELS = {"hoeffding": "hoeffding", "adaptive": "bernstein",
+                "importance": "importance"}
 
 
 def resolve_sweep_method(method: str, estimator: str, budget_nodes,
@@ -268,6 +275,7 @@ def _sequential_estimate(formula: CNF, weights: Weights, epsilon, delta,
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
+    check_accuracy(epsilon, delta)
     if relative_error is not None:
         relative_error = Fraction(relative_error)
         if relative_error <= 0:

@@ -47,6 +47,7 @@ __all__ = [
     "ProbabilityEstimate",
     "AutoProbability",
     "AutoSweep",
+    "check_accuracy",
     "estimate_probability",
     "hoeffding_sample_count",
 ]
@@ -61,6 +62,20 @@ DEFAULT_EPSILON = Fraction(1, 20)
 DEFAULT_DELTA = Fraction(1, 20)
 
 
+def check_accuracy(epsilon, delta) -> None:
+    """Raise ``ValueError`` unless the error bound ``epsilon`` and the
+    failure probability ``delta`` both lie in (0, 1) — the one check
+    behind every front door that takes them (the library's, the
+    CLI's and the service's), made before any work."""
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        ratio = value if isinstance(value, Fraction) else Fraction(value)
+        # 0 < n/d < 1 compared on the integers (d > 0): the service runs
+        # this on every request, and two Fraction comparisons cost ten
+        # times as much.
+        if not 0 < ratio.numerator < ratio.denominator:
+            raise ValueError(f"{name} must be in (0, 1), got {value}")
+
+
 def hoeffding_sample_count(epsilon, delta) -> int:
     """The sample count n = ceil(ln(2/delta) / (2 epsilon^2)).
 
@@ -70,10 +85,7 @@ def hoeffding_sample_count(epsilon, delta) -> int:
     """
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_accuracy(epsilon, delta)
     return max(1, math.ceil(
         math.log(2 / float(delta)) / (2 * float(epsilon) ** 2)))
 

@@ -178,9 +178,15 @@ def _load_circuit(path: str, formula):
 
 def _resolve_engine(args) -> str:
     """The sampler the estimator flags name (a relative target implies
-    the sequential one, as ``resolve_estimator`` rules)."""
+    the sequential one, as ``resolve_estimator`` rules), once
+    ``--epsilon`` and ``--delta`` have passed their check."""
     from repro.booleans.adaptive import resolve_estimator
+    from repro.booleans.approximate import check_accuracy
 
+    try:
+        check_accuracy(args.epsilon, args.delta)
+    except ValueError as error:
+        raise SystemExit(f"repro: --{error}") from None
     try:
         return resolve_estimator(args.engine, args.relative_error)
     except ValueError:
@@ -300,6 +306,7 @@ def cmd_sweep(args) -> int:
     from repro.tid.database import r_tuple, t_tuple
     from repro.tid.wmc import cache_info, probability_batch_auto
 
+    estimator = _resolve_engine(args)  # refuse bad flags up front
     query, tid, formula = _block_workload(args)
     if args.load:
         _load_circuit(args.load, formula)
@@ -318,8 +325,8 @@ def cmd_sweep(args) -> int:
         formula, weight_maps, budget_nodes=args.budget,
         epsilon=args.epsilon, delta=args.delta, rng=args.seed,
         numeric="float" if args.float else "exact",
-        estimator=_resolve_engine(args),
-        relative_error=args.relative_error, cross_check=2)
+        estimator=estimator, relative_error=args.relative_error,
+        cross_check=2)
     engine, estimates = sweep.engine, sweep.estimates
     # --float only applies to the exact engine: estimates print as the
     # rationals they are, and the block line claims no float pass.
@@ -398,8 +405,6 @@ def cmd_serve(args) -> int:
         raise SystemExit("repro: --workers must be non-negative")
     if args.compile_threads < 1:
         raise SystemExit("repro: --compile-threads must be at least 1")
-    if args.window < 0:
-        raise SystemExit("repro: --window must be non-negative")
     if args.budget is not None and args.budget < 2:
         raise SystemExit("repro: --budget must be at least 2")
     if args.store_max_bytes is not None and args.store_max_bytes < 0:
@@ -429,7 +434,7 @@ def cmd_serve(args) -> int:
     budget = args.budget if args.budget is not None \
         else DEFAULT_BUDGET_NODES
     common = dict(
-        store=args.store, window=args.window, budget_nodes=budget,
+        store=args.store, budget_nodes=budget,
         auth_tokens=auth_tokens, quota=quota,
         tenant_quotas=tenant_quotas or None,
         store_max_bytes=args.store_max_bytes,
@@ -797,9 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="compile_threads",
                          help="max concurrent compilations per "
                               "process (default 4)")
-    p_serve.add_argument("--window", type=float, default=0.01,
-                         help="sweep-coalescing window in seconds "
-                              "(default 0.01)")
     p_serve.add_argument("--budget", type=int, metavar="NODES",
                          default=None,
                          help="default auto-policy compilation budget "

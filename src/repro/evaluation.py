@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from repro.booleans.adaptive import (
+    BOUND_LABELS,
     ENGINE_LABELS,
     estimate_with,
     resolve_estimator,
@@ -46,6 +47,7 @@ from repro.booleans.approximate import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
     ProbabilityEstimate,
+    check_accuracy,
 )
 from repro.booleans.circuit import WeightOverlay
 from repro.booleans.cnf import CNF
@@ -163,7 +165,8 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     and ``relative_error`` switches the sequential samplers to a
     relative-width target (it picks ``"adaptive"`` in place of
     ``"hoeffding"``, and a non-positive target raises ``ValueError``
-    before any work); methods ``"adaptive"``/``"importance"`` force
+    before any work, as does an ``epsilon`` or ``delta`` outside
+    (0, 1)); methods ``"adaptive"``/``"importance"`` force
     the named sampler directly, as ``"estimate"`` forces the
     ``estimator`` (default fixed-n Hoeffding).  ``planner`` is an
     optional ``repro.booleans.adaptive.BudgetPlanner`` choosing the
@@ -175,6 +178,7 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
     estimator = resolve_estimator(estimator, relative_error)
+    check_accuracy(epsilon, delta)
     safe = is_safe(query)
 
     def grounded() -> CNF:
@@ -205,13 +209,15 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
         label = ENGINE_LABELS[sampler]
         if query.is_false():
             # No sampling needed: Pr is exactly 0, reported as a
-            # degenerate zero-width interval so the documented
+            # degenerate zero-width interval at the requested delta,
+            # labelled with the sampler's bound, so the documented
             # invariant (a sampled method implies a populated
             # estimate) holds.
             zero = Fraction(0)
             return EvaluationResult(
                 zero, label, safe,
-                ProbabilityEstimate(zero, zero, zero, 0, 0,
+                ProbabilityEstimate(zero, zero, Fraction(delta), 0, 0,
+                                    method=BOUND_LABELS[sampler],
                                     samples_used=0))
         estimate = estimate_with(
             sampler, grounded(), tid.probability, epsilon,

@@ -4,7 +4,7 @@ Span-based tracing with contextvar propagation, per-``(op, stage)``
 latency histograms, a bounded ring buffer of completed request
 traces, and a slow-request log.  The service server owns a
 :class:`Tracer`; the library layers (``tid.wmc``, ``booleans.tape``,
-``booleans.store``, the schedulers) only ever call :func:`span`,
+``booleans.store``, the compile pool) only ever call :func:`span`,
 which is a no-op costing one ContextVar read when no trace is active.
 
 This package is deliberately stdlib-only and imports nothing from the

@@ -1,15 +1,15 @@
 """Span-based request tracing for the service stack.
 
 One request to the query service crosses half the repo — protocol
-parsing, workload grounding, the compile pool, the sweep coalescer,
-the two cache tiers, the tape kernels — and an aggregate counter
-cannot say *which* of those a slow request paid for.  This module is
-the per-request answer:
+parsing, workload grounding, the compile pool, the two cache tiers,
+the tape kernels — and an aggregate counter cannot say *which* of
+those a slow request paid for.  This module is the per-request
+answer:
 
 * a **span** is one named stage with a monotonic-clock duration and a
   small tag dict; spans nest via a ``contextvars.ContextVar``, so the
   library layers (``tid.wmc``, ``booleans.tape``, ``booleans.store``,
-  the schedulers) call :func:`span` without threading a tracer handle
+  the compile pool) call :func:`span` without threading a tracer handle
   through every signature — when no trace is active the call returns
   the shared no-op span and costs one ContextVar read;
 * a **trace** is the span tree of one request, rooted by
@@ -203,8 +203,8 @@ def current_span():
 
 
 def current_trace_id() -> str | None:
-    """The active trace id, or ``None`` — the hook schedulers use to
-    stamp leader attribution onto shared jobs."""
+    """The active trace id, or ``None`` — the hook the compile pool
+    uses to stamp leader attribution onto shared jobs."""
     active = _ACTIVE.get(None)
     return None if active is None else active.trace_id
 

@@ -4,11 +4,11 @@ The package splits along transport-independent seams:
 
 * ``protocol`` — the versioned line-delimited JSON wire format and its
   validation (pure functions, no sockets);
-* ``scheduler`` — the deduping compile pool and the sweep coalescer
-  (pure threading, no sockets);
+* ``scheduler`` — the deduping compile pool (pure threading, no
+  sockets);
 * ``server`` — ``ServiceFrontEnd``, the request front end both
   deployments share, and ``ReproServer``, which adds the compute ops:
-  requests routed through the schedulers into the ``wmc`` auto policy
+  requests routed through the compile pool into the ``wmc`` auto policy
   and two-tier circuit cache;
 * ``dispatch`` — ``ReproDispatcher`` (``repro serve --workers N``),
   the same front end proxying compute requests to worker processes;
@@ -30,7 +30,7 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
 )
-from repro.service.scheduler import CompilePool, SweepCoalescer
+from repro.service.scheduler import CompilePool
 from repro.service.server import ReproServer
 from repro.service.tenants import TenantQuota, TenantRegistry
 
@@ -42,7 +42,6 @@ __all__ = [
     "ReproServer",
     "ServiceClient",
     "ServiceError",
-    "SweepCoalescer",
     "TenantQuota",
     "TenantRegistry",
 ]

@@ -14,8 +14,8 @@ surface reads like the in-process API:
 
 The client is thread-safe (an internal lock serializes request/response
 pairs on the single connection); for genuinely concurrent traffic open
-one client per thread — the server coalesces same-fingerprint sweeps
-across connections either way.
+one client per thread — concurrent cold requests for one formula share
+one compilation on the server across connections either way.
 
 Transport knobs: the constructor retries a refused connection a
 bounded number of times with exponential backoff (service start-up

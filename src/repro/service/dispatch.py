@@ -15,9 +15,10 @@ Design points:
 * **Consistent-hash routing** — requests route by the workload's
   ``cnf_fingerprint`` over a virtual-node hash ring, so one formula
   always lands on the same worker: memory LRUs stay warm and
-  *non-duplicated*, and same-fingerprint sweeps still coalesce inside
-  their worker.  ``evaluate_batch`` is split per ``p`` (each block
-  length is a different formula) and routed independently.
+  *non-duplicated*, and concurrent cold requests for one formula
+  share one compilation in that worker's compile pool.
+  ``evaluate_batch`` is split per ``p`` (each block length is a
+  different formula) and routed independently.
 * **Trace propagation** — every proxied hop runs under a ``proxy``
   span tagged with the worker index and a derived child trace id the
   worker adopts; ``trace`` lookups by id graft the worker-side span
@@ -183,7 +184,7 @@ class ReproDispatcher(ServiceFrontEnd):
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 workers: int = 2, store=None, window: float = 0.01,
+                 workers: int = 2, store=None,
                  budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
                  workload_cache_size: int = 128,
                  auth_tokens: dict[str, str] | None = None,
@@ -204,7 +205,6 @@ class ReproDispatcher(ServiceFrontEnd):
             raise ValueError("compile_threads must be at least 1")
         self.worker_count = workers
         self.compile_threads = compile_threads
-        self.window = window
         self.worker_timeout = worker_timeout
         self.store_path = (None if store is None
                            else str(getattr(store, "root", store)))
@@ -245,7 +245,6 @@ class ReproDispatcher(ServiceFrontEnd):
         command = [sys.executable, "-m", "repro.service.worker",
                    "--host", "127.0.0.1", "--port", "0",
                    "--compile-threads", str(self.compile_threads),
-                   "--window", str(self.window),
                    "--budget", str(self.default_budget
                                    if self.default_budget is not None
                                    else 0)]

@@ -9,7 +9,7 @@ op returns the rendering produced here; it is a *projection* of the
 not drift.
 
 Layout: a curated block of stable, well-typed series (requests by
-op, per-tenant usage, cache/tape/scheduler counters) plus a generic
+op, per-tenant usage, cache and tape counters) plus a generic
 sweep that exports every remaining numeric scalar in the ``cache``
 and ``service`` sections as a gauge — a counter added to ``stats``
 shows up in ``metrics`` automatically, just untyped until curated.

@@ -1,44 +1,32 @@
 """Request scheduling for the query service.
 
-Two schedulers make the warm circuit store pay off under concurrency:
+``CompilePool`` makes the warm circuit store pay off under
+concurrency: a bounded worker pool for the exponential step, with
+in-flight dedupe.  While one thread compiles a fingerprint, every
+other request for the same ``(fingerprint, budget)`` blocks on that
+job and shares its result (or its ``CompilationBudgetExceeded``)
+instead of launching a duplicate exponential search.  This is the
+layer that turns "N concurrent requests" into "exactly one
+compilation" — the ``wmc`` cache alone only dedupes *completed*
+compilations.  The linear step after it (a sweep's batched pass, an
+evaluation) runs per request on the request's own thread.
 
-* ``CompilePool`` — a bounded worker pool for the exponential step,
-  with in-flight dedupe: while one thread compiles a fingerprint, every
-  other request for the same ``(fingerprint, budget)`` blocks on that
-  job and shares its result (or its ``CompilationBudgetExceeded``)
-  instead of launching a duplicate exponential search.  This is the
-  layer that turns "N concurrent requests" into "exactly one
-  compilation" — the ``wmc`` cache alone only dedupes *completed*
-  compilations.
+The pool is transport-agnostic (no sockets, no protocol) and usable
+by any embedding — the TCP server is just one caller.
 
-* ``SweepCoalescer`` — request batching for the linear step: sweep
-  requests against the same circuit (same coalescing key) that arrive
-  within a small window are merged into **one**
-  ``Circuit.probability_batch`` pass over the concatenation of their
-  weight vectors; each request gets its slice back.  Batching is not
-  just bookkeeping: the batched pass keeps the unswept part of the
-  circuit scalar and shares it across all lanes, so one pass over N
-  requests beats N passes even ignoring scheduling overhead.
-
-Both are transport-agnostic (no sockets, no protocol) and usable by
-any embedding — the TCP server is just one caller.
-
-Both record ``repro.obs`` spans when the calling request carries an
+It records ``repro.obs`` spans when the calling request carries an
 active trace: the leader of a deduped compile gets a ``queue`` span
 covering the wait for an executor slot (the submitted job runs inside
 a copy of the leader's context, so compile-stage spans land in the
 leader's trace), riders get a ``queue`` span covering their wait on
-the shared job, tagged with the leader's trace id.  The coalescer
-mirrors this with ``coalesce`` spans around the leader's batching
-window and each rider's wait.  With no active trace every span call
-returns the shared no-op span.
+the shared job, tagged with the leader's trace id.  With no active
+trace every span call returns the shared no-op span.
 """
 
 from __future__ import annotations
 
 import contextvars
 import threading
-import time
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -142,114 +130,3 @@ class CompilePool:
                     "compile_jobs": self.launched,
                     "compile_joins": self.joined,
                     "compiles_inflight": len(self._inflight)}
-
-
-class _Batch:
-    """One coalesced sweep pass: shared vector list, shared outcome.
-    ``trace_id`` attributes the batch to its leader's trace."""
-
-    __slots__ = ("vectors", "requests", "done",
-                 "values", "engine", "estimates", "error", "trace_id")
-
-    def __init__(self):
-        self.vectors = []
-        self.requests = 0
-        self.done = threading.Event()
-        self.values = None
-        self.engine = None
-        self.estimates = None
-        self.error = None
-        self.trace_id = None
-
-
-class SweepCoalescer:
-    """Merge concurrent same-key weight-vector requests into one pass.
-
-    The first request for a key becomes the *leader*: it registers an
-    open batch, sleeps for ``window`` seconds while followers append
-    their vectors, then atomically closes the batch and runs
-    ``runner`` once over every vector collected.  Followers block
-    until the leader finishes and slice their own results back out.
-    Requests arriving after the close simply open the next batch —
-    by then the circuit is warm, so they only pay their own linear
-    pass.
-    """
-
-    def __init__(self, window: float = 0.01):
-        if window < 0:
-            raise ValueError("window must be non-negative")
-        self.window = window
-        self._lock = threading.Lock()
-        self._pending: dict = {}
-        #: Passes run / passes that served >1 request / requests beyond
-        #: the first in each such pass.
-        self.batch_passes = 0
-        self.coalesced_batches = 0
-        self.coalesced_requests = 0
-
-    def submit(self, key, weight_maps, runner, wait: bool = True):
-        """Evaluate ``weight_maps`` through the coalesced pass for
-        ``key``; returns ``(values, engine, estimates)`` for exactly
-        this request's vectors.
-
-        ``runner(vectors)`` must return an object with ``values`` /
-        ``engine`` / ``estimates`` attributes covering ``vectors`` in
-        order (``repro.tid.wmc.probability_batch_auto``'s ``AutoSweep``
-        is the intended shape).  A runner exception propagates to
-        every coalesced request of the batch.
-
-        ``wait=False`` skips the leader's coalescing sleep: the right
-        call when the circuit is already warm, where the pass is
-        linear and a mandatory window would *add* latency instead of
-        hiding it behind a cold compilation.  Followers can still pile
-        onto an open batch either way.
-        """
-        weight_maps = list(weight_maps)
-        with self._lock:
-            batch = self._pending.get(key)
-            leader = batch is None
-            if leader:
-                batch = _Batch()
-                batch.trace_id = obs.current_trace_id()
-                self._pending[key] = batch
-            start = len(batch.vectors)
-            batch.vectors.extend(weight_maps)
-            batch.requests += 1
-            stop = len(batch.vectors)
-        if leader:
-            if wait and self.window > 0:
-                with obs.span("coalesce", role="leader"):
-                    time.sleep(self.window)
-            with self._lock:
-                # Close the batch: late arrivals start the next one.
-                self._pending.pop(key, None)
-                vectors = list(batch.vectors)
-                self.batch_passes += 1
-                if batch.requests > 1:
-                    self.coalesced_batches += 1
-                    self.coalesced_requests += batch.requests - 1
-            try:
-                sweep = runner(vectors)
-                batch.values = sweep.values
-                batch.engine = sweep.engine
-                batch.estimates = sweep.estimates
-            except BaseException as error:
-                batch.error = error
-            finally:
-                batch.done.set()
-        else:
-            with obs.span("coalesce", role="rider",
-                          leader=batch.trace_id or ""):
-                batch.done.wait()
-        if batch.error is not None:
-            raise batch.error
-        estimates = (batch.estimates[start:stop]
-                     if batch.estimates is not None else None)
-        return batch.values[start:stop], batch.engine, estimates
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {"window_s": self.window,
-                    "batch_passes": self.batch_passes,
-                    "coalesced_batches": self.coalesced_batches,
-                    "coalesced_requests": self.coalesced_requests}

@@ -15,14 +15,14 @@ LRU and tier-2 ``CircuitStore`` stay warm across requests and clients.
   overrides, so a blown compilation budget degrades a single request
   to the Monte-Carlo estimator — and every response records which
   engine answered, mirroring ``AutoProbability``;
-* compilations run on a bounded ``CompilePool`` with in-flight dedupe,
-  and concurrent sweep requests against the same ``cnf_fingerprint``
-  coalesce into one ``Circuit.probability_batch`` pass
-  (``SweepCoalescer``);
+* compilations run on a bounded ``CompilePool`` with in-flight
+  dedupe, so N concurrent cold requests for one ``cnf_fingerprint``
+  pay for one compilation; each request then runs its own linear pass
+  (a sweep is one ``Circuit.probability_batch`` over its grid);
 * the ``stats`` endpoint exposes ``wmc.cache_info()`` (hits, compiles,
-  store hits/misses, budget aborts) plus the scheduler counters
-  (coalesced batches, compile joins) and per-op request counts, so
-  warm-cache behaviour is observable from any client.
+  store hits/misses, budget aborts) plus the compile pool's counters
+  (jobs, joins) and per-op request counts, so warm-cache behaviour is
+  observable from any client.
 
 Workloads are the same shape the CLI serves: a query in the miniature
 clause syntax grounded over the ``B_p(u, v)`` path block.  The
@@ -55,6 +55,7 @@ from repro.booleans.adaptive import (
 from repro.booleans.approximate import (
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
+    check_accuracy,
     hoeffding_sample_count,
 )
 from repro.booleans.circuit import CompilationBudgetExceeded
@@ -81,7 +82,7 @@ from repro.service.protocol import (
     take_str,
 )
 from repro.service.metrics import CONTENT_TYPE, render_metrics
-from repro.service.scheduler import CompilePool, SweepCoalescer
+from repro.service.scheduler import CompilePool
 from repro.service.tenants import ANONYMOUS, TenantQuota, TenantRegistry
 from repro.tid import wmc
 from repro.tid.database import TID, r_tuple, t_tuple
@@ -373,7 +374,7 @@ class ServiceFrontEnd:
             # an unauthorized or over-quota request costs one dict
             # lookup, not a compilation.  The resolved tenant rides on
             # a thread-local so the compile path (reached through the
-            # schedulers) can attribute fresh work without threading a
+            # compile pool) can attribute fresh work without threading a
             # tenant argument through every handler.
             tenant = self.tenants.resolve(auth)
             self._tenant_local.tenant = tenant
@@ -491,13 +492,12 @@ class ReproServer(ServiceFrontEnd):
     ``port=0`` binds an ephemeral port — read the chosen one back from
     ``address``.  ``store`` installs a tier-2 ``CircuitStore`` (path or
     instance) before serving; ``workers`` bounds concurrent
-    compilations; ``window`` is the sweep-coalescing window in seconds;
-    ``budget_nodes`` is the default ``auto``-policy budget for requests
-    that do not override it.
+    compilations; ``budget_nodes`` is the default ``auto``-policy
+    budget for requests that do not override it.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 store=None, workers: int = 4, window: float = 0.01,
+                 store=None, workers: int = 4,
                  budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
                  workload_cache_size: int = 128,
                  auth_tokens: dict[str, str] | None = None,
@@ -514,7 +514,6 @@ class ReproServer(ServiceFrontEnd):
         if store is not None and not hasattr(store, "get"):
             store = CircuitStore(store)
         self.pool = CompilePool(workers)
-        self.coalescer = SweepCoalescer(window)
         #: Worker mode (set by ``repro.service.worker`` when this
         #: server is one process of a dispatcher's pool): every
         #: response whose request led a fresh compilation carries a
@@ -569,8 +568,8 @@ class ReproServer(ServiceFrontEnd):
 
     def _run_op(self, op: str, params: dict) -> dict:
         # Fresh-compile spend accumulates on the request thread, where
-        # _compiled's leader/charge logic and a coalesced sweep's
-        # runner run (the compile pool executes only the build).
+        # _compiled's leader/charge logic runs (the compile pool
+        # executes only the build).
         self._tenant_local.charged_nodes = 0
         result = super()._run_op(op, params)
         charged = self._tenant_local.charged_nodes
@@ -665,7 +664,6 @@ class ReproServer(ServiceFrontEnd):
             planner_info["growth"] = self.planner.growth_records()
         service["planner"] = planner_info
         service.update(self.pool.stats())
-        service.update(self.coalescer.stats())
         stats["cache"] = wmc.cache_info()
 
     def _op_store_gc(self, params: dict) -> dict:
@@ -757,6 +755,10 @@ class ReproServer(ServiceFrontEnd):
         epsilon = take_fraction(params, "epsilon",
                                 default=DEFAULT_EPSILON)
         delta = take_fraction(params, "delta", default=DEFAULT_DELTA)
+        try:
+            check_accuracy(epsilon, delta)
+        except ValueError as error:
+            raise ProtocolError("bad-request", f"param {error}") from None
         seed = take_int(params, "seed", default=0)
         estimator = take_str(params, "estimator", default="hoeffding",
                              choices=ESTIMATORS)
@@ -835,75 +837,29 @@ class ReproServer(ServiceFrontEnd):
                 f"would evaluate the same weights at every grid point")
         weight_maps = endpoint_weight_grid(workload.formula,
                                            workload.tid, k)
-        # Only *exact* work coalesces: the shared gains (one compile,
-        # one batched pass) exist only there, and exact values are
-        # seed-independent so merged requests cannot observe each
-        # other.  The estimator path runs per request below — a
-        # request's seeded estimates must not depend on which
-        # concurrent requests it happened to be batched with.
-        coalesce_key = (workload.fingerprint, budget, numeric)
-
-        def runner(vectors):
-            # A blown budget propagates to every coalesced waiter,
-            # each of which then runs its own seeded estimate.
-            self._compiled(workload, budget)
-            with span("evaluate", lanes=len(vectors),
-                      numeric=numeric):
-                return wmc.probability_batch_auto(
-                    workload.formula, vectors, budget_nodes=budget,
-                    numeric=numeric)
-
-        fallback = None
-        try:
-            # Pay the coalescing window only ahead of a cold
-            # compilation — that is when concurrent requests pile up
-            # and one batched pass saves real work; against a hot
-            # circuit the pass is linear and waiting would only add
-            # latency.
-            values, engine, estimates = self.coalescer.submit(
-                coalesce_key, weight_maps, runner,
-                wait=not wmc.is_cached(workload.formula))
-        except CompilationBudgetExceeded:
-            fallback = "budget"
-        except ProtocolError as error:
-            if error.code != "quota-exceeded":
-                raise
-            # A coalesced batch shares its leader's failure, but quota
-            # errors are per-tenant: the leader blowing *their*
-            # compile budget must not refuse every rider.  Retry
-            # uncoalesced under this request's own tenant — if this
-            # tenant is the exhausted one, the retry raises again,
-            # correctly attributed this time.
-            self._prewarm(workload, budget)
-            fallback = "quota"
-        if fallback is not None:
-            # The uncoalesced per-request pass: a blown budget's
-            # negative cache makes its compile abort instantly, and
-            # the request's own rng makes an explicit seed reproduce
-            # the same estimates whether or not the request was
-            # coalesced.
-            with span("evaluate", lanes=len(weight_maps),
-                      numeric=numeric, fallback=fallback):
-                sweep = wmc.probability_batch_auto(
-                    workload.formula, weight_maps,
-                    budget_nodes=budget, epsilon=epsilon, delta=delta,
-                    rng=seed, numeric=numeric, estimator=estimator,
-                    relative_error=relative)
-            values, engine, estimates = (sweep.values, sweep.engine,
-                                         sweep.estimates)
-            self._note_estimates(estimates or [], epsilon, delta)
+        # A cold compile goes through the deduping pool (N concurrent
+        # sweeps pay for one); a blown budget's negative cache then
+        # makes the pass's own compile abort at once, and the request's
+        # seed alone drives its estimates.
+        self._prewarm(workload, budget)
+        with span("evaluate", lanes=len(weight_maps), numeric=numeric):
+            sweep = wmc.probability_batch_auto(
+                workload.formula, weight_maps, budget_nodes=budget,
+                epsilon=epsilon, delta=delta, rng=seed, numeric=numeric,
+                estimator=estimator, relative_error=relative)
+        self._note_estimates(sweep.estimates or [], epsilon, delta)
         result = {
             "fingerprint": workload.fingerprint,
-            "engine": engine,
+            "engine": sweep.engine,
             "numeric": numeric,
-            "count": len(values),
+            "count": len(sweep.values),
             "grid": [[str(w.pinned[r_u]), str(w.pinned[t_v])]
                      for w in weight_maps],
             "values": [v if numeric == "float" else str(v)
-                       for v in values],
+                       for v in sweep.values],
         }
-        if estimates is not None:
-            result["estimates"] = [e.as_dict() for e in estimates]
+        if sweep.estimates is not None:
+            result["estimates"] = [e.as_dict() for e in sweep.estimates]
         return result
 
     def _op_estimate(self, params: dict) -> dict:

@@ -14,7 +14,7 @@ asserts the observable contract CI cares about:
   text, through the client and through ``repro ctl metrics``;
 * request tracing works over the wire: a client-supplied trace id is
   echoed and fetchable through the ``trace`` op, a cold sweep's span
-  tree covers the dispatch/coalesce/queue/compile/evaluate stages,
+  tree covers the dispatch/queue/compile/evaluate stages,
   the ``--slow-ms 0`` threshold lands every request in the slow log
   (including the JSONL export), the latency histograms render as
   Prometheus ``_bucket`` families, and ``repro ctl top`` prints the
@@ -94,7 +94,7 @@ def main() -> int:
                      "cold server already compiled", stats["cache"])
 
             # The sweep goes first so its trace shows the whole cold
-            # path (coalesce window, compile pool, evaluation); the
+            # path (compile pool, compilation, evaluation); the
             # evaluate afterwards demonstrates the warm cache.
             sweep = client.sweep(QUERY, p=4, grid=6)
             _require(sweep["engine"] == "exact"
@@ -157,7 +157,7 @@ def main() -> int:
             # recent() is newest-first: the last entry is the cold
             # sweep that paid for the whole stack.
             stages = {s["name"] for s in sweeps[-1]["spans"]}
-            _require({"dispatch", "coalesce", "queue", "compile",
+            _require({"dispatch", "queue", "compile",
                       "evaluate"} <= stages,
                      "sweep span tree covers the stack", stages)
             slow = client.trace(slow=True, limit=50)
@@ -292,7 +292,7 @@ def main_workers() -> int:
     tree must all hold through the extra hop."""
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--window", "0"],
+         "--workers", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ))
     try:

@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="compile_threads",
                         help="max concurrent compilations in this "
                              "process (default 4)")
-    parser.add_argument("--window", type=float, default=0.01,
-                        help="sweep-coalescing window in seconds")
     parser.add_argument("--budget", type=int, default=None,
                         help="default compilation budget in nodes "
                              "(0 = unlimited)")
@@ -108,7 +106,6 @@ def main(argv=None) -> int:
         args.host, args.port,
         store=args.store,
         workers=args.compile_threads,
-        window=args.window,
         budget_nodes=budget,
         store_max_bytes=args.store_max_bytes,
         tracing=not args.no_tracing,

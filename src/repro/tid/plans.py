@@ -123,15 +123,20 @@ class Shannon:
     when_false: InclusionExclusion | None
     when_true: InclusionExclusion
 
+    def branches(self, p) -> list[tuple[Fraction, InclusionExclusion]]:
+        """The expansion when the unary atom has probability ``p``:
+        one ``(weight, factor)`` pair per branch that contributes."""
+        branches = []
+        if p != 1 and self.when_false is not None:
+            branches.append((ONE - p, self.when_false))
+        if p != 0:
+            branches.append((p, self.when_true))
+        return branches
+
     def evaluate(self, tid: TID, w) -> Fraction:
         token = r_tuple(w) if self.unary == LEFT_UNARY else t_tuple(w)
-        p = tid.probability(token)
-        total = ZERO
-        if p != 1 and self.when_false is not None:
-            total += (ONE - p) * self.when_false.evaluate(tid, w)
-        if p != 0:
-            total += p * self.when_true.evaluate(tid, w)
-        return total
+        return sum((weight * factor.evaluate(tid, w) for weight, factor
+                    in self.branches(tid.probability(token))), ZERO)
 
     def describe(self) -> str:
         false_part = "0" if self.when_false is None \
@@ -231,11 +236,16 @@ def safe_plan(query: Query) -> IndependentJoin:
         raise UnsafeQueryError(f"no safe plan exists for {query!r}")
     components = []
     for component in connected_components(query):
-        components.append(_compile_component(component))
+        components.append(compile_component(component))
     return IndependentJoin(tuple(components))
 
 
-def _compile_component(component: Query):
+def compile_component(component: Query):
+    """The plan of one symbol-connected component of a safe query (or
+    of any clause set with no clauses on one side): an
+    ``IndependentOr`` for a lone full clause, a ``PairProduct`` for
+    middle clauses alone, else a ``DomainProduct`` over the side's
+    per-constant factor."""
     if component.full_clauses:
         # Safety leaves full clauses without binary atoms: R(x) v T(y).
         if len(component.clauses) > 1:

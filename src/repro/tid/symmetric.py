@@ -18,11 +18,14 @@ phenomenon on our bipartite fragment:
               q_11^{kl} q_10^{k(m-l)} q_01^{(n-k)l} q_00^{(n-k)(m-l)},
 
   an O(n * m) sum — versus #P-hardness on general databases.
-* With Type-II clauses on one side, conditioning on the opposite unary
-  count still works: per-constant factors depend only on the count and
-  multiply (inclusion-exclusion over subclause choices, as in the
-  safe plan: ``repro.tid.plans.subclause_choices``).
-* Type-II clauses on *both* sides are rejected (outside this
+* With clauses of several subclauses (Type II, or a unary atom OR'd
+  with several subclauses) on one side, conditioning on the opposite
+  unary count still works: per-constant factors depend only on the
+  count and multiply.  The factor is the safe plan's
+  (``repro.tid.plans.compile_component``: the Shannon step on the
+  unary atom, inclusion-exclusion over subclause choices), with each
+  signed term evaluated by counts.
+* Such clauses on *both* sides are rejected (outside this
   restriction's easy fragment).
 """
 
@@ -37,7 +40,7 @@ from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.symbols import LEFT_UNARY, RIGHT_UNARY
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
-from repro.tid.plans import subclause_choices
+from repro.tid.plans import Shannon, compile_component
 from repro.tid.wmc import cnf_probability
 
 ONE = Fraction(1)
@@ -78,18 +81,20 @@ def symmetric_probability(query: Query, stid: SymmetricTID) -> Fraction:
         return ZERO
     if query.is_true():
         return ONE
-    has_left_t2 = any(c.side == "left" and c.is_type2
-                      for c in query.clauses)
-    has_right_t2 = any(c.side == "right" and c.is_type2
-                       for c in query.clauses)
-    if has_left_t2 and has_right_t2:
+    # A side clause with several subclauses does not ground per pair
+    # (u, v), with or without its unary atom.
+    left_wide = any(c.side == "left" and len(c.subclauses) > 1
+                    for c in query.clauses)
+    right_wide = any(c.side == "right" and len(c.subclauses) > 1
+                     for c in query.clauses)
+    if left_wide and right_wide:
         raise ValueError(
-            "Type-II clauses on both sides are outside the symmetric "
-            "fast path; use the exact engine")
-    if has_right_t2:
+            "clauses with several subclauses on both sides are outside "
+            "the symmetric fast path; use the exact engine")
+    if right_wide:
         return symmetric_probability(_mirror(query), _mirror_tid(stid))
-    if has_left_t2:
-        return _one_sided_type2(query, stid)
+    if left_wide:
+        return _one_sided(query, stid)
     return _pointwise(query, stid)
 
 
@@ -140,60 +145,48 @@ def _pointwise(query: Query, stid: SymmetricTID) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# One-sided Type II: condition on the T-count, per-u factors multiply
+# One side of several-subclause clauses: condition on the T-count
 # ----------------------------------------------------------------------
-def _one_sided_type2(query: Query, stid: SymmetricTID) -> Fraction:
+def _one_sided(query: Query, stid: SymmetricTID) -> Fraction:
+    """Given l true T-tuples, the per-u factors are independent and
+    equal, so Pr(Q) = sum_l C(m,l) p_T^l (1-p_T)^(m-l) factor(l)^n.
+    The factor is the safe plan's, compiled from the left and middle
+    clauses; each signed term, a local formula J, contributes
+    q1^l * q0^(m-l) with q1 = Pr(J) and q0 = Pr(J and the right
+    clauses' subclauses), which must hold where T(v) is false."""
     if query.full_clauses:
-        raise ValueError("full clauses cannot mix with Type-II clauses")
+        raise ValueError(
+            "full clauses cannot mix with clauses of several subclauses")
     n, m = stid.n_left, stid.n_right
     p_r, p_t = Fraction(stid.p_left), Fraction(stid.p_right)
-    lookup = lambda s: Fraction(stid.p_binary.get(s, ONE))  # noqa: E731
-
-    left_clauses = list(query.left_clauses)
-    middles = [j for c in query.middle_clauses for j in c.subclauses]
-    # Right Type-I clauses: satisfied at T(v) = 1, otherwise their
-    # subclause joins the per-(u, v) constraints.
-    right_subs = [j for c in query.right_clauses for j in c.subclauses]
+    factor = compile_component(
+        Query(query.left_clauses + query.middle_clauses)).factor
+    branches = (factor.branches(p_r) if isinstance(factor, Shannon)
+                else [(ONE, factor)])
+    right = query.right_clauses
+    right_subs = tuple(j for c in right for j in c.subclauses)
+    # A unary-only right clause, forall y T(y), fails wherever T(v) does.
+    falsified = any(not c.subclauses for c in right)
 
     def local(subclauses) -> Fraction:
-        return cnf_probability(CNF(subclauses), lookup)
+        return cnf_probability(
+            CNF(subclauses),
+            lambda symbol: Fraction(stid.p_binary.get(symbol, ONE)))
 
-    def factor(t_true: int) -> Fraction:
-        """Pr of the per-u event given l true T-tuples."""
-        total = ZERO
-        has_unary = any(LEFT_UNARY in c.unaries for c in left_clauses)
-        cases = [(1 - p_r, False), (p_r, True)] if has_unary \
-            else [(ONE, False)]
-        for weight, r_true in cases:
-            if weight == 0:
-                continue
-            active = [c for c in left_clauses
-                      if not (r_true and LEFT_UNARY in c.unaries)]
-            if any(not c.subclauses for c in active):
-                continue
-            total += weight * _choice_sum(
-                active, middles, right_subs, t_true, m, local)
-        return total
-
+    terms = [(weight * sign, local(term.formula.subclauses),
+              ZERO if falsified
+              else local(term.formula.subclauses + right_subs))
+             for weight, choices in branches
+             for sign, term in choices.terms]
     total = ZERO
     for length in range(m + 1):
         weight = comb(m, length) * p_t ** length \
             * (1 - p_t) ** (m - length)
         if weight == 0:
             continue
-        total += weight * factor(length) ** n
-    return total
-
-
-def _choice_sum(active, middles, right_subs, t_true, m, local) -> Fraction:
-    """Inclusion-exclusion over Type-II subclause choices; each signed
-    term is q1^l * q0^(m-l) with q depending on the T-value."""
-    total = ZERO
-    for sign, picked in subclause_choices(active):
-        chosen = middles + picked
-        q1 = local(chosen)
-        q0 = local(chosen + right_subs)
-        total += sign * q1 ** t_true * q0 ** (m - t_true)
+        per_u = sum((c * q1 ** length * q0 ** (m - length)
+                     for c, q1, q0 in terms), ZERO)
+        total += weight * per_u ** n
     return total
 
 

@@ -48,6 +48,7 @@ from repro.booleans.approximate import (
     AutoSweep,
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
+    check_accuracy,
 )
 from repro.booleans.circuit import (
     Circuit,
@@ -295,9 +296,9 @@ def compiled(formula: CNF,
 def is_cached(formula: CNF) -> bool:
     """Whether ``formula``'s circuit sits in the tier-1 memory cache
     right now — a pure probe: no counters move, no LRU reordering.
-    The service uses this to decide whether a sweep should pay the
-    coalescing window (cold compile ahead: batch up) or answer
-    immediately (circuit already hot: the pass is linear anyway)."""
+    The service uses this to tell a fresh compilation (checked against
+    and charged to the tenant's compile quota) from a warm circuit,
+    which is free."""
     with _LOCK:
         return formula in _CIRCUIT_CACHE
 
@@ -421,7 +422,8 @@ def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
     probabilities); ``relative_error`` switches the sequential
     samplers to a relative-width target (and picks ``"adaptive"`` in
     place of ``"hoeffding"``, as ``resolve_estimator`` rules; a
-    non-positive target raises ``ValueError`` before any work).
+    non-positive target, or an ``epsilon`` or ``delta`` outside (0, 1),
+    raises ``ValueError`` before any work).
     ``planner`` — a ``repro.booleans.adaptive.BudgetPlanner`` —
     overrides ``budget_nodes`` with a per-formula plan from the
     observed circuit-size trajectory, and successful compilations feed
@@ -434,6 +436,7 @@ def cnf_probability_auto(formula: CNF, prob: Mapping | None = None,
     degrades (plain ``cnf_probability`` semantics).
     """
     estimator = resolve_estimator(estimator, relative_error)
+    check_accuracy(epsilon, delta)
     budget_nodes = _planned_budget(formula, budget_nodes, planner)
     try:
         circuit = compiled(formula, budget_nodes)
@@ -466,8 +469,9 @@ def probability_batch_auto(formula: CNF, weight_specs,
     sequential samplers stop each vector as early as its variance
     allows).  ``planner`` plans the budget per formula as in
     ``cnf_probability_auto``; a ``budget_nodes`` of None (and no
-    planner) never degrades.  ``relative_error`` resolves the sampler
-    as in ``cnf_probability_auto``.
+    planner) never degrades.  ``relative_error`` resolves the sampler,
+    and ``epsilon``/``delta`` are checked, as in
+    ``cnf_probability_auto``.
 
     This is the one sweep path: the reduction sweeps
     (``block_matrix.z_matrix_direct``,
@@ -487,6 +491,7 @@ def probability_batch_auto(formula: CNF, weight_specs,
         raise ValueError(
             f"numeric must be 'exact' or 'float', got {numeric!r}")
     estimator = resolve_estimator(estimator, relative_error)
+    check_accuracy(epsilon, delta)
     weight_specs = list(weight_specs)
     budget_nodes = _planned_budget(formula, budget_nodes, planner)
     try:

@@ -478,6 +478,48 @@ class TestPolicyThreading:
         assert result.value == 0
         assert result.estimate.samples_used == 0
 
+    @pytest.mark.parametrize("method", ["estimate", "adaptive",
+                                        "importance"])
+    def test_false_query_estimate_is_labelled_like_a_run(self, method):
+        """The zero answer of a false query names the bound a real run
+        of the sampler reports, at the requested delta."""
+        from repro.core.queries import Query
+
+        tid = small_tid(rst_query())
+        zero = evaluate(Query.FALSE, tid, method=method, delta="1/7")
+        run = evaluate(rst_query(), tid, method=method, delta="1/7",
+                       rng=0)
+        assert zero.method == run.method == method
+        assert zero.estimate.method == run.estimate.method
+        assert zero.estimate.delta == run.estimate.delta == F(1, 7)
+
+    @pytest.mark.parametrize("knob", [{"epsilon": 0}, {"epsilon": 1},
+                                      {"epsilon": "-1/2"},
+                                      {"delta": 0}, {"delta": "3/2"}])
+    def test_out_of_range_accuracy_refused_before_work(self, knob):
+        """An epsilon or delta outside (0, 1) is refused on entry at
+        every library front door, even where exact compilation would
+        answer without sampling, and by the samplers themselves."""
+        name = next(iter(knob))
+        query = path_query(1)
+        tid = path_block(query, 4)
+        formula = lineage(query, tid)
+        wmc.clear_circuit_cache()
+        message = f"{name} must be in \\(0, 1\\)"
+        calls = [
+            lambda: evaluate(query, tid, **knob),
+            lambda: evaluate(query, tid, method="adaptive", **knob),
+            lambda: wmc.cnf_probability_auto(formula, **knob),
+            lambda: wmc.probability_batch_auto(formula, [None], **knob),
+            lambda: probability_sweep(formula, [None], **knob),
+            lambda: adaptive_estimate_probability(formula, **knob),
+            lambda: importance_estimate_probability(formula, **knob),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert wmc.cache_info()["compiles"] == 0
+
     def test_probability_sweep_adaptive_estimator(self):
         formula = lineage(rst_query(), path_block(rst_query(), 3))
         weight_maps = [None, {v: F(1, 4) for v in formula.variables()}]

@@ -239,6 +239,16 @@ class TestCommands:
         assert "engine:     adaptive" in out
         assert "relative:" in out
 
+    @pytest.mark.parametrize("verb", ["estimate", "sweep", "compile"])
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "0"),
+                                            ("--delta", "2")])
+    def test_accuracy_flags_must_be_in_the_unit_interval(self, verb,
+                                                         flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "(R|S1)(S1|T)", "--p", "2", flag, value])
+        assert str(excinfo.value) == \
+            f"repro: {flag} must be in (0, 1), got {value}"
+
     def test_estimate_relative_error_must_be_positive(self):
         with pytest.raises(SystemExit, match="relative-error"):
             main(["estimate", "(R|S1)(S1|T)", "--p", "2",

@@ -240,8 +240,7 @@ class TestDisabledTracing:
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def traced_server(tmp_path):
-    with ReproServer(port=0, window=0.02, slow_ms=0.0,
-                     trace_dir=tmp_path) as srv:
+    with ReproServer(port=0, slow_ms=0.0, trace_dir=tmp_path) as srv:
         yield srv
 
 
@@ -266,9 +265,9 @@ class TestServiceTracing:
 
     def test_sweep_trace_covers_the_stack(self, traced_server):
         """The acceptance criterion: one cold sweep produces a span
-        tree with dispatch, coalesce, queue, compile, and evaluate
-        stages, all direct children of the root, whose summed
-        durations do not exceed the root's."""
+        tree with dispatch, queue, compile, and evaluate stages, all
+        direct children of the root, whose summed durations do not
+        exceed the root's."""
         with ServiceClient(*traced_server.address) as client:
             client.call("sweep", query=QUERY, p=5, grid=4,
                         trace="cold-sweep")
@@ -278,8 +277,7 @@ class TestServiceTracing:
         assert len(roots) == 1 and roots[0]["name"] == "sweep"
         children = [s for s in spans if s["parent"] == roots[0]["id"]]
         stages = {s["name"] for s in children}
-        assert {"dispatch", "coalesce", "queue", "compile",
-                "evaluate"} <= stages
+        assert {"dispatch", "queue", "compile", "evaluate"} <= stages
         summed = sum(s["duration_ms"] for s in children)
         assert summed <= payload["duration_ms"] + 0.1
         # The compile span crossed to the worker thread but still
@@ -305,14 +303,43 @@ class TestServiceTracing:
             assert tags["arith"] == "int"
             assert tags["bits"] > 0
 
-    def test_coalesced_rider_attributes_leader(self):
-        n = 3
-        with ReproServer(port=0, window=0.5) as server:
-            barrier = threading.Barrier(n)
+    def test_compile_pool_rider_attributes_leader(self, monkeypatch):
+        """Concurrent cold sweeps share one compile job: the leader's
+        trace holds the compile span, and each rider's trace holds a
+        ``queue`` rider span naming the leader's trace.  The job stays
+        open until both riders have joined it."""
+        from repro.service import scheduler
 
+        n = 3
+        joined = threading.Semaphore(0)
+
+        class CountedEvent(threading.Event):
+            def wait(self, timeout=None):
+                joined.release()  # only riders wait on a job's event
+                return super().wait(timeout)
+
+        class HeldJob(scheduler._Job):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                self.done = CountedEvent()
+
+        real_compiled = wmc.compiled
+        held = []
+
+        def compiled_after_riders(*args, **kwargs):
+            if not held:  # the leader's compile, the first call
+                held.append(True)
+                for _ in range(n - 1):
+                    assert joined.acquire(timeout=30)
+            return real_compiled(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "_Job", HeldJob)
+        monkeypatch.setattr(wmc, "compiled", compiled_after_riders)
+        with ReproServer(port=0) as server:
             def worker(i):
                 with ServiceClient(*server.address) as c:
-                    barrier.wait()
                     c.call("sweep", query=QUERY, p=6, grid=4,
                            trace=f"co-{i}")
 
@@ -344,7 +371,7 @@ class TestServiceTracing:
             tags = rider_tags(payload)
             assert tags, "rider trace carries no rider span"
             leaders_seen = {t["leader"] for t in tags if "leader" in t}
-            assert leaders_seen <= {leaders[0]["trace"]}
+            assert leaders_seen == {leaders[0]["trace"]}
 
     def test_slow_request_lands_in_slow_log(self, traced_server,
                                             tmp_path):

@@ -22,7 +22,7 @@ from repro.service.protocol import (
     decode_world,
     dump_line,
 )
-from repro.service.scheduler import CompilePool, SweepCoalescer
+from repro.service.scheduler import CompilePool
 from repro.service.server import ReproServer
 from repro.tid import wmc
 from repro.tid.lineage import lineage
@@ -57,7 +57,7 @@ def isolated_cache():
 
 @pytest.fixture()
 def server():
-    with ReproServer(port=0, window=0.02) as srv:
+    with ReproServer(port=0) as srv:
         yield srv
 
 
@@ -192,9 +192,8 @@ class TestBasicOps:
         for key in ("hits", "compiles", "store_misses",
                     "budget_aborts", "store_attached"):
             assert key in stats["cache"]
-        for key in ("requests", "errors", "ops", "coalesced_batches",
-                    "batch_passes", "compile_jobs", "compile_joins",
-                    "workers", "window_s", "uptime_seconds"):
+        for key in ("requests", "errors", "ops", "compile_jobs",
+                    "compile_joins", "workers", "uptime_seconds"):
             assert key in stats["service"]
         assert stats["service"]["ops"]["evaluate"] == 1
 
@@ -416,8 +415,8 @@ class TestCloseInAnyState:
     @pytest.mark.parametrize("state", ["never started", "serving",
                                        "closed twice"])
     @pytest.mark.parametrize("factory", [
-        lambda: ReproServer(port=0, window=0.0),
-        lambda: ReproDispatcher(port=0, workers=1, window=0.0),
+        lambda: ReproServer(port=0),
+        lambda: ReproDispatcher(port=0, workers=1),
     ], ids=["server", "dispatcher"])
     def test_close(self, factory, state):
         service = factory()
@@ -436,11 +435,11 @@ class TestCloseInAnyState:
 
 class TestCoalescing:
     def test_concurrent_sweeps_one_compile_one_pass(self):
-        """The acceptance criterion: N concurrent same-fingerprint
-        sweep requests trigger exactly one compilation and coalesce
-        into one batched pass, observable via the stats endpoint."""
+        """N concurrent same-fingerprint cold sweeps trigger exactly
+        one compilation (the compile pool's dedupe, observable via the
+        stats endpoint) and all get the same values."""
         n = 5
-        with ReproServer(port=0, window=0.5) as server:
+        with ReproServer(port=0) as server:
             results = [None] * n
             barrier = threading.Barrier(n)
 
@@ -467,20 +466,17 @@ class TestCoalescing:
         expected = [str(v) for v in probability_sweep(
             formula, endpoint_weight_grid(formula, tid, 8))]
         assert all(r["values"] == expected for r in results)
-        # ...from exactly one compilation and one batched pass.
+        # ...from exactly one compilation.
         assert stats["cache"]["compiles"] == 1
-        assert stats["service"]["batch_passes"] == 1
-        assert stats["service"]["coalesced_batches"] == 1
-        assert stats["service"]["coalesced_requests"] == n - 1
 
     def test_budget_blocked_concurrent_sweeps_stay_seed_reproducible(
             self):
-        """Estimator-path sweeps never share a coalesced rng stream: a
+        """Estimator-path sweeps never share an rng stream: a
         request's seeded estimates are identical whether it ran alone
         or raced N identical requests."""
         n = 3
         kwargs = dict(p=6, grid=3, budget_nodes=2, seed=5)
-        with ReproServer(port=0, window=0.3) as server:
+        with ReproServer(port=0) as server:
             results = [None] * n
             barrier = threading.Barrier(n)
 
@@ -536,38 +532,6 @@ class TestCoalescing:
             with pytest.raises(RuntimeError):
                 pool.run("key", boom)
         pool.shutdown()
-
-    def test_coalescer_slices_per_request(self):
-        coalescer = SweepCoalescer(window=0.2)
-
-        class FakeSweep:
-            def __init__(self, values):
-                self.values = values
-                self.engine = "exact"
-                self.estimates = None
-
-        def runner(vectors):
-            return FakeSweep([v * 10 for v in vectors])
-
-        outcomes = {}
-        barrier = threading.Barrier(3)
-
-        def worker(name, vectors):
-            barrier.wait()
-            outcomes[name] = coalescer.submit("key", vectors, runner)
-
-        threads = [
-            threading.Thread(target=worker, args=("a", [1, 2])),
-            threading.Thread(target=worker, args=("b", [3])),
-            threading.Thread(target=worker, args=("c", [4, 5, 6]))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert outcomes["a"][0] == [10, 20]
-        assert outcomes["b"][0] == [30]
-        assert outcomes["c"][0] == [40, 50, 60]
-        assert coalescer.stats()["coalesced_batches"] == 1
 
 
 class TestStoreIntegration:
@@ -731,13 +695,16 @@ class TestCLI:
             main(["query", "store_gc", "--host", host,
                   "--port", str(port)])
 
-    def test_serve_flag_validation(self):
+    def test_serve_flag_validation(self, capsys):
         with pytest.raises(SystemExit, match="--workers"):
             main(["serve", "--workers", "-1"])
         with pytest.raises(SystemExit, match="--compile-threads"):
             main(["serve", "--compile-threads", "0"])
-        with pytest.raises(SystemExit, match="--window"):
-            main(["serve", "--window", "-1"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--window", "0"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --window" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", ["0", "1"])
     def test_serve_rejects_a_budget_below_two(self, budget):
@@ -780,8 +747,7 @@ class TestCLI:
 
         def run():
             outcome["code"] = main(["serve", "--port", "0",
-                                    "--window", "0", "--budget",
-                                    "100000"])
+                                    "--budget", "100000"])
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
@@ -822,7 +788,7 @@ class TestCLI:
         monkeypatch.setattr(server_module, "ReproServer", RecordedServer)
         monkeypatch.setattr(sys, "stdout", BrokenStdout())
         args = cli.build_parser().parse_args(
-            ["serve", "--port", "0", "--window", "0"])
+            ["serve", "--port", "0"])
         with pytest.raises(BrokenPipeError):
             args.fn(args)
         [server] = built
@@ -849,7 +815,7 @@ class TestCLI:
 class TestAdaptiveService:
     """The adaptive estimation tier over live sockets: per-request
     estimator overrides, recorded engines, the new stats counters, and
-    coalescing independence."""
+    independence from concurrent peers."""
 
     def test_estimator_override_honored_and_recorded(self, client):
         result = client.evaluate(QUERY, p=6, budget_nodes=2, seed=1,
@@ -911,14 +877,13 @@ class TestAdaptiveService:
 
     def test_adaptive_sweeps_independent_of_coalescing_peers(self):
         """Adaptive results never depend on which concurrent requests
-        they were batched with: a seeded adaptive sweep is identical
-        whether it raced N copies of itself through the coalescer or
-        ran alone on a quiet server."""
+        they raced: a seeded adaptive sweep is identical whether it
+        raced N copies of itself or ran alone on a quiet server."""
         n = 3
         kwargs = dict(p=6, grid=3, budget_nodes=2, seed=5,
                       estimator="adaptive")
         results = []
-        with ReproServer(port=0, window=0.05) as server:
+        with ReproServer(port=0) as server:
             barrier = threading.Barrier(n)
 
             def hit():
@@ -953,6 +918,26 @@ class TestAdaptiveService:
         assert type(decoded.estimate) is F
         assert decoded.center is None or type(decoded.center) is F
 
+    @pytest.mark.parametrize("name,value", [("epsilon", "0"),
+                                            ("delta", "-1/2")])
+    def test_out_of_range_accuracy_is_a_bad_request(self, client, name,
+                                                    value):
+        """Every op that takes the sampler knobs refuses a value
+        outside (0, 1) before any work, under budget or past it."""
+        calls = [("estimate", {}), ("evaluate", {}),
+                 ("evaluate", {"method": "estimate"}),
+                 ("evaluate", {"budget_nodes": 2}),
+                 ("evaluate_batch", {"ps": [3, 4]}),
+                 ("sweep", {}), ("sweep", {"budget_nodes": 2})]
+        for op, extra in calls:
+            where = {} if op == "evaluate_batch" else {"p": 4}
+            with pytest.raises(ServiceError) as excinfo:
+                client.call(op, query=QUERY, **where, **extra,
+                            **{name: value})
+            assert excinfo.value.code == "bad-request", (op, extra)
+            assert f"{name} must be in (0, 1)" in str(excinfo.value)
+        assert client.stats()["cache"]["compiles"] == 0
+
     def test_bad_estimator_rejected(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.evaluate(QUERY, p=4, estimator="magic")
@@ -970,7 +955,7 @@ class TestAuthE2E:
 
     @pytest.fixture()
     def auth_server(self):
-        with ReproServer(port=0, window=0.02,
+        with ReproServer(port=0,
                          auth_tokens=dict(self.TOKENS)) as srv:
             yield srv
 
@@ -1085,16 +1070,25 @@ class TestQuotaE2E:
         spent = stats["tenants"]["alice"]["nodes_spent"]
         assert spent > p4_nodes + 1  # the crossing compile was paid
 
-    def test_leader_quota_refusal_retries_riders_uncoalesced(
+    def test_spent_and_fresh_tenants_sweep_one_cold_circuit(
             self, monkeypatch):
-        """A coalesced sweep shares its leader's failure, but a quota
-        refusal belongs to the leader's tenant alone: a rider from a
-        fresh tenant retries uncoalesced and gets exact values, while
-        the spent tenant gets ``quota-exceeded``."""
-        from repro import obs
+        """Quota refusals are per tenant: while a fresh tenant's sweep
+        compiles a cold circuit, a spent tenant sweeping the same
+        circuit gets ``quota-exceeded``, and the fresh tenant gets the
+        exact values from one compilation."""
         from repro.evaluation import endpoint_weight_grid
-        from repro.service import scheduler
         from repro.service.tenants import TenantQuota
+
+        _, tid, formula = workload(p=5)
+        compiling, release = threading.Event(), threading.Event()
+        real_compiled = wmc.compiled
+
+        def held_compiled(cnf, *args, **kwargs):
+            # The first p=5 compile stays open until released.
+            if cnf == formula and not compiling.is_set():
+                compiling.set()
+                assert release.wait(timeout=30)
+            return real_compiled(cnf, *args, **kwargs)
 
         outcomes = {}
 
@@ -1104,28 +1098,8 @@ class TestQuotaE2E:
                     outcomes[token] = c.sweep(QUERY, p=5, grid=4)
                 except ServiceError as error:
                     outcomes[token] = error
-                outcomes[token + ":trace"] = c.last_trace
 
-        rider = threading.Thread(target=sweep_as, args=("f",))
-        rider_joined = threading.Event()
-
-        class HeldWindow:
-            """``repro.obs`` as the scheduler sees it, except that the
-            leader's coalescing window stays open until the rider has
-            joined its batch."""
-
-            current_trace_id = staticmethod(obs.current_trace_id)
-
-            @staticmethod
-            def span(name, **tags):
-                if name == "coalesce" and tags.get("role") == "rider":
-                    rider_joined.set()
-                elif name == "coalesce" and tags.get("role") == "leader":
-                    rider.start()
-                    assert rider_joined.wait(timeout=30)
-                return obs.span(name, **tags)
-
-        with ReproServer(port=0, window=0.001,
+        with ReproServer(port=0,
                          auth_tokens={"s": "spent", "f": "fresh"},
                          tenant_quotas={
                              "spent": TenantQuota(compile_nodes=1)},
@@ -1135,25 +1109,27 @@ class TestQuotaE2E:
                 with pytest.raises(ServiceError) as excinfo:
                     c.compile(QUERY, p=2)
                 assert excinfo.value.code == "quota-exceeded"
-            monkeypatch.setattr(scheduler, "obs", HeldWindow)
-            sweep_as("s")
-            rider.join(timeout=60)
-            assert not rider.is_alive()
-            monkeypatch.undo()
+            monkeypatch.setattr(wmc, "compiled", held_compiled)
+            fresh = threading.Thread(target=sweep_as, args=("f",))
+            fresh.start()
+            try:
+                assert compiling.wait(timeout=30)
+                sweep_as("s")
+            finally:
+                release.set()
+                fresh.join(timeout=60)
+            assert not fresh.is_alive()
             with ServiceClient(*server.address, auth="f") as c:
                 stats = c.stats()
-            rider_trace = server.tracer.find(outcomes["f:trace"])
 
-        _, tid, formula = workload(p=5)
         expected = [str(v) for v in probability_sweep(
             formula, endpoint_weight_grid(formula, tid, 4))]
         assert isinstance(outcomes["s"], ServiceError)
         assert outcomes["s"].code == "quota-exceeded"
         assert outcomes["f"]["engine"] == "exact"
         assert outcomes["f"]["values"] == expected
-        assert stats["service"]["coalesced_batches"] == 1
-        assert [s["tags"].get("fallback") for s in rider_trace["spans"]
-                if s["name"] == "evaluate"] == ["quota"]
+        assert stats["tenants"]["fresh"]["compiles"] == 1
+        assert stats["cache"]["compiles"] == 2  # p=2, then p=5 once
 
     def test_anonymous_tenant_is_quota_bound_too(self):
         from repro.service.tenants import TenantQuota

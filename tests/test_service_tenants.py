@@ -239,8 +239,8 @@ def sample_stats():
                   "store_attached": True},
         "service": {"uptime_seconds": 12.5, "requests": 20, "errors": 2,
                     "ops": {"sweep": 9, "evaluate": 11},
-                    "workers": 4, "coalesced_batches": 1,
-                    "workloads_cached": 5, "window_s": 0.01,
+                    "workers": 4, "compile_joins": 1,
+                    "workloads_cached": 5, "mean_samples_saved": 0.5,
                     "default_budget_nodes": 250000,
                     "auth_enabled": True},
         "tenants": {

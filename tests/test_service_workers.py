@@ -39,7 +39,7 @@ def dispatcher():
     """One shared two-worker pool for the read-mostly parity tests
     (worker boot costs a Python start-up each; respawn tests build
     their own)."""
-    with ReproDispatcher(port=0, workers=2, window=0.0) as disp:
+    with ReproDispatcher(port=0, workers=2) as disp:
         yield disp
 
 
@@ -126,6 +126,14 @@ class TestDispatcherParity:
             assert info.value.code == expected, op
             assert info.value.code in ERROR_CODES
 
+    @pytest.mark.parametrize("op", ["estimate", "evaluate", "sweep"])
+    def test_out_of_range_accuracy_is_a_bad_request(self, client, op):
+        budget = {} if op == "estimate" else {"budget_nodes": 2}
+        for knob in ({"epsilon": "0"}, {"delta": "3/2"}):
+            with pytest.raises(ServiceError) as info:
+                client.call(op, query=QUERY, p=4, **budget, **knob)
+            assert info.value.code == "bad-request", (op, knob)
+
     def test_store_gc_without_store_is_bad_request(
             self, client, monkeypatch):
         monkeypatch.delenv("REPRO_CIRCUIT_STORE", raising=False)
@@ -187,7 +195,7 @@ class TestCrashRecovery:
         return handle, pid
 
     def test_dead_worker_is_respawned_and_request_retried(self):
-        with ReproDispatcher(port=0, workers=2, window=0.0) as disp:
+        with ReproDispatcher(port=0, workers=2) as disp:
             with ServiceClient(*disp.address) as client:
                 first = client.evaluate(QUERY, p=4)
                 handle, old_pid = self._kill_owner(
@@ -202,7 +210,7 @@ class TestCrashRecovery:
 
     def test_kill_mid_request_structured_error_or_retried_success(
             self):
-        with ReproDispatcher(port=0, workers=2, window=0.0) as disp:
+        with ReproDispatcher(port=0, workers=2) as disp:
             with ServiceClient(*disp.address, timeout=600) as client:
                 fingerprint = client.evaluate(QUERY,
                                               p=4)["fingerprint"]
@@ -241,7 +249,7 @@ class TestCrashRecovery:
 
     def test_warm_store_state_survives_respawn(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        with ReproDispatcher(port=0, workers=2, window=0.0,
+        with ReproDispatcher(port=0, workers=2,
                              store=store_dir) as disp:
             with ServiceClient(*disp.address) as client:
                 compiled = client.compile(QUERY, p=4)
@@ -312,7 +320,7 @@ class TestWorkerLifetime:
 class TestCentralizedQuotas:
     def test_rate_limit_enforced_at_the_dispatcher(self):
         with ReproDispatcher(
-                port=0, workers=1, window=0.0,
+                port=0, workers=1,
                 auth_tokens={"tok": "alice"},
                 quota=TenantQuota(rate=3, window=3600)) as disp:
             with ServiceClient(*disp.address, auth="tok") as client:
@@ -324,7 +332,7 @@ class TestCentralizedQuotas:
 
     def test_compile_budget_charged_centrally(self):
         with ReproDispatcher(
-                port=0, workers=2, window=0.0,
+                port=0, workers=2,
                 auth_tokens={"tok": "alice"},
                 quota=TenantQuota(compile_nodes=1)) as disp:
             with ServiceClient(*disp.address, auth="tok") as client:
@@ -347,8 +355,7 @@ class TestCentralizedQuotas:
                     == "exact"
 
     def test_workers_run_open_and_strip_charge_field(self):
-        with ReproDispatcher(port=0, workers=1,
-                             window=0.0) as disp:
+        with ReproDispatcher(port=0, workers=1) as disp:
             with ServiceClient(*disp.address) as client:
                 result = client.evaluate(QUERY, p=4)
                 assert "charge" not in result
@@ -366,7 +373,7 @@ class TestWorkersZeroParity:
     def test_workers_zero_is_the_in_process_server(self):
         # `repro serve --workers 0` must construct today's
         # single-process ReproServer, byte-identical behaviour.
-        with ReproServer(port=0, window=0.0) as server:
+        with ReproServer(port=0) as server:
             with ServiceClient(*server.address) as client:
                 result = client.evaluate(QUERY, p=4)
                 assert result["value"] == EXACT_P4
@@ -382,7 +389,7 @@ from repro.service.client import ServiceClient
 from repro.service.dispatch import ReproDispatcher
 
 QUERY = "(R|S1)(S1|T)"
-with ReproDispatcher(port=0, workers=2, window=0.0) as disp:
+with ReproDispatcher(port=0, workers=2) as disp:
     with ServiceClient(*disp.address) as client:
         values = [client.evaluate(QUERY, p=p)["value"]
                   for p in (3, 4)]

@@ -81,6 +81,36 @@ class TestTypeIIQueries:
             probability(q, s.materialize())
 
 
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_unary_clause_with_several_subclauses(self, mirrored):
+        """R(x) v forall y S1 v forall y S2 is a side clause that does
+        not ground per pair; it takes the one-sided path."""
+        from repro.core.queries import Query
+        from repro.tid.symmetric import _mirror, _mirror_tid
+
+        q = Query([Clause("left", {"R"},
+                          [frozenset({"S1"}), frozenset({"S2"})])])
+        s = SymmetricTID(2, 3, F(1, 2), F(1, 3),
+                         {"S1": F(1, 2), "S2": F(1, 4)})
+        if mirrored:
+            q, s = _mirror(q), _mirror_tid(s)
+        assert symmetric_probability(q, s) == F(339889, 1048576) == \
+            probability(q, s.materialize())
+
+    @pytest.mark.parametrize("p_t", [F(0), F(1, 2), F(1)])
+    def test_unary_only_clause_opposite_type2(self, p_t):
+        """forall y T(y) beside a left Type-II clause: every v must
+        have T(v), whatever the per-u factor."""
+        from repro.core.queries import Query
+
+        q = Query([Clause.left_type2(["S1"], ["S2", "S3"]),
+                   Clause.unary_only("T")])
+        s = SymmetricTID(2, 2, F(1, 2), p_t,
+                         {"S1": F(1, 2), "S2": F(1, 3), "S3": F(1, 4)})
+        assert symmetric_probability(q, s) == \
+            probability(q, s.materialize())
+
+
 class TestScaling:
     def test_h0_scales_to_large_domains(self):
         """n = m = 25: far beyond what exact WMC could touch."""

@@ -451,8 +451,8 @@ class TestWeightOverlay:
                    for f, e in zip(floats, want))
 
     def test_mixed_bases_probe_each_base_once_per_slot(self):
-        """A batch of several overlay bases (the service's coalesced
-        sweeps bring one grid base per request) fills one column per
+        """A batch of several overlay bases (grids built by separate
+        callers each bring their own base) fills one column per
         distinct base, not one per lane."""
         formula, tid = rst_formula()
         circuit = compile_cnf(formula)
@@ -484,7 +484,7 @@ class TestWeightOverlay:
 
     def test_agreeing_bases_keep_unpinned_slots_scalar(self):
         """Distinct base objects that agree on a slot leave it one
-        value, so coalesced grids over one lineage still run the
+        value, so merged grids over one lineage still run the
         unpinned part of the circuit once."""
         formula, tid = rst_formula()
         tape = flatten_circuit(compile_cnf(formula))
