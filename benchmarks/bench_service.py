@@ -19,7 +19,8 @@ endpoint).
 Request tracing rides every warm request, so this benchmark also
 guards its zero-cost-when-disabled claim: the same workload against
 a ``tracing=False`` server (where every ``span()`` call returns the
-shared no-op span) must be at least as fast as the traced run, up to
+shared no-op span), run beside the traced one with their requests
+alternating, must be at least as fast as the traced run, up to
 scheduler jitter — if the disabled path ever shows real overhead,
 the instrumentation has grown an allocation it must not have.
 
@@ -70,17 +71,25 @@ def time_cold_cli(p, grid, requests) -> list[float]:
     return timings
 
 
-def time_warm_service(server, p, grid, requests) -> list[float]:
-    """Per-request latency against the resident server, after one
-    warm-up request pays the single compilation."""
-    with ServiceClient(*server.address, timeout=300) as client:
-        client.sweep(QUERY, p=p, grid=grid)  # warm the circuit
-        timings = []
+def time_warm_services(servers, p, grid, requests) -> list[list[float]]:
+    """Per-request latency against each resident server, after one
+    warm-up request per server.  The servers take turns request by
+    request, so a stall on the host lands on both sides alike."""
+    clients = [ServiceClient(*server.address, timeout=300)
+               for server in servers]
+    try:
+        for client in clients:
+            client.sweep(QUERY, p=p, grid=grid)  # warm the circuit
+        timings = [[] for _ in servers]
         for _ in range(requests):
-            start = time.perf_counter()
-            result = client.sweep(QUERY, p=p, grid=grid)
-            timings.append(time.perf_counter() - start)
-            assert result["engine"] == "exact"
+            for client, series in zip(clients, timings):
+                start = time.perf_counter()
+                result = client.sweep(QUERY, p=p, grid=grid)
+                series.append(time.perf_counter() - start)
+                assert result["engine"] == "exact"
+    finally:
+        for client in clients:
+            client.close()
     return timings
 
 
@@ -132,22 +141,21 @@ def main(argv=None) -> int:
     cold = time_cold_cli(p, grid, cold_requests)
     cold_ms = statistics.median(cold) * 1e3
 
-    wmc.clear_circuit_cache()
-    wmc.set_circuit_store(None)
-    with ReproServer(port=0) as server:
-        warm = time_warm_service(server, p, grid, warm_requests)
-        warm_ms = statistics.median(warm) * 1e3
-        dedupe_ok, dedupe = check_compile_dedupe(server, p, grid,
-                                                 clients)
-
     # The zero-cost-when-disabled claim: the identical warm workload
     # with tracing off must not be slower than the traced run (up to
-    # jitter) — the no-op span path is one ContextVar read.
+    # jitter) — the no-op span path is one ContextVar read.  Both
+    # servers run together and alternate requests, so they are timed
+    # under the same conditions.
     wmc.clear_circuit_cache()
     wmc.set_circuit_store(None)
-    with ReproServer(port=0, tracing=False) as untraced:
-        bare = time_warm_service(untraced, p, grid, warm_requests)
+    with ReproServer(port=0) as server, \
+            ReproServer(port=0, tracing=False) as untraced:
+        warm, bare = time_warm_services((server, untraced), p, grid,
+                                        warm_requests)
+        warm_ms = statistics.median(warm) * 1e3
         bare_ms = statistics.median(bare) * 1e3
+        dedupe_ok, dedupe = check_compile_dedupe(server, p, grid,
+                                                 clients)
     overhead_pct = (warm_ms - bare_ms) / bare_ms * 100.0
     # Millisecond-scale medians on shared runners jitter; the slack
     # keeps the gate about real overhead, not scheduler noise.

@@ -129,6 +129,39 @@ class CircuitStore:
         except OSError:
             pass
 
+    def _read(self, path: Path, decode, kind: str):
+        """``decode`` of the bytes at ``path``, or None on a miss,
+        inside a ``store-read`` span tagged with ``kind``."""
+        with obs.span("store-read", kind=kind) as sp:
+            try:
+                data = path.read_bytes()
+            except OSError:
+                sp.tag(hit=False)
+                return None
+            sp.tag(hit=True, bytes=len(data))
+            self._touch(path)
+            try:
+                return decode(data)
+            except UnsupportedVersionError:
+                # A different format version, not corruption: leave
+                # the entry for readers of that version (two
+                # deployments may share one store across a version
+                # bump; deleting here would make them destructively
+                # evict each other).
+                return None
+            except ValueError:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                return None
+
+    def _write(self, path: Path, data: bytes, kind: str) -> Path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with obs.span("store-write", kind=kind):
+            atomic_write_bytes(path, data)
+        return path
+
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / (key + SUFFIX)
@@ -136,38 +169,14 @@ class CircuitStore:
     def get(self, formula: CNF) -> Circuit | None:
         """The stored circuit for ``formula``, or None on a miss.
 
-        Corrupt or wrong-version entries count as misses and are
-        removed so they are rebuilt cleanly on the next ``put``.
+        Corrupt or wrong-version entries count as misses; a corrupt one
+        is removed so it is rebuilt cleanly on the next ``put``.
         """
         return self.load(cnf_fingerprint(formula))
 
     def load(self, key: str) -> Circuit | None:
-        with obs.span("store-read", kind="circuit") as sp:
-            return self._load(key, sp)
-
-    def _load(self, key: str, sp) -> Circuit | None:
-        path = self.path_for(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            sp.tag(hit=False)
-            return None
-        sp.tag(hit=True, bytes=len(data))
-        self._touch(path)
-        try:
-            return Circuit.from_bytes(data)
-        except UnsupportedVersionError:
-            # A different format version, not corruption: leave the
-            # entry for readers of that version (two deployments may
-            # share one store across a version bump; deleting here
-            # would make them destructively evict each other).
-            return None
-        except ValueError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return self._read(self.path_for(key), Circuit.from_bytes,
+                          "circuit")
 
     def put(self, formula: CNF, circuit: Circuit) -> Path:
         """Persist ``circuit`` under ``formula``'s fingerprint.
@@ -178,11 +187,8 @@ class CircuitStore:
         return self.save(cnf_fingerprint(formula), circuit)
 
     def save(self, key: str, circuit: Circuit) -> Path:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with obs.span("store-write", kind="circuit"):
-            atomic_write_bytes(path, circuit.to_bytes())
-        return path
+        return self._write(self.path_for(key), circuit.to_bytes(),
+                           "circuit")
 
     # ------------------------------------------------------------------
     # Tape sidecars (versioned section next to the circuit bytes)
@@ -200,41 +206,12 @@ class CircuitStore:
         have been written against a circuit from a different compiler
         generation.
         """
-        return self.load_tape(cnf_fingerprint(formula))
-
-    def load_tape(self, key: str) -> Tape | None:
-        with obs.span("store-read", kind="tape") as sp:
-            return self._load_tape(key, sp)
-
-    def _load_tape(self, key: str, sp) -> Tape | None:
-        path = self.tape_path_for(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            sp.tag(hit=False)
-            return None
-        sp.tag(hit=True, bytes=len(data))
-        self._touch(path)
-        try:
-            return Tape.from_bytes(data)
-        except UnsupportedVersionError:
-            return None
-        except ValueError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return self._read(self.tape_path_for(cnf_fingerprint(formula)),
+                          Tape.from_bytes, "tape")
 
     def put_tape(self, formula: CNF, tape: Tape) -> Path:
-        return self.save_tape(cnf_fingerprint(formula), tape)
-
-    def save_tape(self, key: str, tape: Tape) -> Path:
-        path = self.tape_path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with obs.span("store-write", kind="tape"):
-            atomic_write_bytes(path, tape.to_bytes())
-        return path
+        return self._write(self.tape_path_for(cnf_fingerprint(formula)),
+                           tape.to_bytes(), "tape")
 
     # ------------------------------------------------------------------
     def prune(self, max_bytes: int) -> dict:
@@ -242,7 +219,7 @@ class CircuitStore:
         first, until the store fits in ``max_bytes``.
 
         Evicting a circuit also evicts its tape sidecar (a tape without
-        its circuit is dead weight — ``load_tape`` callers only adopt a
+        its circuit is dead weight — ``get_tape`` callers only adopt a
         tape that matches a circuit they already hold); evicting just a
         tape leaves the circuit usable.  Returns a report dict for the
         service ``store_gc`` op and the ``repro ctl store-gc`` verb.

@@ -249,7 +249,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_compile(args) -> int:
     from repro.booleans.circuit import CompilationBudgetExceeded
-    from repro.tid.wmc import cache_info, compiled
+    from repro.tid.wmc import compiled_from
 
     _resolve_engine(args)  # refuse bad estimator flags up front
     query, tid, formula = _block_workload(args)
@@ -257,9 +257,8 @@ def cmd_compile(args) -> int:
         circuit = _load_circuit(args.load, formula)
         source = f"loaded from {args.load}"
     else:
-        before = cache_info()
         try:
-            circuit = compiled(formula, args.budget)
+            circuit, source = compiled_from(formula, args.budget)
         except CompilationBudgetExceeded:
             _print_estimate(
                 query, args, formula, tid,
@@ -272,13 +271,6 @@ def cmd_compile(args) -> int:
                       f"or drop --save", file=sys.stderr)
                 return 1
             return 0
-        after = cache_info()
-        if after["compiles"] > before["compiles"]:
-            source = "compiled"
-        elif after["store_hits"] > before["store_hits"]:
-            source = "disk store"
-        else:
-            source = "memory cache"
     stats = circuit.stats()
     print(f"query:          {query}")
     print(f"block:          B_{args.p}(u, v)")

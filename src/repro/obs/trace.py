@@ -22,15 +22,14 @@ answer:
   counter-based, tags are emitted in sorted key order, and durations
   come from an injectable clock so tests can pin them exactly.
 
-Cross-thread stages (the compile pool runs jobs on executor workers)
-attach to the requester's trace via ``contextvars.copy_context`` at
-the submission site, or via the manual :meth:`Span.begin` /
-:meth:`Span.finish` pair when a stage starts on one thread and ends
-on another.  The tracer's single lock guards the ring buffer, the
-histograms, and the counters; spans themselves are written by exactly
-one thread at a time (begin on the submitter, finish on the worker,
-ordered by the executor handoff) and hand their finished record to
-the tracer under that lock.
+Every service stage runs on its request's thread — the compile pool's
+leader compiles on its own thread — so spans nest through the
+ContextVar alone.  A stage that starts on one thread and ends on
+another can still use the manual :meth:`Span.begin` /
+:meth:`Span.finish` pair.  The tracer's single lock guards the ring
+buffer, the histograms, and the counters; spans themselves are written
+by exactly one thread at a time and hand their finished record to the
+tracer under that lock.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class Span:
     Use as a context manager for same-thread stages (activates itself
     as the parent of nested spans), or drive :meth:`begin` /
     :meth:`finish` manually for stages that start on one thread and
-    end on another (the compile pool's queue-wait).  A span is
+    end on another.  A span is
     recorded only when it finishes; abandoned spans simply never
     appear in the trace.
     """

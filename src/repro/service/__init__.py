@@ -4,12 +4,13 @@ The package splits along transport-independent seams:
 
 * ``protocol`` — the versioned line-delimited JSON wire format and its
   validation (pure functions, no sockets);
-* ``scheduler`` — the deduping compile pool (pure threading, no
-  sockets);
+* ``scheduler`` — the compile pool: a bound on concurrent
+  compilations with in-flight dedupe (pure threading, no sockets);
 * ``server`` — ``ServiceFrontEnd``, the request front end both
-  deployments share, and ``ReproServer``, which adds the compute ops:
-  requests routed through the compile pool into the ``wmc`` auto policy
-  and two-tier circuit cache;
+  deployments share, and ``ReproServer``, which adds the compute ops
+  over the ``wmc`` auto policy and two-tier circuit cache: a warm
+  circuit is read on the request thread, and only a cold one goes
+  through the compile pool;
 * ``dispatch`` — ``ReproDispatcher`` (``repro serve --workers N``),
   the same front end proxying compute requests to worker processes;
 * ``worker`` — ``python -m repro.service.worker``, one such process;

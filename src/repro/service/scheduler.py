@@ -1,34 +1,32 @@
 """Request scheduling for the query service.
 
 ``CompilePool`` makes the warm circuit store pay off under
-concurrency: a bounded worker pool for the exponential step, with
-in-flight dedupe.  While one thread compiles a fingerprint, every
-other request for the same ``(fingerprint, budget)`` blocks on that
-job and shares its result (or its ``CompilationBudgetExceeded``)
-instead of launching a duplicate exponential search.  This is the
-layer that turns "N concurrent requests" into "exactly one
-compilation" — the ``wmc`` cache alone only dedupes *completed*
-compilations.  The linear step after it (a sweep's batched pass, an
-evaluation) runs per request on the request's own thread.
+concurrency: a bound on concurrent compilations, with in-flight
+dedupe.  While one thread compiles a fingerprint, every other request
+for the same ``(fingerprint, budget)`` blocks on that job and shares
+its result (or its ``CompilationBudgetExceeded``) instead of launching
+a duplicate exponential search.  This is the layer that turns "N
+concurrent requests" into "exactly one compilation" — the ``wmc``
+cache alone only dedupes *completed* compilations.  The leader runs
+the job on its own thread once it holds one of ``workers`` slots, so
+the compile stage's spans land in the leader's trace with no handoff.
+Only cache misses reach the pool: the server reads a warm circuit on
+the request thread (``wmc.cached``), and the linear step after it (a
+sweep's batched pass, an evaluation) runs per request there too.
 
 The pool is transport-agnostic (no sockets, no protocol) and usable
 by any embedding — the TCP server is just one caller.
 
 It records ``repro.obs`` spans when the calling request carries an
-active trace: the leader of a deduped compile gets a ``queue`` span
-covering the wait for an executor slot (the submitted job runs inside
-a copy of the leader's context, so compile-stage spans land in the
-leader's trace), riders get a ``queue`` span covering their wait on
-the shared job, tagged with the leader's trace id.  With no active
-trace every span call returns the shared no-op span.
+active trace: the leader gets a ``queue`` span covering its wait for a
+slot, riders get a ``queue`` span covering their wait on the shared
+job, tagged with the leader's trace id.  With no active trace every
+span call returns the shared no-op span.
 """
 
 from __future__ import annotations
 
-import contextvars
 import threading
-
-from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 
@@ -48,14 +46,14 @@ class _Job:
 
 
 class CompilePool:
-    """A bounded compile executor with same-key in-flight dedupe."""
+    """At most ``workers`` concurrent compilations, with same-key
+    in-flight dedupe."""
 
     def __init__(self, workers: int = 4):
         if workers < 1:
             raise ValueError("workers must be positive")
         self.workers = workers
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-compile")
+        self._slots = threading.BoundedSemaphore(workers)
         self._lock = threading.Lock()
         self._inflight: dict = {}
         #: Jobs actually launched vs. requests that piggybacked on an
@@ -63,23 +61,17 @@ class CompilePool:
         self.launched = 0
         self.joined = 0
 
-    def run(self, key, fn):
-        """``fn()`` on a pool worker, deduped by ``key``.
-
-        The first caller for a key launches the job and blocks for its
-        result; concurrent callers with the same key block on the same
-        job and receive the identical result — including a raised
-        exception, which is re-raised in every waiter.
-        """
-        return self.run_attributed(key, fn)[0]
-
     def run_attributed(self, key, fn):
-        """``run``, but returns ``(result, leader)`` where ``leader``
-        says whether *this* caller launched the job rather than
-        piggybacking on an in-flight one.  The quota layer uses the
-        flag to charge a fresh compilation to exactly one tenant —
-        the one whose request caused the work — instead of every
-        waiter that happened to join it.
+        """``fn()`` deduped by ``key``, as ``(result, leader)``.
+
+        The first caller for a key is the leader: it waits for a slot,
+        then runs ``fn`` on its own thread.  Concurrent callers with the
+        same key block on that job and receive the identical result —
+        including a raised exception, which is re-raised in every
+        waiter.  ``leader`` says whether *this* caller ran the job; the
+        quota layer uses it to charge a fresh compilation to exactly
+        one tenant, the one whose request caused the work, instead of
+        every waiter that happened to join it.
         """
         with self._lock:
             job = self._inflight.get(key)
@@ -92,21 +84,13 @@ class CompilePool:
             else:
                 self.joined += 1
         if leader:
-            # The job runs on an executor worker, where contextvars do
-            # not propagate by themselves: carry the leader's context
-            # across so compile-stage spans attach to the leader's
-            # trace.  The ``queue`` span measures the wait for a free
-            # worker — it starts here and is closed by the task itself
-            # the moment it begins executing.
-            queue_span = obs.span("queue", role="leader").begin()
-            ctx = contextvars.copy_context()
-
-            def task():
-                queue_span.finish()
-                return ctx.run(fn)
-
             try:
-                job.result = self._executor.submit(task).result()
+                with obs.span("queue", role="leader"):
+                    self._slots.acquire()
+                try:
+                    job.result = fn()
+                finally:
+                    self._slots.release()
             except BaseException as error:
                 job.error = error
             finally:
@@ -120,9 +104,6 @@ class CompilePool:
         if job.error is not None:
             raise job.error
         return job.result, leader
-
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=False)
 
     def stats(self) -> dict:
         with self._lock:

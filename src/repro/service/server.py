@@ -15,10 +15,12 @@ LRU and tier-2 ``CircuitStore`` stay warm across requests and clients.
   overrides, so a blown compilation budget degrades a single request
   to the Monte-Carlo estimator — and every response records which
   engine answered, mirroring ``AutoProbability``;
-* compilations run on a bounded ``CompilePool`` with in-flight
-  dedupe, so N concurrent cold requests for one ``cnf_fingerprint``
-  pay for one compilation; each request then runs its own linear pass
-  (a sweep is one ``Circuit.probability_batch`` over its grid);
+* a warm circuit is read on the request thread (``wmc.cached``);
+  only a miss reaches the ``CompilePool``, which bounds concurrent
+  compilations and dedupes in-flight ones, so N concurrent cold
+  requests for one ``cnf_fingerprint`` pay for one compilation; each
+  request then runs its own linear pass (a sweep is one
+  ``Circuit.probability_batch`` over its grid);
 * the ``stats`` endpoint exposes ``wmc.cache_info()`` (hits, compiles,
   store hits/misses, budget aborts) plus the compile pool's counters
   (jobs, joins) and per-op request counts, so warm-cache behaviour is
@@ -37,6 +39,8 @@ request front end it shares with the multi-process dispatcher
 
 from __future__ import annotations
 
+import selectors
+import socket
 import socketserver
 import threading
 import time
@@ -113,9 +117,48 @@ class Workload:
 
 
 class _ServiceTCPServer(socketserver.ThreadingTCPServer):
+    """The listener plus a wake-up socketpair registered beside it:
+    ``shutdown`` writes one byte there, so the serve loop returns at
+    once instead of at ``socketserver``'s next 0.5 s poll."""
+
     allow_reuse_address = True
     daemon_threads = True
     service = None  # installed by ServiceFrontEnd
+
+    def __init__(self, address, handler):
+        # Made before the listener binds: a failed bind calls
+        # server_close, which closes the pair too.
+        self._wake, self._waker = socket.socketpair()
+        self._stopped = threading.Event()
+        super().__init__(address, handler)
+
+    def serve_forever(self) -> None:
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake, selectors.EVENT_READ)
+                while True:
+                    ready = {key.fileobj for key, _ in selector.select()}
+                    if self._wake in ready:
+                        self._wake.recv(64)
+                        return
+                    self._handle_request_noblock()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop the loop and wait until it has returned."""
+        try:
+            self._waker.send(b"\0")
+        except OSError:
+            pass  # closed: the loop has returned already
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake.close()
+        self._waker.close()
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -563,13 +606,9 @@ class ReproServer(ServiceFrontEnd):
         if store is not None:
             wmc.set_circuit_store(store)
 
-    def _release(self) -> None:
-        self.pool.shutdown()
-
     def _run_op(self, op: str, params: dict) -> dict:
         # Fresh-compile spend accumulates on the request thread, where
-        # _compiled's leader/charge logic runs (the compile pool
-        # executes only the build).
+        # _compiled's leader/charge logic runs.
         self._tenant_local.charged_nodes = 0
         result = super()._run_op(op, params)
         charged = self._tenant_local.charged_nodes
@@ -580,29 +619,30 @@ class ReproServer(ServiceFrontEnd):
     # ------------------------------------------------------------------
     # Compilation (quota attribution, store eviction)
     # ------------------------------------------------------------------
-    def _compiled(self, workload: Workload,
-                  budget_nodes: int | None, build=None):
-        """The workload's circuit via the deduping compile pool, with
-        quota attribution and automatic store eviction.
+    def _compiled(self, workload: Workload, budget_nodes: int | None):
+        """The workload's circuit and the tier ``wmc.compiled_from``
+        names for it, or ``"in-flight join"`` for a rider.
 
-        A warm circuit costs nothing against anyone's quota; a fresh
-        one is charged (its interned-node count) to the tenant whose
-        request led the deduped job — joiners ride free, matching the
-        "one compilation for N requests" economics.  A tenant whose
+        A warm circuit is read on the request thread and is free.  A
+        miss goes through the deduping compile pool, and its leader's
+        tenant pays for what the job did not find in memory (its
+        interned-node count) — joiners ride free, matching the "one
+        compilation for N requests" economics.  A tenant whose
         cumulative compile budget is spent is refused *before* the
         work is scheduled; the request that crosses the cap is charged
         and refused after it (the circuit stays cached for everyone).
         """
+        circuit = wmc.cached(workload.formula)
+        if circuit is not None:
+            return circuit, "memory cache"
         tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
-        fresh = not wmc.is_cached(workload.formula)
-        if fresh:
-            self.tenants.check_compile(tenant)
-        if build is None:
-            def build():
-                return wmc.compiled(workload.formula, budget_nodes)
-        circuit, leader = self.pool.run_attributed(
-            (workload.fingerprint, budget_nodes), build)
-        if leader and fresh:
+        self.tenants.check_compile(tenant)
+        (circuit, source), leader = self.pool.run_attributed(
+            (workload.fingerprint, budget_nodes),
+            lambda: wmc.compiled_from(workload.formula, budget_nodes))
+        if not leader:
+            return circuit, "in-flight join"
+        if source != "memory cache":
             self._autoprune_store()
             if len(workload.formula) >= 1 and circuit.size >= 1:
                 with self._counter_lock:
@@ -610,7 +650,7 @@ class ReproServer(ServiceFrontEnd):
                                          circuit.size)
             self._tenant_local.charged_nodes += circuit.size
             self.tenants.charge_compile(tenant, circuit.size)
-        return circuit
+        return circuit, source
 
     def _autoprune_store(self) -> None:
         """Size-capped automatic eviction: after a fresh compilation
@@ -621,7 +661,7 @@ class ReproServer(ServiceFrontEnd):
         if cap is None:
             return
         store = wmc.get_circuit_store()
-        if store is None or not hasattr(store, "prune"):
+        if store is None:
             return
         try:
             report = store.prune(max_bytes=cap)
@@ -674,13 +714,13 @@ class ReproServer(ServiceFrontEnd):
         check_fields(params, ("max_bytes",))
         max_bytes = take_int(params, "max_bytes", minimum=0)
         store = wmc.get_circuit_store()
-        if store is None or not hasattr(store, "prune"):
+        if store is None:
             raise ProtocolError(
                 "bad-request",
                 "no circuit store attached to this service "
                 "(start it with --store or REPRO_CIRCUIT_STORE)")
         report = store.prune(max_bytes=max_bytes)
-        report["store"] = str(getattr(store, "root", ""))
+        report["store"] = str(store.root)
         return report
 
     def _note_estimates(self, estimates, epsilon, delta) -> None:
@@ -711,27 +751,8 @@ class ReproServer(ServiceFrontEnd):
         check_fields(params, ("query", "p", "budget_nodes"))
         budget = take_int(params, "budget_nodes", default=None, minimum=2)
         workload = self.workloads.resolve(params)
-        # The job itself records where its circuit came from (only the
-        # leader of a deduped compile executes `build`, so the probe
-        # is per-formula, never contaminated by concurrent requests on
-        # other formulas); a request that piggybacked on someone
-        # else's in-flight compile did no new work and says so.
-        job_source: dict = {}
-
-        def build():
-            if wmc.is_cached(workload.formula):
-                job_source["source"] = "memory cache"
-            else:
-                store = wmc.get_circuit_store()
-                on_disk = (store is not None
-                           and hasattr(store, "__contains__")
-                           and workload.formula in store)
-                job_source["source"] = ("disk store" if on_disk
-                                        else "compiled")
-            return wmc.compiled(workload.formula, budget)
-
         try:
-            circuit = self._compiled(workload, budget, build)
+            circuit, source = self._compiled(workload, budget)
         except CompilationBudgetExceeded:
             raise ProtocolError(
                 "budget-exceeded",
@@ -739,7 +760,6 @@ class ReproServer(ServiceFrontEnd):
                 f"{budget} nodes; raise budget_nodes or use "
                 f"evaluate/sweep, which degrade to the estimator"
             ) from None
-        source = job_source.get("source", "in-flight join")
         return {
             "fingerprint": workload.fingerprint,
             "engine": "exact",
@@ -887,7 +907,7 @@ class ReproServer(ServiceFrontEnd):
                           minimum=2)
         workload = self.workloads.resolve(params)
         try:
-            circuit = self._compiled(workload, budget)
+            circuit, _ = self._compiled(workload, budget)
         except CompilationBudgetExceeded:
             raise ProtocolError(
                 "budget-exceeded",

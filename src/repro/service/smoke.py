@@ -9,7 +9,9 @@ asserts the observable contract CI cares about:
   (``engine: estimate`` with a populated Hoeffding interval) without
   affecting later exact requests;
 * the ``stats`` endpoint shows warm-cache behaviour — one compilation,
-  growing memory hits — after repeated queries;
+  growing memory hits — after repeated queries, and a warm repeat
+  launches no compile job and charges its tenant nothing (in both
+  deployments);
 * the ``metrics`` op renders those counters as Prometheus exposition
   text, through the client and through ``repro ctl metrics``;
 * request tracing works over the wire: a client-supplied trace id is
@@ -42,6 +44,15 @@ QUERY = "(R|S1)(S1|T)"
 def _require(condition: bool, label: str, context) -> None:
     if not condition:
         raise SystemExit(f"service smoke FAILED: {label}: {context!r}")
+
+
+def _spend(client, tenant: str) -> tuple:
+    """Compile jobs launched (summed over a dispatcher's workers) and
+    ``tenant``'s nodes spent: a warm repeat must move neither."""
+    stats = client.stats()
+    rows = stats.get("workers") or [stats["service"]]
+    return (sum(row["compile_jobs"] for row in rows),
+            stats["tenants"][tenant]["nodes_spent"])
 
 
 def _cli_query(port: int, *argv: str) -> dict:
@@ -107,6 +118,11 @@ def main() -> int:
                      "exact evaluate provenance", result)
             _require(result["value"] == "4181/131072",
                      "exact evaluate value", result)
+            spent = _spend(client, "anonymous")
+            client.evaluate(QUERY, p=4)
+            client.sweep(QUERY, p=4, grid=6)
+            _require(_spend(client, "anonymous") == spent,
+                     "warm repeat is free", spent)
 
             stats = client.stats()
             _require(stats["cache"]["compiles"] == 1,
@@ -311,6 +327,11 @@ def main_workers() -> int:
                      "exact evaluate through the pool", result)
             _require("charge" not in result,
                      "worker charge field stripped", result)
+
+            spent = _spend(client, "anonymous")
+            client.evaluate(QUERY, p=4)
+            _require(_spend(client, "anonymous") == spent,
+                     "warm repeat is free (workers)", spent)
 
             batch = client.evaluate_batch(QUERY, ps=[2, 3, 4])
             _require(batch["count"] == 3

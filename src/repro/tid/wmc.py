@@ -72,8 +72,8 @@ from repro.tid.lineage import lineage
 #: Guards every piece of module-level cache state below — the LRU
 #: mapping and its node counter, the stats counters, the budget-failure
 #: memo, and the store handle — so concurrent callers (the service's
-#: worker pool, multi-threaded library users) can never corrupt the LRU
-#: ordering or lose counter increments.  The *exponential* work
+#: request threads, multi-threaded library users) can never corrupt the
+#: LRU ordering or lose counter increments.  The *exponential* work
 #: (``compile_cnf``) deliberately runs outside the lock: two threads
 #: racing on the same formula at worst compile it twice (the second
 #: result wins benignly in ``_remember``); callers that must not pay a
@@ -212,7 +212,15 @@ def _remember(formula: CNF, circuit: Circuit) -> None:
 
 def compiled(formula: CNF,
              budget_nodes: int | None = None) -> Circuit:
-    """The d-DNNF circuit of ``formula``, compiled at most once.
+    """The d-DNNF circuit of ``formula``, compiled at most once
+    (``compiled_from`` without the tier that answered)."""
+    return compiled_from(formula, budget_nodes)[0]
+
+
+def compiled_from(formula: CNF,
+                  budget_nodes: int | None = None) -> tuple[Circuit, str]:
+    """The d-DNNF circuit of ``formula`` and the tier that answered:
+    ``"memory cache"``, ``"disk store"`` or ``"compiled"``.
 
     Equal CNFs (structural equality is logical equivalence for
     minimized monotone CNFs) share one circuit across the whole
@@ -230,12 +238,9 @@ def compiled(formula: CNF,
     search (the disk store is still consulted first, in case another
     process finished the compilation).
     """
-    with _LOCK:
-        circuit = _CIRCUIT_CACHE.get(formula)
-        if circuit is not None:
-            _CIRCUIT_CACHE.move_to_end(formula)
-            _stats["hits"] += 1
-            return circuit
+    circuit = cached(formula)
+    if circuit is not None:
+        return circuit, "memory cache"
     store = get_circuit_store()
     if store is not None:
         # Disk I/O runs unlocked; re-check the memory tier afterwards
@@ -245,13 +250,11 @@ def compiled(formula: CNF,
             if circuit is not None:
                 _stats["store_hits"] += 1
                 _remember(formula, circuit)
-                return circuit
+                return circuit, "disk store"
             _stats["store_misses"] += 1
-            raced = _CIRCUIT_CACHE.get(formula)
+            raced = cached(formula)
             if raced is not None:
-                _CIRCUIT_CACHE.move_to_end(formula)
-                _stats["hits"] += 1
-                return raced
+                return raced, "memory cache"
     if budget_nodes is not None:
         with _LOCK:
             known_insufficient = _BUDGET_FAILURES.get(formula)
@@ -290,17 +293,19 @@ def compiled(formula: CNF,
             store.put(formula, circuit)
         except OSError:
             pass
-    return circuit
+    return circuit, "compiled"
 
 
-def is_cached(formula: CNF) -> bool:
-    """Whether ``formula``'s circuit sits in the tier-1 memory cache
-    right now — a pure probe: no counters move, no LRU reordering.
-    The service uses this to tell a fresh compilation (checked against
-    and charged to the tenant's compile quota) from a warm circuit,
-    which is free."""
+def cached(formula: CNF) -> Circuit | None:
+    """``formula``'s circuit if it sits in the tier-1 memory cache,
+    else None; never reads the store and never compiles.  A hit counts
+    and refreshes the LRU entry exactly as ``compiled`` does."""
     with _LOCK:
-        return formula in _CIRCUIT_CACHE
+        circuit = _CIRCUIT_CACHE.get(formula)
+        if circuit is not None:
+            _CIRCUIT_CACHE.move_to_end(formula)
+            _stats["hits"] += 1
+        return circuit
 
 
 def adopt(formula: CNF, circuit: Circuit) -> None:
@@ -331,7 +336,7 @@ def ensure_tape(formula: CNF, circuit: Circuit) -> Tape:
     if tape is not None:
         return tape
     store = get_circuit_store()
-    if store is not None and hasattr(store, "get_tape"):
+    if store is not None:
         stored = store.get_tape(formula)
         if stored is not None:
             adopt_tape(circuit, stored)
@@ -339,7 +344,7 @@ def ensure_tape(formula: CNF, circuit: Circuit) -> Tape:
             if tape is not None:
                 return tape
     tape = tape_for_circuit(circuit)
-    if store is not None and hasattr(store, "put_tape"):
+    if store is not None:
         try:
             store.put_tape(formula, tape)
         except OSError:

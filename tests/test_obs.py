@@ -179,8 +179,8 @@ class TestTracerCore:
         assert payload["spans"][0]["tags"]["error"] == "ValueError"
 
     def test_cross_thread_begin_finish(self):
-        """The compile-pool idiom: begin on one thread, finish on
-        another, inside a context copied at the submission site."""
+        """A stage that begins on one thread and finishes on another,
+        run inside a context copied where it began."""
         import contextvars
 
         clock = FakeClock()
@@ -280,8 +280,8 @@ class TestServiceTracing:
         assert {"dispatch", "queue", "compile", "evaluate"} <= stages
         summed = sum(s["duration_ms"] for s in children)
         assert summed <= payload["duration_ms"] + 0.1
-        # The compile span crossed to the worker thread but still
-        # landed in this trace, tagged with the circuit size.
+        # The leader's compile span landed in this trace, tagged with
+        # the circuit size.
         compile_span = next(s for s in children
                             if s["name"] == "compile")
         assert compile_span["tags"]["nodes"] > 0
@@ -325,7 +325,7 @@ class TestServiceTracing:
                 super().__init__()
                 self.done = CountedEvent()
 
-        real_compiled = wmc.compiled
+        real_compiled = wmc.compiled_from
         held = []
 
         def compiled_after_riders(*args, **kwargs):
@@ -336,7 +336,7 @@ class TestServiceTracing:
             return real_compiled(*args, **kwargs)
 
         monkeypatch.setattr(scheduler, "_Job", HeldJob)
-        monkeypatch.setattr(wmc, "compiled", compiled_after_riders)
+        monkeypatch.setattr(wmc, "compiled_from", compiled_after_riders)
         with ReproServer(port=0) as server:
             def worker(i):
                 with ServiceClient(*server.address) as c:

@@ -7,23 +7,29 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.booleans.adaptive import ESTIMATORS
 from repro.cli import main, parse_query
 from repro.evaluation import evaluate, probability_sweep
 from repro.reduction.blocks import path_block
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.dispatch import ReproDispatcher
 from repro.service.protocol import (
+    OPS,
     PROTOCOL_VERSION,
     decode_world,
     dump_line,
 )
 from repro.service.scheduler import CompilePool
-from repro.service.server import ReproServer
+from repro.service.server import EVAL_METHODS, ReproServer
 from repro.tid import wmc
 from repro.tid.lineage import lineage
 
@@ -316,6 +322,130 @@ class TestErrors:
         assert client.ping() == {"pong": True}
 
 
+#: Every op's params, each with the values the server accepts.  Sizes
+#: stay small (p <= 3, grid <= 16, k <= 16, coarse accuracy) and the
+#: expensive validation methods are left out, so every example answers
+#: in milliseconds.
+_ACCURACY = st.sampled_from(("1/4", "1/2", "3/4", 0.25, 0.5))
+_ESTIMATOR = {
+    "budget_nodes": st.integers(2, 10 ** 6),
+    "epsilon": _ACCURACY,
+    "delta": _ACCURACY,
+    "seed": st.integers(-(2 ** 70), 2 ** 70),
+    "estimator": st.sampled_from(ESTIMATORS),
+    "relative_error": st.sampled_from(("1/2", "1", 2)),
+}
+_COMMON = {
+    "query": st.sampled_from(("(R|S1)(S1|T)", "(R|S1)(S1|S2)(S2|T)",
+                              "(R|S1|S2)(S2|S3)", "(R|S1)", "(S1|S2)")),
+    "p": st.integers(1, 3),
+}
+_METHOD = st.sampled_from(tuple(
+    m for m in EVAL_METHODS if m not in ("brute", "cross-check")))
+FUZZ_FIELDS = {
+    "ping": {}, "shutdown": {}, "stats": {}, "metrics": {},
+    "trace": {"id": st.text(max_size=8), "limit": st.integers(1, 256),
+              "slow": st.booleans()},
+    "compile": {**_COMMON,
+                "budget_nodes": _ESTIMATOR["budget_nodes"]},
+    "evaluate": {**_COMMON, "method": _METHOD, **_ESTIMATOR},
+    "evaluate_batch": {"query": _COMMON["query"],
+                       "ps": st.lists(_COMMON["p"], min_size=1,
+                                      max_size=3),
+                       "method": _METHOD, **_ESTIMATOR},
+    "sweep": {**_COMMON, "grid": st.integers(1, 16),
+              "numeric": st.sampled_from(("exact", "float")),
+              **_ESTIMATOR},
+    "estimate": {**_COMMON,
+                 **{name: _ESTIMATOR[name] for name in (
+                     "epsilon", "delta", "seed", "estimator",
+                     "relative_error")}},
+    "sample": {**_COMMON, "k": st.integers(0, 16),
+               "seed": _ESTIMATOR["seed"],
+               "budget_nodes": _ESTIMATOR["budget_nodes"]},
+    "top_k": {**_COMMON, "k": st.integers(1, 16),
+              "budget_nodes": _ESTIMATOR["budget_nodes"]},
+    "store_gc": {"max_bytes": st.integers(0, 10)},
+}
+#: Values of the right type just outside what a field accepts.
+_OFF_ACCURACY = st.sampled_from(("0", "1", "-1/2", "2", "1/0", "abc",
+                                 "nan", "inf", 0.0, 1.5, 1))
+_OFF = {
+    "query": st.sampled_from(("", "(", "(R|S1", "R|S1)", "(R|)(|T)",
+                              "((R|S1))", "(R|S1)(S1|T)x",
+                              "(R|S1)&(S1|T)", "no parens here")),
+    "p": st.sampled_from((0, -1, 65)),
+    "ps": st.sampled_from(([], [0], [1, 65])),
+    "grid": st.sampled_from((0, -1, 100_001)),
+    "k": st.sampled_from((0, -1, 10_001)),
+    "budget_nodes": st.integers(-1, 1),
+    "epsilon": _OFF_ACCURACY,
+    "delta": _OFF_ACCURACY,
+    "estimator": st.sampled_from(("bogus", "")),
+    "relative_error": st.sampled_from(("0", "-1", "x")),
+    "method": st.sampled_from(("bogus", "compiled")),
+    "numeric": st.just("decimal"),
+    "limit": st.sampled_from((0, 257)),
+    "max_bytes": st.just(-5),
+}
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(), st.text(max_size=6))
+#: Any JSON value: a scalar, a list or an object.
+_JUNK = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def malformed_requests(draw):
+    """A deck-style request whose params are each kept, dropped, set
+    just out of range or replaced by any JSON value, sometimes with a
+    stray param; or, now and then, a request whose envelope itself is
+    wrong."""
+    op = draw(st.sampled_from(OPS))
+    params = {}
+    for name, valid in FUZZ_FIELDS[op].items():
+        roll = draw(st.integers(0, 15))
+        if roll < (13 if name in ("query", "p") else 10):
+            params[name] = draw(valid)
+        elif roll == 14:
+            params[name] = draw(_OFF.get(name, _JUNK))
+        elif roll == 15:
+            params[name] = draw(_JUNK)
+    if draw(st.integers(0, 7)) == 0:
+        params[draw(st.text(max_size=6))] = draw(_JUNK)
+    request = {"v": PROTOCOL_VERSION, "id": 1, "op": op,
+               "params": params}
+    envelope = draw(st.integers(0, 9))
+    if envelope == 0:
+        return draw(_JUNK)
+    if envelope == 1:
+        request[draw(st.sampled_from(("v", "id", "op", "params",
+                                      "auth", "trace")))] = draw(_JUNK)
+    return request
+
+
+@pytest.fixture(scope="class")
+def fuzz_server():
+    server = ReproServer(port=0)
+    yield server
+    server.close()
+
+
+class TestMalformedRequests:
+    @given(request=malformed_requests())
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    def test_malformed_requests_never_answer_internal(self, fuzz_server,
+                                                      request):
+        """Whatever a request gets wrong, the answer is a structured
+        client error (or a result), never ``internal``."""
+        response = fuzz_server.handle_line(json.dumps(request))
+        if not response["ok"]:
+            assert response["error"]["code"] != "internal", (
+                request, response["error"])
+
+
 class TestClientConnectionClosed:
     """Regression: a ``call`` after the connection was torn down (a
     per-call timeout, an explicit ``close``, a dead server) surfaced
@@ -392,6 +522,24 @@ class TestClientConnectionClosed:
             silent.close()
 
 
+class RunningPeak:
+    """A context manager that counts the threads inside it, and the
+    most it has seen at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.running = self.peak = 0
+
+    def __enter__(self):
+        with self._lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self.running -= 1
+
+
 def close_within(service, seconds=30):
     """``service.close()`` on a helper thread joined with a timeout, so
     a hang fails the test instead of the suite."""
@@ -431,6 +579,26 @@ class TestCloseInAnyState:
         assert_port_released(address)
         for handle in getattr(service, "_workers", ()):
             assert handle.process.poll() is not None
+
+    @pytest.mark.parametrize("state", ["never started", "serving",
+                                       "closed twice"])
+    @pytest.mark.parametrize("factory", [
+        lambda: ReproServer(port=0),
+        lambda: ReproDispatcher(port=0, workers=1),
+    ], ids=["server", "dispatcher"])
+    def test_close_returns_promptly(self, factory, state):
+        """``close()`` wakes the serve loop instead of waiting for
+        ``socketserver``'s 0.5 s poll: every close returns within
+        0.25 s."""
+        service = factory()
+        if state != "never started":
+            service.start()
+            with ServiceClient(*service.address) as c:
+                assert c.ping() == {"pong": True}
+        for _ in range(2 if state == "closed twice" else 1):
+            started = time.perf_counter()
+            close_within(service)
+            assert time.perf_counter() - started < 0.25
 
 
 class TestCoalescing:
@@ -510,15 +678,16 @@ class TestCoalescing:
 
         outcomes = []
         threads = [threading.Thread(
-            target=lambda: outcomes.append(pool.run("key", build)))
+            target=lambda: outcomes.append(
+                pool.run_attributed("key", build)))
             for _ in range(4)]
         for t in threads:
             t.start()
         gate.set()
         for t in threads:
             t.join()
-        pool.shutdown()
-        assert outcomes == ["circuit"] * 4
+        assert sorted(outcomes) == [("circuit", False)] * 3 + [
+            ("circuit", True)]
         assert len(calls) == 1
         assert pool.stats()["compile_joins"] == 3
 
@@ -530,8 +699,101 @@ class TestCoalescing:
 
         for _ in range(2):
             with pytest.raises(RuntimeError):
-                pool.run("key", boom)
-        pool.shutdown()
+                pool.run_attributed("key", boom)
+
+    def test_compile_pool_bounds_concurrent_leaders(self):
+        """With distinct keys every caller leads its own job, on its
+        own thread, and at most ``workers`` jobs run at once: each job
+        waits at a two-party barrier, so a third concurrent job would
+        break the peak and a bound of one would break the barrier."""
+        pool = CompilePool(workers=2)
+        inside, pair = RunningPeak(), threading.Barrier(2, timeout=30)
+        outcomes, callers, ran_on = {}, {}, {}
+
+        def job(key):
+            def fn():
+                ran_on[key] = threading.get_ident()
+                with inside:
+                    pair.wait()
+                return key
+            return fn
+
+        def call(key):
+            callers[key] = threading.get_ident()
+            outcomes[key] = pool.run_attributed(key, job(key))
+
+        threads = [threading.Thread(target=call, args=(key,))
+                   for key in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert outcomes == {key: (key, True) for key in range(4)}
+        assert ran_on == callers
+        assert inside.peak == 2
+        assert pool.stats()["compile_jobs"] == 4
+
+    def test_compile_pool_under_contention(self):
+        """More threads than cores on three keys, with a short switch
+        interval: every call is counted once, as a job or a join, every
+        caller gets its own key's result, and no more than ``workers``
+        jobs ever run at once."""
+        pool = CompilePool(workers=2)
+        inside, results = RunningPeak(), []
+
+        def job(key):
+            def fn():
+                with inside:
+                    sum(range(2000))
+                return key
+            return fn
+
+        def calls(first):
+            for i in range(25):
+                key = (first + i) % 3
+                results.append(
+                    (key, pool.run_attributed(key, job(key))[0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(first,))
+                       for first in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 12 * 25
+        assert all(key == value for key, value in results)
+        stats = pool.stats()
+        assert stats["compile_jobs"] + stats["compile_joins"] == 12 * 25
+        assert stats["compiles_inflight"] == 0
+        assert inside.peak <= 2
+
+
+class TestWarmReads:
+    def test_warm_requests_skip_the_compile_pool(self, client):
+        """A warm circuit is read on the request thread: a warm
+        ``evaluate`` and ``sweep`` launch no pool job and open no
+        ``queue`` span; only the cold sweep that compiled it did."""
+        client.call("sweep", query=QUERY, p=4, grid=4, trace="cold")
+        client.call("evaluate", query=QUERY, p=4, trace="warm-evaluate")
+        client.call("sweep", query=QUERY, p=4, grid=4, trace="warm-sweep")
+        stats = client.stats()
+        stages = {
+            trace: {s["name"] for s in client.trace(id=trace)[
+                "traces"][0]["spans"]}
+            for trace in ("cold", "warm-evaluate", "warm-sweep")}
+        assert "queue" in stages["cold"]
+        assert "queue" not in stages["warm-evaluate"]
+        assert "queue" not in stages["warm-sweep"]
+        assert stats["service"]["compile_jobs"] == 1
+        assert stats["service"]["compile_joins"] == 0
+        assert stats["cache"]["compiles"] == 1
 
 
 class TestStoreIntegration:
@@ -1081,7 +1343,7 @@ class TestQuotaE2E:
 
         _, tid, formula = workload(p=5)
         compiling, release = threading.Event(), threading.Event()
-        real_compiled = wmc.compiled
+        real_compiled = wmc.compiled_from
 
         def held_compiled(cnf, *args, **kwargs):
             # The first p=5 compile stays open until released.
@@ -1109,7 +1371,7 @@ class TestQuotaE2E:
                 with pytest.raises(ServiceError) as excinfo:
                     c.compile(QUERY, p=2)
                 assert excinfo.value.code == "quota-exceeded"
-            monkeypatch.setattr(wmc, "compiled", held_compiled)
+            monkeypatch.setattr(wmc, "compiled_from", held_compiled)
             fresh = threading.Thread(target=sweep_as, args=("f",))
             fresh.start()
             try:
@@ -1130,6 +1392,53 @@ class TestQuotaE2E:
         assert outcomes["f"]["values"] == expected
         assert stats["tenants"]["fresh"]["compiles"] == 1
         assert stats["cache"]["compiles"] == 2  # p=2, then p=5 once
+
+    @pytest.mark.parametrize("op, params", [
+        ("evaluate", {"method": "wmc"}),
+        ("sweep", {"grid": 4}),
+    ], ids=["evaluate", "sweep"])
+    def test_a_circuit_cached_while_waiting_is_not_charged(self, op,
+                                                          params):
+        """Tenant B misses the memory cache, then is held (in its
+        compile-quota check, which runs between the miss and the pool
+        call) until tenant A's request has compiled the circuit and
+        returned.  B's job then finds the circuit in memory: B pays
+        nothing, and A pays for the one compilation."""
+        with ReproServer(port=0, auth_tokens={"a": "alice",
+                                              "b": "bob"}) as server:
+            missed, alice_done = threading.Event(), threading.Event()
+            real_check = server.tenants.check_compile
+
+            def held_check(tenant):
+                if tenant == "bob":
+                    missed.set()
+                    assert alice_done.wait(timeout=30)
+                return real_check(tenant)
+
+            server.tenants.check_compile = held_check
+            answers = {}
+
+            def call_as(token):
+                with ServiceClient(*server.address, auth=token) as c:
+                    answers[token] = c.call(op, query=QUERY, p=4,
+                                            **params)
+
+            bob = threading.Thread(target=call_as, args=("b",))
+            bob.start()
+            try:
+                assert missed.wait(timeout=30)
+                call_as("a")
+            finally:
+                alice_done.set()
+                bob.join(timeout=60)
+            assert not bob.is_alive()
+            with ServiceClient(*server.address, auth="a") as c:
+                stats = c.stats()
+        assert answers["b"] == answers["a"]
+        assert stats["tenants"]["bob"]["compiles"] == 0
+        assert stats["tenants"]["bob"]["nodes_spent"] == 0
+        assert stats["tenants"]["alice"]["compiles"] == 1
+        assert stats["cache"]["compiles"] == 1
 
     def test_anonymous_tenant_is_quota_bound_too(self):
         from repro.service.tenants import TenantQuota
