@@ -13,7 +13,14 @@ count grows 2x across the probe range below while the node count grows
   must answer via the estimator (``engine == "estimate"``), its
   Hoeffding interval must contain the exact value (computed once,
   unbudgeted, as ground truth), and the whole budgeted path —
-  abort-at-budget plus sampling — must beat exact compilation.
+  abort-at-budget plus sampling — must beat exact compilation;
+* on the blow-up formula, ``draw_worlds`` (one float comparison with
+  an exact ``draw_threshold`` per variable, bitmask clauses) must
+  yield the same ``(world, satisfied)`` draws as ``fraction_draws``
+  (``rng.random()`` compared with each ``Fraction`` marginal, clauses
+  as index lists: the loop it replaced, kept here as the baseline)
+  for a fixed seed and weightings with wide denominators, and be
+  **>= 5x** faster per draw.
 
 Runable two ways:
 
@@ -31,9 +38,13 @@ from fractions import Fraction
 
 import _bench_io
 
-from repro.booleans.approximate import estimate_probability
+from repro.booleans.approximate import (
+    draw_worlds,
+    estimate_probability,
+    sampling_frame,
+)
 from repro.booleans.cnf import CNF
-from repro.booleans.circuit import compile_cnf
+from repro.booleans.circuit import compile_cnf, draw_threshold
 from repro.tid import wmc
 
 F = Fraction
@@ -43,6 +54,10 @@ F = Fraction
 WEIGHT = F(9, 10)
 EPSILON = F(1, 20)
 DELTA = F(1, 20)
+
+#: The acceptance floor for the float-threshold draw loop over the
+#: Fraction one, per draw.
+DRAW_SPEEDUP_GATE = 5.0
 
 
 def blowup_formula(n: int, degree: int = 4, seed: int = 7) -> CNF:
@@ -58,6 +73,30 @@ def blowup_formula(n: int, degree: int = 4, seed: int = 7) -> CNF:
 
 def weights(_var) -> Fraction:
     return WEIGHT
+
+
+def fraction_draws(marginals: list, masks: list, rng: random.Random,
+                   count: int):
+    """The draw loop ``draw_worlds`` replaced, kept as the baseline:
+    each variable compares ``rng.random()`` with its ``Fraction``
+    marginal, and each clause is checked as a list of indices."""
+    clauses = [[i for i in range(len(marginals)) if mask >> i & 1]
+               for mask in masks]
+    for _ in range(count):
+        world = [rng.random() < p for p in marginals]
+        yield world, all(any(world[i] for i in clause)
+                         for clause in clauses)
+
+
+def mixed_weights(formula: CNF, seed: int = 11) -> dict:
+    """Seeded marginals, dyadic and not, some with ~1000-bit
+    denominators and some a fifth of a draw step off a draw."""
+    rng = random.Random(seed)
+    choices = [F(1, 2), F(1, 3), F(9, 10), F(5, 7), F(1, 2 ** 60),
+               (3 * 2 ** 51 + F(1, 5)) / 2 ** 53,
+               F(rng.getrandbits(999), 2 ** 1000 + 1)]
+    return {var: rng.choice(choices)
+            for var in sorted(formula.variables(), key=repr)}
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +209,60 @@ def check_auto_beats_exact(n: int, budget_nodes: int
     return True, record
 
 
+def _per_draw_us(loop, marginals, masks, count, repeats=3) -> float:
+    """Best-of-``repeats`` microseconds per draw of ``count`` draws."""
+    best = None
+    for _ in range(repeats):
+        rng = random.Random(0)
+        start = time.perf_counter()
+        for _ in loop(marginals, masks, rng, count):
+            pass
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best / count * 1e6
+
+
+def check_draw_loop(n: int, count: int) -> tuple[bool, dict]:
+    """On the blow-up formula, ``draw_worlds`` must draw what
+    ``fraction_draws`` draws and beat it per draw by
+    ``DRAW_SPEEDUP_GATE``."""
+    formula = blowup_formula(n)
+    frames = []
+    for spec in (weights, mixed_weights(formula)):
+        marginals, masks = sampling_frame(formula, spec)
+        frames.append((marginals, [draw_threshold(p) for p in marginals],
+                       masks))
+    identical = all(
+        list(draw_worlds(thresholds, masks, random.Random(5), count))
+        == list(fraction_draws(marginals, masks, random.Random(5), count))
+        for marginals, thresholds, masks in frames)
+    marginals, thresholds, masks = frames[0]
+    fraction_us = _per_draw_us(fraction_draws, marginals, masks, count)
+    threshold_us = _per_draw_us(draw_worlds, thresholds, masks,
+                                10 * count)
+    speedup = fraction_us / threshold_us
+    record = {
+        "n": n,
+        "variables": len(marginals),
+        "clauses": len(masks),
+        "draws_compared": count,
+        "fraction_us_per_draw": round(fraction_us, 2),
+        "threshold_us_per_draw": round(threshold_us, 2),
+        "speedup": round(speedup, 2),
+        "gate": DRAW_SPEEDUP_GATE,
+        "identical": identical,
+    }
+    verdict = ("" if speedup >= DRAW_SPEEDUP_GATE
+               else f"  <-- below {DRAW_SPEEDUP_GATE}x gate")
+    print(f"draws n={n}: Fraction loop {fraction_us:.1f}us/draw  "
+          f"float thresholds {threshold_us:.2f}us/draw "
+          f"({speedup:.1f}x){verdict}")
+    if not identical:
+        print("DRAWS DIFFER: draw_worlds and the Fraction loop drew "
+              "different worlds", file=sys.stderr)
+    return identical and speedup >= DRAW_SPEEDUP_GATE, record
+
+
 def main(argv=None) -> int:
     quick = "--quick" in (argv if argv is not None else sys.argv[1:])
     probe = [16, 24, 32] if quick else [16, 24, 32, 36]
@@ -177,20 +270,24 @@ def main(argv=None) -> int:
     ok_growth, growth = check_growth(probe)
     ok_auto, blowup = check_auto_beats_exact(blowup_n,
                                              budget_nodes=2000)
-    ok = ok_growth and ok_auto
+    ok_draws, draws = check_draw_loop(blowup_n,
+                                      count=200 if quick else 1000)
+    ok = ok_growth and ok_auto and ok_draws
     _bench_io.emit("approx", {
         "quick": quick,
         "growth": growth,
         "blowup": blowup,
+        "draws": draws,
         "ok": ok,
     })
     if not ok:
         print("perf regression: the budgeted estimator no longer "
-              "covers blow-up lineages", file=sys.stderr)
+              "covers blow-up lineages, or its draw loop lost its "
+              "margin over the Fraction loop", file=sys.stderr)
         return 1
-    print("ok: circuits blow up super-linearly and the budgeted "
+    print("ok: circuits blow up super-linearly, the budgeted "
           "estimator answers within bounds, faster than exact "
-          "compilation")
+          "compilation, and its draws match the Fraction loop's")
     return 0
 
 

@@ -74,7 +74,7 @@ from repro.booleans.approximate import (
     hoeffding_sample_count,
     sampling_frame,
 )
-from repro.booleans.circuit import Weights, as_rng
+from repro.booleans.circuit import Weights, as_rng, draw_threshold
 from repro.booleans.cnf import CNF
 
 __all__ = [
@@ -287,29 +287,42 @@ def _sequential_estimate(formula: CNF, weights: Weights, epsilon, delta,
     cap = math.ceil(hoeffding_sample_count(epsilon, delta / 2)
                     * weight_cap ** 2)
     rng = as_rng(rng)
-    marginals, clauses = sampling_frame(formula, weights, default)
+    marginals, masks = sampling_frame(formula, weights, default)
     proposal = tilted_proposal(marginals, weight_cap)
-    # (index, ratio of a True draw, ratio of a False draw) per tilted
-    # variable; an untilted variable's ratios are exactly 1.
-    tilts = [(i, p / q, (1 - p) / (1 - q))
-             for i, (p, q) in enumerate(zip(marginals, proposal))
-             if p != q]
-    samples = successes = checkpoint = 0
-    weight_sum = hit_sum = hit_square_sum = 0
+    thresholds = [draw_threshold(q) for q in proposal]
+    # A draw's weight depends only on its tilted variables' bits (an
+    # untilted variable's ratios are exactly 1), so the draws fall
+    # into 2^(tilted variables) weight classes: class c holds the
+    # draws whose tilted variable j is True iff bit j of c is set.
+    # The loop counts draws and hits per class in ints, and each
+    # checkpoint forms the exact weighted sums from the counts.
+    tilted = []
+    class_weights = [1]
+    for i, (p, q) in enumerate(zip(marginals, proposal)):
+        if p != q:
+            tilted.append((i, 1 << len(tilted)))
+            ratio_false, ratio_true = (1 - p) / (1 - q), p / q
+            class_weights = ([w * ratio_false for w in class_weights]
+                             + [w * ratio_true for w in class_weights])
+    draws = [0] * len(class_weights)
+    hits = [0] * len(class_weights)
+    samples = checkpoint = 0
     while samples < cap:
         checkpoint += 1
         target = min(cap, INITIAL_BATCH * GROWTH ** (checkpoint - 1))
-        for world, satisfied in draw_worlds(proposal, clauses, rng,
+        for world, satisfied in draw_worlds(thresholds, masks, rng,
                                             target - samples):
-            weight = 1
-            for i, ratio_true, ratio_false in tilts:
-                weight *= ratio_true if world[i] else ratio_false
-            weight_sum += weight
+            c = 0
+            for i, bit in tilted:
+                if world[i]:
+                    c |= bit
+            draws[c] += 1
             if satisfied:
-                successes += 1
-                hit_sum += weight
-                hit_square_sum += weight * weight
+                hits[c] += 1
         samples = target
+        hit_sum = sum(h * w for h, w in zip(hits, class_weights))
+        hit_square_sum = sum(h * w * w
+                             for h, w in zip(hits, class_weights))
         mean = Fraction(hit_sum, samples)
         # Unbiased sample variance of the weighted hits.
         variance = ((hit_square_sum - samples * mean * mean)
@@ -329,11 +342,12 @@ def _sequential_estimate(formula: CNF, weights: Weights, epsilon, delta,
     if importance:
         # The self-normalized ratio (every weight is positive, so
         # weight_sum is too), clamped into the interval.
+        weight_sum = sum(n * w for n, w in zip(draws, class_weights))
         normalized = min(ONE, max(ZERO, Fraction(hit_sum, weight_sum)))
         estimate = min(max(low, normalized), center + achieved)
     return ProbabilityEstimate(
         estimate=estimate, epsilon=achieved, delta=delta,
-        samples=samples, successes=successes,
+        samples=samples, successes=sum(hits),
         method="importance" if importance else "bernstein",
         relative_error=achieved / low if low > 0 else None,
         samples_used=samples, center=center if importance else None)

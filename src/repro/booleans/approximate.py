@@ -12,7 +12,10 @@ how large the exact circuit would have been.
 ``sampling_frame`` and ``draw_worlds`` are the one world-draw loop of
 every sampler: the fixed-n ``estimate_probability`` here counts its
 satisfied draws, and the sequential samplers of
-``repro.booleans.adaptive`` weigh them.
+``repro.booleans.adaptive`` weigh them.  Each variable is drawn by one
+float comparison with ``repro.booleans.circuit.draw_threshold`` of its
+exact marginal, which decides every draw as the exact rational would,
+and each world is checked against its clauses as int bitmasks.
 
 The pieces compose into the ``auto`` evaluation policy (wired up in
 ``repro.tid.wmc.cnf_probability_auto``): try exact compilation under
@@ -33,11 +36,13 @@ import random
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from repro.booleans.circuit import (
     CompilationBudgetExceeded,
     Weights,
     as_rng,
+    draw_threshold,
     make_lookup,
 )
 from repro.booleans.cnf import CNF
@@ -198,9 +203,9 @@ class AutoSweep:
 def sampling_frame(formula: CNF, weights: Weights = None,
                    default: Fraction | None = None) -> tuple:
     """The pinned order every sampler draws and checks in:
-    ``(marginals, clauses)`` with the exact marginal of each variable
-    in sorted-repr order, and each clause as a sorted list of variable
-    indices, shortest clauses first."""
+    ``(marginals, masks)`` with the exact marginal of each variable in
+    sorted-repr order, and each clause as an int bitmask over that
+    order (bit i is variable i), shortest clauses first."""
     lookup = make_lookup(weights, default)
     variables = sorted(formula.variables(), key=repr)
     index = {var: i for i, var in enumerate(variables)}
@@ -208,19 +213,23 @@ def sampling_frame(formula: CNF, weights: Weights = None,
         (sorted(index[var] for var in clause)
          for clause in formula.clauses),
         key=lambda c: (len(c), c))
-    return [Fraction(lookup(var)) for var in variables], clauses
+    return ([Fraction(lookup(var)) for var in variables],
+            [sum(1 << i for i in clause) for clause in clauses])
 
 
-def draw_worlds(marginals: list, clauses: list, rng: random.Random,
+def draw_worlds(thresholds: list, masks: list, rng: random.Random,
                 count: int):
     """Yield ``count`` independent ``(world, satisfied)`` draws: each
-    variable i is true when ``rng.random() < marginals[i]``, compared
-    with the exact rational, so the sampled distribution is the weight
-    vector itself and not a float rounding of it."""
+    variable i is true when ``rng.random() < thresholds[i]``, a
+    ``draw_threshold`` of its exact marginal, so the sampled
+    distribution is the weight vector itself and not a float rounding
+    of it.  A draw satisfies F when its bitmask meets every clause
+    mask of ``sampling_frame``."""
+    powers = [1 << i for i in range(len(thresholds))]
     for _ in range(count):
-        world = [rng.random() < p for p in marginals]
-        yield world, all(any(world[i] for i in clause)
-                         for clause in clauses)
+        world = [rng.random() < t for t in thresholds]
+        bits = sum(compress(powers, world))
+        yield world, all(bits & mask for mask in masks)
 
 
 def estimate_probability(formula: CNF, weights: Weights = None,
@@ -243,9 +252,10 @@ def estimate_probability(formula: CNF, weights: Weights = None,
     epsilon = Fraction(epsilon)
     delta = Fraction(delta)
     samples = hoeffding_sample_count(epsilon, delta)
-    marginals, clauses = sampling_frame(formula, weights, default)
+    marginals, masks = sampling_frame(formula, weights, default)
+    thresholds = [draw_threshold(p) for p in marginals]
     successes = sum(satisfied for _, satisfied in
-                    draw_worlds(marginals, clauses, as_rng(rng), samples))
+                    draw_worlds(thresholds, masks, as_rng(rng), samples))
     return ProbabilityEstimate(
         estimate=Fraction(successes, samples),
         epsilon=epsilon, delta=delta,

@@ -111,20 +111,25 @@ def encode_token(token) -> list:
         f"and tuples thereof")
 
 
+#: The scalar token tags and the exact type each one carries.
+_TOKEN_TYPES = {"b": bool, "i": int, "s": str}
+
+
 def decode_token(obj):
-    """Inverse of ``encode_token``."""
-    tag = obj[0]
-    if tag == "z":
-        return None
-    if tag == "b":
-        return bool(obj[1])
-    if tag == "i":
-        return int(obj[1])
-    if tag == "s":
-        return str(obj[1])
-    if tag == "t":
-        return tuple(decode_token(part) for part in obj[1])
-    raise ValueError(f"unknown token tag {tag!r}")
+    """Inverse of ``encode_token``: raises ``ValueError`` on anything
+    ``encode_token`` does not produce (a missing or unknown tag, a
+    value of the wrong type, a stray element)."""
+    if isinstance(obj, list) and obj and isinstance(obj[0], str):
+        tag = obj[0]
+        if tag == "z" and len(obj) == 1:
+            return None
+        if len(obj) == 2:
+            value = obj[1]
+            if tag == "t" and isinstance(value, list):
+                return tuple(decode_token(part) for part in value)
+            if type(value) is _TOKEN_TYPES.get(tag):
+                return value
+    raise ValueError(f"malformed variable token {obj!r}")
 
 
 def make_lookup(weights: Weights = None,
@@ -145,10 +150,38 @@ def make_lookup(weights: Weights = None,
 def as_rng(rng: random.Random | int | None) -> random.Random:
     """Normalize a sampler's ``rng`` argument: a ``random.Random`` is
     used as is, an int seeds a fresh one, and None means seed 0, so a
-    fixed seed reproduces every draw."""
+    fixed seed reproduces every draw.
+
+    The samplers compare ``rng.random()`` with ``draw_threshold``
+    floats, which is exact only for draws that are multiples of
+    2^-53 — what ``random.Random`` and ``random.SystemRandom`` return
+    (``tests/test_approximate.py`` checks 100,000 and 10,000 draws).
+    A subclass overriding ``random()`` must keep that."""
     if isinstance(rng, random.Random):
         return rng
     return random.Random(0 if rng is None else rng)
+
+
+#: ``random()`` returns k / _DRAW_SCALE for an integer 0 <= k < 2^53.
+_DRAW_SCALE = 1 << 53
+
+
+def draw_threshold(p: Fraction) -> float:
+    """The float t with ``u < t`` exactly when ``u < p``, for every
+    draw u = k/2^53 of ``as_rng``'s generators and any rational p.
+
+    For an integer k, k < p*2^53 holds iff k < ceil(p*2^53), so t is
+    that ceiling over 2^53: an integer of at most 54 bits over a power
+    of two, hence an exact float.  It is clamped to [0, 1], which
+    keeps p <= 0 never and p >= 1 always drawn and a weight far
+    outside [0, 1] from overflowing the float.  ``float(p)`` would
+    not do: it rounds to nearest, and a p within half an ulp above
+    k/2^53 rounds onto it.  Every sampler compares its draws with
+    these thresholds, so each draw is one float comparison instead of
+    a ``Fraction`` one, and the worlds drawn are those of the exact
+    comparison."""
+    ceiling = -((-p.numerator << 53) // p.denominator)
+    return min(max(ceiling, 0), _DRAW_SCALE) / _DRAW_SCALE
 
 
 class WeightOverlay:
@@ -470,7 +503,8 @@ class Circuit:
         rng = as_rng(rng)
         # Posterior branch thresholds and prior marginals depend only
         # on the weights, not the sample — hoist the exact-Fraction
-        # arithmetic out of the per-sample loop.
+        # arithmetic out of the per-sample loop, and turn each into
+        # its exact float draw threshold.
         thresholds: list = [None] * len(self.nodes)
         for i, node in enumerate(self.nodes):
             if node[0] is ITE:
@@ -478,8 +512,8 @@ class Circuit:
                 hi_mass = p * vals[node[2]]
                 mass = hi_mass + (ONE - p) * vals[node[3]]
                 if mass:  # zero-mass nodes are never visited below
-                    thresholds[i] = hi_mass / mass
-        priors = [(var, Fraction(lookup(var)))
+                    thresholds[i] = draw_threshold(hi_mass / mass)
+        priors = [(var, draw_threshold(Fraction(lookup(var))))
                   for var in sorted(self.variables(), key=repr)]
         worlds = []
         for _ in range(k):
@@ -490,9 +524,10 @@ class Circuit:
                 node = self.nodes[i]
                 kind = node[0]
                 if kind is ITE:
-                    # float < Fraction compares exactly in Python, and
-                    # random() < 1 always holds, so a branch of
-                    # posterior mass 0 (or 1) is never (always) taken.
+                    # The threshold compares as the exact posterior
+                    # would (see draw_threshold), and it is 0 (1) for
+                    # a branch of posterior mass 0 (1), which is then
+                    # never (always) taken.
                     if rng.random() < thresholds[i]:
                         world[node[1]] = True
                         stack.append(node[2])

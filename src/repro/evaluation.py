@@ -152,7 +152,8 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
              epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
              rng=None, estimator: str = "hoeffding",
              relative_error=None, planner=None,
-             formula: CNF | None = None) -> EvaluationResult:
+             formula: CNF | None = None,
+             safe: bool | None = None) -> EvaluationResult:
     """Pr(Q) over the TID, routed per the dichotomy.
 
     ``budget_nodes``/``epsilon``/``delta``/``rng`` govern the
@@ -174,12 +175,16 @@ def evaluate(query: Query, tid: TID, method: str = "auto", *,
     ``formula`` is ``lineage(query, tid)`` when the caller already
     grounded it (the service's resolver caches it); the engines that
     need the lineage then use it instead of grounding it again.
+    ``safe`` is ``is_safe(query)`` when the caller already classified
+    the query (the resolver caches that too), so it is not classified
+    again.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
     estimator = resolve_estimator(estimator, relative_error)
     check_accuracy(epsilon, delta)
-    safe = is_safe(query)
+    if safe is None:
+        safe = is_safe(query)
 
     def grounded() -> CNF:
         return lineage(query, tid) if formula is None else formula
@@ -269,12 +274,13 @@ def evaluate_batch(query: Query, tids: Iterable[TID],
     marginal cost of each extra database is one linear circuit pass.
     The ``auto`` budget/estimator knobs apply per database; a lineage
     past budget degrades that database's result to an estimate without
-    affecting the others.
+    affecting the others.  The query is classified once.
     """
+    safe = is_safe(query)
     return [evaluate(query, tid, method, budget_nodes=budget_nodes,
                      epsilon=epsilon, delta=delta, rng=rng,
                      estimator=estimator, relative_error=relative_error,
-                     planner=planner)
+                     planner=planner, safe=safe)
             for tid in tids]
 
 

@@ -62,6 +62,11 @@ OPS = ("compile", "evaluate", "evaluate_batch", "sweep", "estimate",
 #: Upper bound on a client-supplied trace id.
 MAX_TRACE_ID_CHARS = 128
 
+#: Largest decimal exponent a rational string may carry.  A float's
+#: repr stays within 324, while ``Fraction("1e-10000000")`` alone
+#: computes a ten-million-digit power of ten (about 12 s).
+MAX_DECIMAL_EXPONENT = 1000
+
 #: Machine-readable error codes a response may carry.
 #: ``unauthorized``/``quota-exceeded`` are the multi-tenant refusals:
 #: a missing/unknown auth token, and a tripped per-tenant rate window
@@ -216,6 +221,12 @@ def decode_fraction(obj, field: str = "value") -> Fraction:
         obj = repr(obj)
     if isinstance(obj, (int, str)):
         try:
+            if isinstance(obj, str):
+                _, marker, exponent = obj.lower().partition("e")
+                if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+                    raise ValueError(
+                        f"decimal exponent beyond "
+                        f"{MAX_DECIMAL_EXPONENT}")
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as error:
             raise ProtocolError(
@@ -238,46 +249,57 @@ def decode_estimate(obj) -> "ProbabilityEstimate":
     wire object back — ``decode_estimate(d).as_dict() == d`` — with
     ``relative_error``/``center`` as exact Fractions, never floats.
     Derived fields (``low``/``high``/``float``) are recomputed, which
-    doubles as a consistency check on the sender.
+    doubles as a consistency check on the sender.  Anything that is not
+    such an object (a wrong type, a count below 0, a rational outside
+    its range, an unknown ``method``) raises
+    ``ProtocolError("bad-request")``, so whatever decodes re-encodes.
     """
+    from repro.booleans.adaptive import BOUND_LABELS
     from repro.booleans.approximate import ProbabilityEstimate
 
     if not isinstance(obj, dict):
         raise ProtocolError(
             "bad-request",
             f"estimate must be an object, got {type(obj).__name__}")
+    method = obj.get("method", "hoeffding")
+    if method not in BOUND_LABELS.values():
+        raise ProtocolError(
+            "bad-request",
+            f"estimate field 'method' must be one of "
+            f"{sorted(set(BOUND_LABELS.values()))}")
     try:
-        samples = obj["samples"]
-        successes = obj["successes"]
-        relative = obj.get("relative_error")
-        center = obj.get("center")
-        samples_used = obj.get("samples_used")
-        for field, value, optional in (("samples", samples, False),
-                                       ("successes", successes, False),
-                                       ("samples_used", samples_used,
-                                        True)):
-            if value is None and optional:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
+        counts = {}
+        for field, required in (("samples", True), ("successes", True),
+                                ("samples_used", False)):
+            value = obj[field] if required else obj.get(field)
+            if (required or value is not None) and (
+                    isinstance(value, bool) or not isinstance(value, int)
+                    or value < 0):
                 raise ProtocolError(
                     "bad-request",
-                    f"estimate field {field!r} must be an integer")
-        return ProbabilityEstimate(
-            estimate=decode_fraction(obj["estimate"], "estimate"),
-            epsilon=decode_fraction(obj["epsilon"], "epsilon"),
-            delta=decode_fraction(obj["delta"], "delta"),
-            samples=samples,
-            successes=successes,
-            method=obj.get("method", "hoeffding"),
-            relative_error=(None if relative is None else
-                            decode_fraction(relative, "relative_error")),
-            samples_used=samples_used,
-            center=(None if center is None else
-                    decode_fraction(center, "center")))
+                    f"estimate field {field!r} must be a non-negative "
+                    f"integer")
+            counts[field] = value
+        # (field, required, upper bound) of each rational; all are >= 0.
+        rationals = {}
+        for field, required, high in (("estimate", True, 1),
+                                      ("epsilon", True, None),
+                                      ("delta", True, 1),
+                                      ("relative_error", False, None),
+                                      ("center", False, 1)):
+            value = obj[field] if required else obj.get(field)
+            if required or value is not None:
+                value = decode_fraction(value, field)
+                if value < 0 or (high is not None and value > high):
+                    raise ProtocolError(
+                        "bad-request",
+                        f"estimate field {field!r} is out of range")
+            rationals[field] = value
     except KeyError as error:
         raise ProtocolError(
             "bad-request",
             f"estimate is missing field {error}") from None
+    return ProbabilityEstimate(method=method, **counts, **rationals)
 
 
 def encode_world(world: dict) -> list:
@@ -288,9 +310,22 @@ def encode_world(world: dict) -> list:
 
 
 def decode_world(obj) -> dict:
+    """The inverse of ``encode_world``: a list of ``[token, bool]``
+    pairs.  Anything else raises ``ProtocolError("bad-request")``."""
     if not isinstance(obj, list):
         raise ProtocolError("bad-request", "world must be a list")
-    return {decode_token(token): bool(value) for token, value in obj}
+    world = {}
+    for entry in obj:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[1], bool)):
+            raise ProtocolError(
+                "bad-request",
+                f"world entry {entry!r} is not a [token, bool] pair")
+        try:
+            world[decode_token(entry[0])] = entry[1]
+        except (ValueError, RecursionError) as error:
+            raise ProtocolError("bad-request", str(error)) from None
+    return world
 
 
 # ----------------------------------------------------------------------

@@ -805,7 +805,8 @@ class ReproServer(ServiceFrontEnd):
                                   delta=delta, rng=seed,
                                   estimator=estimator,
                                   relative_error=relative,
-                                  formula=workload.formula)
+                                  formula=workload.formula,
+                                  safe=workload.safe)
             except UnsafeQueryError as error:  # method="lifted"
                 raise ProtocolError("bad-request", str(error)) from None
         self._note_estimates([result.estimate], epsilon, delta)

@@ -29,7 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.booleans.adaptive import (
+    GROWTH,
+    INITIAL_BATCH,
+    ONE,
+    ZERO,
     BudgetPlanner,
+    _checkpoint_delta,
+    _sequential_estimate,
+    _targets_met,
     adaptive_estimate_probability,
     bernstein_radius,
     estimate_batch_with,
@@ -40,7 +47,13 @@ from repro.booleans.adaptive import (
     sqrt_upper,
     tilted_proposal,
 )
-from repro.booleans.approximate import hoeffding_sample_count
+from repro.booleans.approximate import (
+    ProbabilityEstimate,
+    draw_worlds,
+    hoeffding_sample_count,
+    sampling_frame,
+)
+from repro.booleans.circuit import as_rng, draw_threshold
 from repro.booleans.cnf import CNF
 from repro.core.catalog import path_query, rst_query
 from repro.evaluation import evaluate, probability_sweep
@@ -323,6 +336,79 @@ class TestTiltedProposal:
             formula, weights, F(1, 10), F(1, 10), rng=4)
         assert_exact_fractions(estimate)
         assert estimate.contains(exact)
+
+
+def per_draw_sequential_estimate(formula, weights, epsilon, delta, rng,
+                                 relative_error, weight_cap):
+    """The sequential sampler with each draw's weight formed as a
+    ``Fraction`` product and summed one draw at a time — the reference
+    for ``_sequential_estimate``'s integer weight classes."""
+    cap = math.ceil(hoeffding_sample_count(epsilon, delta / 2)
+                    * weight_cap ** 2)
+    rng = as_rng(rng)
+    marginals, masks = sampling_frame(formula, weights)
+    proposal = tilted_proposal(marginals, weight_cap)
+    thresholds = [draw_threshold(q) for q in proposal]
+    tilts = [(i, p / q, (1 - p) / (1 - q))
+             for i, (p, q) in enumerate(zip(marginals, proposal))
+             if p != q]
+    samples = successes = checkpoint = 0
+    weight_sum = hit_sum = hit_square_sum = 0
+    while samples < cap:
+        checkpoint += 1
+        target = min(cap, INITIAL_BATCH * GROWTH ** (checkpoint - 1))
+        for world, satisfied in draw_worlds(thresholds, masks, rng,
+                                            target - samples):
+            weight = 1
+            for i, ratio_true, ratio_false in tilts:
+                weight *= ratio_true if world[i] else ratio_false
+            weight_sum += weight
+            if satisfied:
+                successes += 1
+                hit_sum += weight
+                hit_square_sum += weight * weight
+        samples = target
+        mean = Fraction(hit_sum, samples)
+        variance = ((hit_square_sum - samples * mean * mean)
+                    / (samples - 1) if samples > 1 else ONE)
+        radius = bernstein_radius(samples, mean, variance,
+                                  _checkpoint_delta(delta, checkpoint),
+                                  range_high=weight_cap)
+        if _targets_met(radius, mean, epsilon, relative_error):
+            break
+    achieved = radius if samples < cap else min(radius, epsilon)
+    center = min(ONE, max(ZERO, mean))
+    low = center - achieved
+    estimate = center
+    if weight_cap > 1:
+        normalized = min(ONE, max(ZERO, Fraction(hit_sum, weight_sum)))
+        estimate = min(max(low, normalized), center + achieved)
+    return ProbabilityEstimate(
+        estimate=estimate, epsilon=achieved, delta=delta,
+        samples=samples, successes=successes,
+        method="importance" if weight_cap > 1 else "bernstein",
+        relative_error=achieved / low if low > 0 else None,
+        samples_used=samples,
+        center=center if weight_cap > 1 else None)
+
+
+class TestWeightClasses:
+    """The importance sampler counts draws and hits per weight class
+    in ints; its sums must equal the per-draw ``Fraction`` sums."""
+
+    @pytest.mark.parametrize("cap", [F(1), F(4), F(8), F(16), F(6)])
+    def test_class_counts_equal_per_draw_fraction_sums(self, cap):
+        # Seeds whose CNFs have 6-8 variables, so caps 4/8/16/6 tilt
+        # 2/3/4/3 of them (cap 6 tilts by 2, 2 and 3/2).
+        for seed in (103, 105, 110, 112):
+            formula = random_cnf(seed, max_vars=8, max_clauses=5)
+            weights = random_weights(formula, seed)
+            for relative in (None, F(1, 2)):
+                args = (formula, weights, F(1, 5), F(1, 10), seed, None,
+                        relative, cap)
+                expected = per_draw_sequential_estimate(
+                    *args[:5], relative, cap)
+                assert _sequential_estimate(*args) == expected
 
 
 class TestEstimatorRegistry:

@@ -2,6 +2,7 @@
 compiler, circuit sampling/top-k, and the ``auto`` threading."""
 
 import itertools
+import math
 import random
 
 from fractions import Fraction
@@ -13,10 +14,16 @@ from hypothesis import strategies as st
 
 from repro.booleans.approximate import (
     ProbabilityEstimate,
+    draw_worlds,
     estimate_probability,
     hoeffding_sample_count,
+    sampling_frame,
 )
-from repro.booleans.circuit import CompilationBudgetExceeded, compile_cnf
+from repro.booleans.circuit import (
+    CompilationBudgetExceeded,
+    compile_cnf,
+    draw_threshold,
+)
 from repro.booleans.cnf import CNF
 from repro.core.catalog import rst_query
 from repro.evaluation import evaluate, probability_sweep
@@ -194,6 +201,116 @@ class TestEstimateProbability:
         exact = compile_cnf(formula).probability(weights)
         estimate = estimate_probability(formula, weights, rng=seed)
         assert estimate.estimate == exact
+
+
+SCALE = 2 ** 53
+
+#: A marginal a fifth of a draw step above k/2^53 in [1/2, 1), where
+#: floats are spaced 2^-53: ``float(P_FIFTH)`` rounds down onto the draw
+#: k/2^53, which ``u < float(p)`` then wrongly refuses.
+K_FIFTH = 3 * 2 ** 51
+P_FIFTH = (K_FIFTH + F(1, 5)) / SCALE
+
+
+class FixedDraws(random.Random):
+    """A generator whose ``random()`` returns the given values in
+    order."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def boundary_marginals() -> list:
+    """Dyadic and non-dyadic marginals, ~1000-bit denominators, the
+    ends of [0, 1] and a little past them."""
+    rng = random.Random(2024)
+    wide = []
+    for _ in range(6):
+        denominator = rng.getrandbits(1000) | (1 << 999) | 1
+        wide.append(F(rng.randrange(denominator), denominator))
+    return [F(0), F(1), F(1, 2), F(3, 8), F(1, 2 ** 60),
+            F(SCALE - 1, SCALE), F(1, SCALE), F(1, 3), F(2, 3), F(5, 7),
+            F(1, 10), F(9, 10), P_FIFTH, (K_FIFTH + F(4, 5)) / SCALE,
+            F(1, 3 * SCALE), F(-1, 3), F(4, 3)] + wide
+
+
+class TestDrawThreshold:
+    """``u < draw_threshold(p)`` must decide every draw u = k/2^53 as
+    the exact ``Fraction(k, 2^53) < p`` does."""
+
+    @pytest.mark.parametrize("p", boundary_marginals())
+    def test_draws_around_the_boundary_compare_exactly(self, p):
+        threshold = draw_threshold(p)
+        assert 0 <= threshold <= 1
+        center = math.floor(p * SCALE)
+        for k in range(center - 3, center + 4):
+            if 0 <= k < SCALE:
+                u = k / SCALE
+                assert F(u) == F(k, SCALE)
+                assert (u < threshold) == (F(k, SCALE) < p), k
+
+    def test_naive_float_threshold_is_wrong_where_this_one_is_not(self):
+        u = K_FIFTH / SCALE
+        assert F(u) < P_FIFTH
+        assert float(P_FIFTH) == u and not u < float(P_FIFTH)
+        assert u < draw_threshold(P_FIFTH)
+        assert not (K_FIFTH + 1) / SCALE < draw_threshold(P_FIFTH)
+
+    def test_ends_and_weights_outside_the_unit_interval(self):
+        assert draw_threshold(F(0)) == 0.0
+        assert draw_threshold(F(1)) == 1.0
+        assert draw_threshold(F(-5)) == 0.0
+        assert draw_threshold(F(10 ** 400, 3)) == 1.0
+
+    def test_generators_draw_multiples_of_2_to_the_minus_53(self):
+        """The assumption the thresholds rest on."""
+        rng = random.Random(12345)
+        assert all((rng.random() * SCALE).is_integer()
+                   for _ in range(100_000))
+        system = random.SystemRandom()
+        assert all((system.random() * SCALE).is_integer()
+                   for _ in range(10_000))
+
+    def test_draw_worlds_across_the_boundary(self):
+        formula = CNF([["x", "y"]])
+        marginals, masks = sampling_frame(
+            formula, {"x": P_FIFTH, "y": F(1, 3)})
+        thresholds = [draw_threshold(p) for p in marginals]
+        draws = [k / SCALE for k in range(K_FIFTH - 2, K_FIFTH + 3)]
+        values = []
+        for u in draws:
+            values += [u, 0.5]
+        worlds = list(draw_worlds(thresholds, masks, FixedDraws(values),
+                                  len(draws)))
+        expected = [F(u) < P_FIFTH for u in draws]
+        assert [world for world, _ in worlds] == \
+            [[bit, False] for bit in expected]
+        assert [satisfied for _, satisfied in worlds] == expected
+        assert expected == [True, True, True, False, False]
+
+    def test_circuit_sample_across_the_boundary(self):
+        """``(x | y)`` compiles to ite(y, true, x): the walk draws y
+        against its posterior, and x from its prior when y is true."""
+        weights = {"x": P_FIFTH, "y": F(1, 3)}
+        circuit = compile_cnf(CNF([["x", "y"]]))
+        assert circuit.nodes[circuit.root][:2] == ("ite", "y")
+        posterior = weights["y"] / (
+            weights["y"] + (1 - weights["y"]) * weights["x"])
+        assert (posterior * SCALE).denominator != 1
+        below = math.floor(posterior * SCALE) / SCALE
+        above = below + 1 / SCALE
+        values = [below, K_FIFTH / SCALE,
+                  below, (K_FIFTH + 1) / SCALE,
+                  above]
+        worlds = circuit.sample(weights, k=3, rng=FixedDraws(values))
+        assert F(below) < posterior < F(above)
+        assert worlds == [{"y": True, "x": True},
+                          {"y": True, "x": False},
+                          {"y": False, "x": True}]
 
 
 class TestCircuitSample:

@@ -71,6 +71,29 @@ class TestRouting:
         with pytest.raises(ValueError):
             evaluate(rst_query(), small_tid(rst_query()), method="magic")
 
+    def test_a_given_classification_is_not_recomputed(self, monkeypatch):
+        """``safe=`` carries a classification the caller already holds
+        (the service's resolver does); ``evaluate`` then routes on it
+        without calling ``is_safe``, and ``evaluate_batch`` classifies
+        once for all its databases."""
+        from repro import evaluation
+
+        calls = []
+
+        def counting_is_safe(query):
+            calls.append(query)
+            return is_safe(query)
+
+        monkeypatch.setattr(evaluation, "is_safe", counting_is_safe)
+        for q in (safe_left_only(), rst_query()):
+            tid = small_tid(q)
+            assert evaluate(q, tid, safe=is_safe(q)) == evaluate(q, tid)
+        assert len(calls) == 2
+        q = rst_query()
+        results = evaluation.evaluate_batch(q, [small_tid(q)] * 3)
+        assert len(calls) == 3
+        assert results == [evaluate(q, small_tid(q), safe=False)] * 3
+
     def test_result_compares_to_fraction(self):
         q = rst_query()
         result = evaluate(q, small_tid(q))

@@ -1,15 +1,17 @@
 """The pinned RNG stream of every Monte-Carlo sampler.
 
-Each draw compares ``rng.random()`` with an exact ``Fraction``
-marginal, over variables in sorted-repr order, so a seeded estimate is
-a pure function of its inputs.  This module pins that function: the
-``as_dict()`` of seeded runs of the three samplers on random CNFs with
-0 and 1 marginals (additive targets, and relative ones for the two
-sequential samplers; fixed-n Hoeffding has no relative mode), a
-past-budget sweep over three weight specs, the service benchmark's two
-``estimate`` requests, and the worlds ``Circuit.sample`` draws.  A change to the
-draw loop, the stopping rule or the bound arithmetic that moves one
-draw, one checkpoint or one bit of an interval fails here.
+Each draw compares ``rng.random()`` with ``draw_threshold`` of an
+exact ``Fraction`` marginal, a float that decides every draw as the
+``Fraction`` would, over variables in sorted-repr order, so a seeded
+estimate is a pure function of its inputs.  This module pins that
+function: the ``as_dict()`` of seeded runs of the three samplers on
+random CNFs with 0 and 1 marginals (additive targets, and relative
+ones for the two sequential samplers; fixed-n Hoeffding has no
+relative mode), a past-budget sweep over three weight specs, the
+service benchmark's two ``estimate`` requests, and the worlds
+``Circuit.sample`` draws.  A change to the draw loop, the stopping rule
+or the bound arithmetic that moves one draw, one checkpoint or one bit
+of an interval fails here.
 
 The expected values live in ``golden/sampler_stream.json``.  Regenerate
 them with ``PYTHONPATH=src python tests/test_sampler_stream.py`` only

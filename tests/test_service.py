@@ -795,6 +795,20 @@ class TestWarmReads:
         assert stats["service"]["compile_joins"] == 0
         assert stats["cache"]["compiles"] == 1
 
+    def test_evaluate_routes_on_the_resolved_classification(
+            self, client, monkeypatch):
+        """``evaluate`` takes ``safe`` from the resolver's workload
+        instead of classifying the query again on every request."""
+        from repro import evaluation
+
+        calls = []
+        monkeypatch.setattr(evaluation, "is_safe",
+                            lambda query: calls.append(query))
+        for method in ("auto", "wmc", "estimate"):
+            client.call("evaluate", query=QUERY, p=4, method=method)
+        client.call("evaluate_batch", query=QUERY, ps=[3, 4])
+        assert calls == []
+
 
 class TestStoreIntegration:
     def test_disk_store_serves_cold_memory(self, tmp_path):

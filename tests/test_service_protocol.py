@@ -6,6 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.booleans.adaptive import BOUND_LABELS
+from repro.booleans.approximate import ProbabilityEstimate
 from repro.service.protocol import (
     ERROR_CODES,
     MAX_REQUEST_BYTES,
@@ -13,6 +18,7 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     check_fields,
+    decode_estimate,
     decode_fraction,
     decode_world,
     dump_line,
@@ -180,6 +186,17 @@ class TestFractionCodec:
         # the nearest binary double.
         assert decode_fraction(0.05) == F(1, 20)
 
+    def test_huge_decimal_exponent_is_refused_at_once(self):
+        """``Fraction("1e-10000000")`` alone takes seconds; the codec
+        refuses such an exponent before building the power."""
+        for bad in ("1e-10000000", "3E+1001", "1.5e-99999999999"):
+            with pytest.raises(ProtocolError) as info:
+                decode_fraction(bad, "epsilon")
+            assert info.value.code == "bad-request"
+            assert "exponent" in info.value.message
+        assert decode_fraction("1e-1000") == F(1, 10 ** 1000)
+        assert decode_fraction(5e-324) == F("5e-324")
+
     @pytest.mark.parametrize("bad", [True, [1], {"n": 1}, "abc", "1/0"])
     def test_rejects(self, bad):
         with pytest.raises(ProtocolError) as info:
@@ -206,6 +223,15 @@ class TestWorldCodec:
     def test_decode_rejects_non_list(self):
         with pytest.raises(ProtocolError):
             decode_world({"not": "a list"})
+
+    @pytest.mark.parametrize("bad", [
+        [1], [[1]], [[1, 2, 3]], [["x", True]], [[["s", "x"], 1]],
+        [[["i", "7"], True]], [[["b", 1], True]], [[["t", "ab"], True]],
+        [[["z", None], True]], [[[], True]], [[[["s"]], True]]])
+    def test_malformed_worlds_are_bad_requests(self, bad):
+        with pytest.raises(ProtocolError) as info:
+            decode_world(bad)
+        assert info.value.code == "bad-request"
 
 
 class TestValidators:
@@ -350,3 +376,96 @@ class TestEstimateCodec:
         bad["relative_error"] = "not-a-fraction"
         with pytest.raises(ProtocolError, match="relative_error"):
             decode_estimate(bad)
+
+
+# ----------------------------------------------------------------------
+# Codec fuzz: any JSON value decodes or is a bad request
+# ----------------------------------------------------------------------
+#: Any JSON value Python's ``json`` reads (NaN and infinities included).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10)
+
+#: Well-formed variable tokens, as ``encode_token`` writes them.
+TOKENS = st.recursive(
+    st.just(["z"])
+    | st.tuples(st.just("b"), st.booleans()).map(list)
+    | st.tuples(st.just("i"), st.integers()).map(list)
+    | st.tuples(st.just("s"), st.text(max_size=4)).map(list),
+    lambda inner: st.lists(inner, max_size=3).map(
+        lambda parts: ["t", parts]),
+    max_leaves=6)
+
+#: Worlds whose entries are mostly well formed, with junk mixed in.
+WORLDS = st.lists(
+    st.tuples(TOKENS | JSON_VALUES, st.booleans() | JSON_VALUES).map(list)
+    | JSON_VALUES, max_size=5)
+
+UNIT = st.fractions(0, 1, max_denominator=10 ** 9)
+POSITIVE = st.fractions(0, 3, max_denominator=10 ** 9)
+COUNTS = st.integers(0, 10 ** 6)
+
+#: Estimates of the shapes the samplers return.
+ESTIMATES = st.builds(
+    ProbabilityEstimate, estimate=UNIT, epsilon=POSITIVE, delta=UNIT,
+    samples=COUNTS, successes=COUNTS,
+    method=st.sampled_from(sorted(set(BOUND_LABELS.values()))),
+    relative_error=st.none() | POSITIVE,
+    samples_used=st.none() | COUNTS, center=st.none() | UNIT)
+
+
+@st.composite
+def mutated_estimates(draw) -> dict:
+    """An estimate's wire object with one field dropped or replaced by
+    any JSON value."""
+    wire = draw(ESTIMATES).as_dict()
+    field = draw(st.sampled_from(sorted(wire) + ["extra"]))
+    if draw(st.booleans()):
+        wire.pop(field, None)
+    else:
+        wire[field] = draw(JSON_VALUES)
+    return wire
+
+
+class TestCodecFuzz:
+    """Whatever a peer sends, ``decode_world`` and ``decode_estimate``
+    decode it or raise ``ProtocolError("bad-request")``, and whatever
+    decodes re-encodes to itself."""
+
+    @given(obj=WORLDS | JSON_VALUES)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_any_world_decodes_or_is_a_bad_request(self, obj):
+        try:
+            world = decode_world(obj)
+        except ProtocolError as error:
+            assert error.code == "bad-request"
+            return
+        wire = json.loads(json.dumps(encode_world(world)))
+        assert decode_world(wire) == world
+
+    @given(obj=mutated_estimates() | JSON_VALUES)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_any_estimate_decodes_or_is_a_bad_request(self, obj):
+        try:
+            estimate = decode_estimate(obj)
+        except ProtocolError as error:
+            assert error.code == "bad-request"
+            return
+        assert decode_estimate(estimate.as_dict()) == estimate
+
+    @given(estimate=ESTIMATES)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_generated_estimates_round_trip(self, estimate):
+        wire = json.loads(dump_line(estimate.as_dict()))
+        assert decode_estimate(wire).as_dict() == estimate.as_dict()
+        assert decode_estimate(wire) == estimate
+
+    def test_unknown_method_is_a_bad_request(self):
+        wire = ProbabilityEstimate(F(1, 2), F(1, 20), F(1, 20), 8,
+                                   4).as_dict()
+        for method in (5, None, "bogus", ["hoeffding"]):
+            with pytest.raises(ProtocolError, match="method"):
+                decode_estimate({**wire, "method": method})
