@@ -1,5 +1,6 @@
 """Flat-tape lanes: float lanes vs a per-node float loop, integer lanes
-vs the tape's Fraction lanes.
+vs the tape's Fraction lanes, and the tape's world sampling and
+marginals vs the node walk they replaced.
 
 Shape expectations: on the block-matrix theta-screening family (k
 weight lanes over one path-block lineage, each lane pinning a couple
@@ -14,7 +15,11 @@ exact default, the tape's integer lanes, must return *exactly* the
 Fraction lanes' values on the same family (both rates are reported in
 lanes/s); a wide-denominator shape must select the Fraction lanes
 (timed, not gated); and the tape's serialized bytes must not depend
-on ``PYTHONHASHSEED``.
+on ``PYTHONHASHSEED``.  On ``path_query(3)`` at p=12, ``Circuit.sample``
+(k=1) and ``Circuit.marginals``, which walk the registers of one exact
+tape pass, must return exactly what the ``Fraction`` walk of the node
+table returns (``node_sample``/``node_marginals``, kept here as the
+baseline) and be **>= 3x** faster.
 
 Runable two ways:
 
@@ -22,7 +27,9 @@ Runable two ways:
 * ``python benchmarks/bench_tape.py [--quick]`` — a self-contained
   smoke run (CI uses ``--quick``) that exits non-zero if the float
   lanes lose their margin, the exact lanes drift or pick the wrong
-  arithmetic, or the tape serializes differently under two hash seeds.
+  arithmetic, the tape's sample or marginals drift from the node walk
+  or lose their margin, or the tape serializes differently under two
+  hash seeds.
 """
 
 import json
@@ -38,7 +45,8 @@ import _bench_io
 
 from repro import obs
 from repro.booleans.circuit import (
-    ITE, LEAF, TRUE, AND, WeightOverlay, compile_cnf, make_lookup,
+    ITE, LEAF, TRUE, AND, WeightOverlay, as_rng, compile_cnf,
+    draw_threshold, make_lookup,
 )
 from repro.booleans import tape as tape_module
 from repro.core import catalog
@@ -51,6 +59,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 #: The acceptance floor for tape-float over node-float (numpy rows;
 #: the float lanes on list rows only have to *win*, not rout).
 SPEEDUP_GATE = 10.0
+
+#: The acceptance floor for the tape's sample (k=1) and marginals over
+#: the node walk on path_query(3) at p=12.
+WALK_GATE = 3.0
 
 
 def theta_workload(p=8, k=256):
@@ -166,6 +178,102 @@ def wide_lanes(circuit, k):
             for j in range(k)]
 
 
+def node_values(circuit, lookup):
+    """Every node's exact probability by one ``Fraction`` walk of the
+    node table: the evaluator behind ``sample`` and ``marginals``
+    before they walked the tape's registers."""
+    values = [F(0)] * len(circuit.nodes)
+    for i, node in enumerate(circuit.nodes):
+        if node[0] is ITE:
+            p = F(lookup(node[1]))
+            values[i] = p * values[node[2]] + (1 - p) * values[node[3]]
+        elif node[0] is AND:
+            values[i] = math.prod((values[c] for c in node[1]),
+                                  start=F(1))
+        elif node[0] is LEAF:
+            values[i] = F(lookup(node[1]))
+        elif node[0] is TRUE:
+            values[i] = F(1)
+    return values
+
+
+def node_sample(circuit, weights, k, rng):
+    """The node-walk ``Circuit.sample``: decisions draw against the
+    exact posterior of their true branch, then the unset variables
+    against their priors in sorted-repr order."""
+    lookup = make_lookup(weights)
+    values = node_values(circuit, lookup)
+    rng = as_rng(rng)
+    thresholds = {}
+    for i, node in enumerate(circuit.nodes):
+        if node[0] is ITE:
+            p = F(lookup(node[1]))
+            hi = p * values[node[2]]
+            mass = hi + (1 - p) * values[node[3]]
+            if mass:
+                thresholds[i] = draw_threshold(hi / mass)
+    priors = [(var, draw_threshold(F(lookup(var))))
+              for var in sorted(circuit.variables(), key=repr)]
+    worlds = []
+    for _ in range(k):
+        world = {}
+        stack = [circuit.root]
+        while stack:
+            i = stack.pop()
+            node = circuit.nodes[i]
+            if node[0] is ITE:
+                bit = world[node[1]] = rng.random() < thresholds[i]
+                stack.append(node[2] if bit else node[3])
+            elif node[0] is AND:
+                stack.extend(node[1])
+            elif node[0] is LEAF:
+                world[node[1]] = True
+        for var, prior in priors:
+            if var not in world:
+                world[var] = rng.random() < prior
+        worlds.append(world)
+    return worlds
+
+
+def node_marginals(circuit, weights):
+    """The node-walk ``Circuit.marginals``: a backward pass of
+    ``Fraction`` derivatives with prefix/suffix products."""
+    lookup = make_lookup(weights)
+    values = node_values(circuit, lookup)
+    derivs = [F(0)] * len(circuit.nodes)
+    derivs[circuit.root] = F(1)
+    grads = {var: F(0) for var in circuit.variables()}
+    for i in range(len(circuit.nodes) - 1, -1, -1):
+        d, node = derivs[i], circuit.nodes[i]
+        if not d:
+            continue
+        if node[0] is ITE:
+            p = F(lookup(node[1]))
+            derivs[node[2]] += p * d
+            derivs[node[3]] += (1 - p) * d
+            grads[node[1]] += (values[node[2]] - values[node[3]]) * d
+        elif node[0] is AND:
+            children = node[1]
+            prefix = [F(1)]
+            for child in children[:-1]:
+                prefix.append(prefix[-1] * values[child])
+            suffix = F(1)
+            for j in range(len(children) - 1, -1, -1):
+                derivs[children[j]] += d * prefix[j] * suffix
+                suffix *= values[children[j]]
+        elif node[0] is LEAF:
+            grads[node[1]] += d
+    return grads
+
+
+def walk_workload(length=3, p=12):
+    """path_query(length) over B_p(u, v), compiled, with its tuple
+    marginals: the shape of the service's ``sample`` op."""
+    query = catalog.path_query(length)
+    tid = path_block(query, p)
+    return compile_cnf(lineage(query, tid)), tid.probability
+
+
 # ----------------------------------------------------------------------
 # pytest-benchmark entry points
 # ----------------------------------------------------------------------
@@ -192,6 +300,18 @@ def test_fraction_lanes(benchmark):
     circuit, _, overlay_specs = theta_workload(p=8, k=32)
     values = benchmark(run_fraction_lanes, circuit, overlay_specs)
     assert values == circuit.probability_batch(overlay_specs)
+
+
+def test_tape_sample(benchmark):
+    circuit, weights = walk_workload(p=8)
+    worlds = benchmark(circuit.sample, weights, 1, 0)
+    assert worlds == node_sample(circuit, weights, 1, 0)
+
+
+def test_tape_marginals(benchmark):
+    circuit, weights = walk_workload(p=8)
+    grads = benchmark(circuit.marginals, weights)
+    assert grads == node_marginals(circuit, weights)
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +417,48 @@ def check_wide_denominators(p, k) -> tuple[bool, dict]:
     return True, record
 
 
+def check_tape_walks(length=3, p=12, repeats=7) -> tuple[bool, dict]:
+    """``sample`` (k=1, seeds 0..repeats-1) and ``marginals`` on the
+    tape must equal the node walk exactly and beat it by
+    ``WALK_GATE``."""
+    circuit, weights = walk_workload(length, p)
+    circuit.probability(weights)  # flatten the tape outside the timing
+    record = {"query": f"path_query({length})", "p": p,
+              "gate": WALK_GATE}
+    ok = True
+    for name, tape_run, node_run in (
+            ("sample", lambda seed: circuit.sample(weights, 1, seed),
+             lambda seed: node_sample(circuit, weights, 1, seed)),
+            ("marginals", lambda seed: circuit.marginals(weights),
+             lambda seed: node_marginals(circuit, weights))):
+        t_tape = t_node = math.inf
+        identical = True
+        for seed in range(repeats):
+            start = time.perf_counter()
+            got = tape_run(seed)
+            t_tape = min(t_tape, time.perf_counter() - start)
+            start = time.perf_counter()
+            want = node_run(seed)
+            t_node = min(t_node, time.perf_counter() - start)
+            identical &= got == want
+        speedup = t_node / t_tape
+        record[name] = {"tape_ms": round(t_tape * 1e3, 3),
+                        "node_ms": round(t_node * 1e3, 3),
+                        "speedup": round(speedup, 2),
+                        "identical": identical}
+        verdict = "" if speedup >= WALK_GATE \
+            else f"  <-- below {WALK_GATE}x gate"
+        print(f"{name}: tape {t_tape * 1e3:.2f}ms, node walk "
+              f"{t_node * 1e3:.2f}ms ({speedup:.1f}x) on "
+              f"path_query({length}) p={p}, identical: "
+              f"{identical}{verdict}")
+        if not identical:
+            print(f"TAPE WALK DRIFT: {name} differs from the node walk",
+                  file=sys.stderr)
+        ok &= identical and speedup >= WALK_GATE
+    return ok, record
+
+
 _HASHSEED_PROBE = """
 import hashlib, json
 from fractions import Fraction
@@ -361,6 +523,8 @@ def main(argv=None) -> int:
     ok &= exact_ok
     wide_ok, wide = check_wide_denominators(exact_p, exact_k)
     ok &= wide_ok
+    walks_ok, walks = check_tape_walks()
+    ok &= walks_ok
     seed_ok, seeds = check_hashseed_determinism()
     ok &= seed_ok
     _bench_io.emit("tape", {
@@ -369,16 +533,20 @@ def main(argv=None) -> int:
         "shapes": records,
         "exact": exact,
         "wide": wide,
+        "walks": walks,
         "hashseed": seeds,
         "ok": bool(ok),
     })
     if not ok:
         print("perf regression: the tape lost its float margin, the "
-              "exact lanes drifted or picked the wrong arithmetic, or "
-              "serialization broke determinism", file=sys.stderr)
+              "exact lanes drifted or picked the wrong arithmetic, the "
+              "tape's sample or marginals drifted from the node walk "
+              "or lost their margin, or serialization broke "
+              "determinism", file=sys.stderr)
         return 1
     print("ok: tape-float clears the gate, integer lanes equal the "
           "Fraction lanes, wide denominators take the Fraction lanes, "
+          "sample and marginals equal and beat the node walk, "
           "serialization is hashseed-stable")
     return 0
 

@@ -10,20 +10,20 @@ the per-lane loops of the float kernels, which erases the 10x+ speedup
 the tape exists for.
 
 One lane loop, ``Tape._lanes``, runs the integer, ``Fraction`` and
-float lanes alike.  It stays in the exact zone: it holds no float
-literal, and whatever the float lanes need (their weights, the NEG
-constant 1, numpy's row type) reaches it as arguments from
-``Tape.evaluate``, which is not a zone.
+float lanes alike (``Tape.sample``/``marginals`` walk its registers).
+It stays in the exact zone: it holds no float literal, and whatever
+the float lanes need (their weights, the NEG constant 1, numpy's row
+type) reaches it as arguments from ``Tape.evaluate``, not a zone.
 
 Zones:
 
 * **exact** — functions whose qualname contains ``exact``, plus the
   explicitly listed exact surfaces of ``booleans/circuit.py`` and
-  ``booleans/tape.py`` (``Circuit.probability``/``_forward``/
-  ``model_count``/``marginals``/``sample``/``top_k_worlds``, the
-  ``_kbest_*`` helpers, ``_Compiler``, ``compile_cnf``, the tape's
-  exact surfaces including the lane loop ``Tape._lanes`` (shared
-  with the float lanes), its decoded program and list-row helpers,
+  ``booleans/tape.py`` (``Circuit.probability``/``model_count``/
+  ``marginals``/``sample``/``top_k_worlds``, the ``_kbest_*`` helpers,
+  ``_Compiler``, ``compile_cnf``, ``Tape.probability``/``sample``/
+  ``marginals``, the lane loop ``Tape._lanes`` (shared with the float
+  lanes), its decoded program and list-row helpers,
   ``_Flattener``/``flatten_circuit``), of the integer algebra in
   ``algebra/matrices.py`` (``IncrementalBasis``, ``Matrix.determinant``/
   ``rank``/``solve``/``inverse``, ``select_rows``, ``monomial_row``
@@ -58,15 +58,16 @@ _FLOAT_NAME = re.compile(r"float|numpy|lanes", re.IGNORECASE)
 #: covers the scope itself and everything nested inside it.
 _EXACT_ZONES = {
     "booleans/circuit.py": (
-        "Circuit.probability", "Circuit._forward", "Circuit.model_count",
+        "Circuit.probability", "Circuit.model_count",
         "Circuit.marginals", "Circuit.sample", "Circuit.top_k_worlds",
         "_kbest_top", "_kbest_scale", "_kbest_product", "_kbest_smooth",
         "_Compiler", "compile_cnf",
     ),
-    "booleans/tape.py": ("Tape.probability", "Tape._lanes",
-                         "Tape._program", "Tape._exponent_table",
-                         "Tape._lane_denominator", "_row_mul", "_row_add",
-                         "_row_sub", "_Flattener", "flatten_circuit"),
+    "booleans/tape.py": ("Tape.probability", "Tape.sample",
+                         "Tape.marginals", "Tape._lanes", "Tape._program",
+                         "Tape._exponent_table", "Tape._lane_denominator",
+                         "_row_mul", "_row_add", "_row_sub", "_Flattener",
+                         "flatten_circuit"),
     "algebra/matrices.py": (
         "IncrementalBasis", "Matrix.determinant", "Matrix.rank",
         "Matrix.solve", "Matrix.inverse", "common_denominator",

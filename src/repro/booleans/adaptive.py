@@ -151,6 +151,11 @@ GROWTH = 2
 #: scales with the cap *squared* — small.
 DEFAULT_WEIGHT_CAP = Fraction(4)
 
+#: The likelihood-ratio bound of each sampler's draws (``max_draws``);
+#: the fixed-n Hoeffding estimator weighs no draw.
+WEIGHT_CAPS = {"hoeffding": None, "adaptive": ONE,
+               "importance": DEFAULT_WEIGHT_CAP}
+
 #: ln upper bounds inflate the (correctly rounded, <= 1 ulp off) float
 #: logarithm by one part in 2^32 — far more than a double's relative
 #: error, far less than anything that could move a stopping decision.
@@ -259,6 +264,20 @@ def tilted_proposal(marginals: list[Fraction],
     return proposal
 
 
+def max_draws(epsilon, delta, weight_cap=None) -> int:
+    """The most worlds one estimate at ``(epsilon, delta)`` draws (pass
+    a sampler's ``WEIGHT_CAPS`` entry): the fixed-n Hoeffding count, or
+    the sequential samplers' cap, the Hoeffding count for draws in
+    [0, ``weight_cap``] at ``delta/2``."""
+    if weight_cap is None:
+        return hoeffding_sample_count(epsilon, delta)
+    # Hoeffding for draws in [0, R] needs R^2 times the unit-range
+    # count; the ceiling is taken on the exact rational, since rounding
+    # through floats could land one sample short.
+    return math.ceil(hoeffding_sample_count(epsilon, Fraction(delta) / 2)
+                     * Fraction(weight_cap) ** 2)
+
+
 def _sequential_estimate(formula: CNF, weights: Weights, epsilon, delta,
                          rng, default, relative_error,
                          weight_cap: Fraction) -> ProbabilityEstimate:
@@ -281,11 +300,7 @@ def _sequential_estimate(formula: CNF, weights: Weights, epsilon, delta,
         if relative_error <= 0:
             raise ValueError(
                 f"relative_error must be positive, got {relative_error}")
-    # Hoeffding for draws in [0, R] needs R^2 times the unit-range
-    # count; the ceiling is taken on the exact rational, since rounding
-    # through floats could land one sample short.
-    cap = math.ceil(hoeffding_sample_count(epsilon, delta / 2)
-                    * weight_cap ** 2)
+    cap = max_draws(epsilon, delta, weight_cap)
     rng = as_rng(rng)
     marginals, masks = sampling_frame(formula, weights, default)
     proposal = tilted_proposal(marginals, weight_cap)
@@ -380,7 +395,8 @@ def adaptive_estimate_probability(formula: CNF, weights: Weights = None,
     processes and ``PYTHONHASHSEED`` values.
     """
     return _sequential_estimate(formula, weights, epsilon, delta, rng,
-                                default, relative_error, ONE)
+                                default, relative_error,
+                                WEIGHT_CAPS["adaptive"])
 
 
 def importance_estimate_probability(formula: CNF,
@@ -415,7 +431,7 @@ def importance_estimate_probability(formula: CNF,
     """
     return _sequential_estimate(formula, weights, epsilon, delta, rng,
                                 default, relative_error,
-                                DEFAULT_WEIGHT_CAP)
+                                WEIGHT_CAPS["importance"])
 
 
 # ----------------------------------------------------------------------

@@ -88,11 +88,19 @@ def hoeffding_sample_count(epsilon, delta) -> int:
     deviates from its expectation by more than ``epsilon`` with
     probability at most ``delta``.
     """
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
+    # The service checks every request's knobs with this: skip the
+    # conversion of what already is a Fraction.
+    epsilon = epsilon if type(epsilon) is Fraction else Fraction(epsilon)
+    delta = delta if type(delta) is Fraction else Fraction(delta)
     check_accuracy(epsilon, delta)
-    return max(1, math.ceil(
-        math.log(2 / float(delta)) / (2 * float(epsilon) ** 2)))
+    try:
+        return max(1, math.ceil(
+            math.log(2 / float(delta)) / (2 * float(epsilon) ** 2)))
+    except (ZeroDivisionError, OverflowError):
+        # epsilon or delta beyond the float range: ln(2/delta) from
+        # the integers, the rest on the exact rational.
+        log = math.log(2 * delta.denominator) - math.log(delta.numerator)
+        return math.ceil(Fraction(log) / (2 * epsilon ** 2))
 
 
 @dataclass(frozen=True)

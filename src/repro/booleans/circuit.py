@@ -22,7 +22,7 @@ A circuit is a DAG of hash-consed nodes:
 
 Decomposability + determinism make the circuit a d-DNNF: weighted model
 counts, unweighted model counts, and all first-order marginals fall out
-of single forward/backward passes.  The compiler mirrors the trace of
+of single passes over its flat tape.  The compiler mirrors the trace of
 the WMC engine — unit-clause conditioning, independent-component
 factorization via ``clause_components``, Shannon expansion on a
 most-shared variable — but keeps the trace instead of collapsing it to
@@ -34,7 +34,7 @@ Two runtime features round the IR out into a reusable artifact:
   circuit's flat instruction tape (``repro.booleans.tape``): one pass
   evaluates *many* weight vectors (the grids of Eq. 20, theta-sweeps,
   interpolation points) on exact integer lanes, or on float lanes for
-  approximate sweeps;
+  approximate sweeps, and ``sample``/``marginals`` walk its registers;
 * ``Circuit.to_bytes`` / ``Circuit.from_bytes`` give a versioned,
   exactly round-tripping serialization, the unit of persistence for the
   content-addressed store in ``repro.booleans.store``.
@@ -52,7 +52,6 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from repro.booleans.cnf import CNF
 from repro.booleans.connectivity import clause_components
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
@@ -180,7 +179,13 @@ def draw_threshold(p: Fraction) -> float:
     these thresholds, so each draw is one float comparison instead of
     a ``Fraction`` one, and the worlds drawn are those of the exact
     comparison."""
-    ceiling = -((-p.numerator << 53) // p.denominator)
+    return ratio_threshold(p.numerator, p.denominator)
+
+
+def ratio_threshold(numerator: int, denominator: int) -> float:
+    """``draw_threshold`` of numerator/denominator (of either sign),
+    with no ``Fraction`` built."""
+    ceiling = -((-numerator << 53) // denominator)
     return min(max(ceiling, 0), _DRAW_SCALE) / _DRAW_SCALE
 
 
@@ -357,30 +362,7 @@ class Circuit:
         """Pr(F) under independent variables — one pass over the
         circuit's flat tape (``repro.booleans.tape.Tape.probability``)."""
         from repro.booleans.tape import tape_for_circuit
-        return tape_for_circuit(self).probability(weights, default,
-                                                  self._forward)
-
-    def _forward(self, lookup) -> list[Fraction]:
-        """Every node's probability in ``Fraction``s, by one walk of
-        the node table (``marginals`` and ``sample`` need them all)."""
-        vals: list[Fraction] = [ZERO] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            kind = node[0]
-            if kind is ITE:
-                p = Fraction(lookup(node[1]))
-                vals[i] = p * vals[node[2]] + (ONE - p) * vals[node[3]]
-            elif kind is AND:
-                acc = ONE
-                for child in node[1]:
-                    acc *= vals[child]
-                    if not acc:
-                        break
-                vals[i] = acc
-            elif kind is LEAF:
-                vals[i] = Fraction(lookup(node[1]))
-            elif kind is TRUE:
-                vals[i] = ONE
-        return vals
+        return tape_for_circuit(self).probability(weights, default)
 
     def probability_batch(self, weight_specs: Sequence[Weights],
                           default: Fraction | None = None,
@@ -429,44 +411,14 @@ class Circuit:
 
     def marginals(self, weights: Weights = None,
                   default: Fraction | None = None) -> dict:
-        """All partial derivatives d Pr(F) / d p(var) — one forward plus
-        one backward pass (Darwiche's differential semantics).
+        """All partial derivatives d Pr(F) / d p(var) — one tape pass
+        plus one reverse pass (Darwiche's differential semantics).
 
         Since Pr is multilinear, the marginal of ``var`` also equals
         Pr(F[var:=1]) - Pr(F[var:=0]) at the remaining weights.
         """
-        lookup = make_lookup(weights, default)
-        vals = self._forward(lookup)
-        derivs: list[Fraction] = [ZERO] * len(self.nodes)
-        derivs[self.root] = ONE
-        grads: dict = {v: ZERO for v in self.variables()}
-        for i in range(len(self.nodes) - 1, -1, -1):
-            d = derivs[i]
-            if not d:
-                continue
-            node = self.nodes[i]
-            kind = node[0]
-            if kind is ITE:
-                p = Fraction(lookup(node[1]))
-                derivs[node[2]] += p * d
-                derivs[node[3]] += (ONE - p) * d
-                grads[node[1]] += (vals[node[2]] - vals[node[3]]) * d
-            elif kind is AND:
-                children = node[1]
-                # Prefix/suffix products keep the pass linear even when
-                # several child values are zero.
-                n = len(children)
-                prefix = [ONE] * (n + 1)
-                for j, child in enumerate(children):
-                    prefix[j + 1] = prefix[j] * vals[child]
-                suffix = ONE
-                for j in range(n - 1, -1, -1):
-                    child = children[j]
-                    derivs[child] += d * prefix[j] * suffix
-                    suffix *= vals[child]
-            elif kind is LEAF:
-                grads[node[1]] += d
-        return grads
+        from repro.booleans.tape import tape_for_circuit
+        return tape_for_circuit(self).marginals(weights, default)
 
     # ------------------------------------------------------------------
     # World sampling and top-k enumeration (top-down passes)
@@ -477,72 +429,22 @@ class Circuit:
         """k exact samples from Pr(world | F) — the distribution of the
         independent variables conditioned on the formula being true.
 
-        One forward pass computes every node's probability; each sample
-        is then a top-down walk: at a decision node the true-branch is
-        taken with its exact posterior odds (determinism makes the two
-        branches disjoint events), a product node descends into all
-        children (decomposability makes them independent), and
-        variables the walk never constrains are drawn from their prior
-        marginals.  Each returned world is a ``{var: bool}`` dict over
-        all circuit variables and satisfies the formula.
+        One exact tape pass computes every register; each sample is
+        then a top-down walk of them: a decision takes its true branch
+        with its exact posterior odds (determinism makes the branches
+        disjoint events), a product descends into all its operands
+        (decomposability makes them independent), and variables the
+        walk never constrains are drawn from their prior marginals.
+        Each returned world is a ``{var: bool}`` dict over all circuit
+        variables and satisfies the formula.
 
         ``rng`` is a ``random.Random``, an int seed, or None (seed 0);
         results are reproducible across processes and hash seeds —
-        the walk order is the node table's, and the free-variable
-        fill-in iterates in sorted-repr order.
+        the walk order is the tape's, and the free-variable fill-in
+        iterates in sorted-repr order.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        lookup = make_lookup(weights, default)
-        vals = self._forward(lookup)
-        total = vals[self.root]
-        if total == 0:
-            raise ValueError(
-                "cannot sample: the formula has probability 0 under "
-                "these weights")
-        rng = as_rng(rng)
-        # Posterior branch thresholds and prior marginals depend only
-        # on the weights, not the sample — hoist the exact-Fraction
-        # arithmetic out of the per-sample loop, and turn each into
-        # its exact float draw threshold.
-        thresholds: list = [None] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            if node[0] is ITE:
-                p = Fraction(lookup(node[1]))
-                hi_mass = p * vals[node[2]]
-                mass = hi_mass + (ONE - p) * vals[node[3]]
-                if mass:  # zero-mass nodes are never visited below
-                    thresholds[i] = draw_threshold(hi_mass / mass)
-        priors = [(var, draw_threshold(Fraction(lookup(var))))
-                  for var in sorted(self.variables(), key=repr)]
-        worlds = []
-        for _ in range(k):
-            world: dict = {}
-            stack = [self.root]
-            while stack:
-                i = stack.pop()
-                node = self.nodes[i]
-                kind = node[0]
-                if kind is ITE:
-                    # The threshold compares as the exact posterior
-                    # would (see draw_threshold), and it is 0 (1) for
-                    # a branch of posterior mass 0 (1), which is then
-                    # never (always) taken.
-                    if rng.random() < thresholds[i]:
-                        world[node[1]] = True
-                        stack.append(node[2])
-                    else:
-                        world[node[1]] = False
-                        stack.append(node[3])
-                elif kind is AND:
-                    stack.extend(node[1])
-                elif kind is LEAF:
-                    world[node[1]] = True
-            for var, prior in priors:
-                if var not in world:
-                    world[var] = rng.random() < prior
-            worlds.append(world)
-        return worlds
+        from repro.booleans.tape import tape_for_circuit
+        return tape_for_circuit(self).sample(weights, k, rng, default)
 
     def top_k_worlds(self, weights: Weights = None, k: int = 1,
                      default: Fraction | None = None) -> list[tuple]:

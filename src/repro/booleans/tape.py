@@ -5,7 +5,8 @@ into a :class:`Tape` — parallel arrays of opcodes, operand index
 ranges, and a literal→slot table — so k weight vectors cost one pass
 over flat arrays, not a Python-level dispatch per node per vector.
 Every ``Circuit.probability``/``probability_batch`` call runs here, in
-one lane loop (``Tape._lanes``).  A register holds one scalar while it
+one lane loop (``Tape._lanes``); ``sample`` and ``marginals`` walk the
+registers of one exact pass of it.  A register holds one scalar while it
 is the same in every lane and widens to a row of k only where lanes
 diverge: sweeps vary a handful of variables (an Eq. 20 endpoint grid
 pins two), so most of the tape runs once whatever k is.  Three kinds
@@ -24,8 +25,7 @@ of lanes share the loop:
   once at the root.  Probabilities in {0, 1/2, 1} plus a few small
   grid denominators keep D tiny;
 * **Fraction lanes** run over ``Fraction``s when the denominators are
-  too wide and varied for integers (``INT_LANE_RATIO``); a single such
-  lane takes the circuit's own node-table pass instead.
+  too wide and varied for integers (``INT_LANE_RATIO``).
 
 Both exact lanes return the same ``Fraction``s whatever the association
 order (an ``("ite", v, hi, lo)`` node lowers to ``p*hi + (1-p)*lo``
@@ -72,7 +72,8 @@ from typing import Sequence
 
 from repro.booleans.circuit import (
     AND, FALSE, HALF, ITE, LEAF, TRUE, Circuit, UnsupportedVersionError,
-    WeightOverlay, decode_token, encode_token, make_lookup,
+    WeightOverlay, as_rng, decode_token, draw_threshold, encode_token,
+    make_lookup, ratio_threshold,
 )
 from repro import obs
 
@@ -339,24 +340,118 @@ class Tape:
                 vector = _np.ndarray
                 rows = [_np.array(row) if type(row) is list else row
                         for row in rows]
-            root = self._lanes(rows, None, (1,), vector)
+            root = self._lanes(rows, None, (1,), vector)[self.root]
             return list(map(float, root)) if type(root) is vector \
                 else [float(root)] * k
 
-    def probability(self, weights, default, forward) -> Fraction:
+    def probability(self, weights, default) -> Fraction:
         """One exact lane for ``Circuit.probability``: integer lanes, or
-        for too wide denominators ``forward(lookup)``, the circuit's
-        node-table pass, which beats the Fraction lanes on one lane."""
+        Fraction lanes when the denominators are too wide for them
+        (``_lane_denominator``)."""
+        _, regs, exps, pows, _ = self._exact_pass(weights, default)
+        return Fraction(regs[self.root], pows[exps[self.root]])
+
+    def sample(self, weights, k, rng, default) -> list[dict]:
+        """``Circuit.sample`` on the registers of one exact pass.  Each
+        OR is a lowered decision and draws once against the exact share
+        of its first operand, the true branch; so the walk draws where,
+        and in the order, the node table's walk drew, as long as no
+        decision has a ``FALSE`` branch (``compile_cnf`` emits none)."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        rows, regs, exps, pows, _ = self._exact_pass(weights, default)
+        if not regs[self.root]:
+            raise ValueError(
+                "cannot sample: the formula has probability 0 under "
+                "these weights")
+        rng = as_rng(rng)
+        program, slots = self._program(), self.slots
+        # Zero-mass decisions are never reached, so get no threshold.
+        thresholds: list = [None] * len(program)
+        for i, (op, arg) in enumerate(program):
+            if op == OP_OR and regs[i]:
+                first = regs[arg[0]] * pows[exps[i] - exps[arg[0]]]
+                thresholds[i] = ratio_threshold(
+                    first.numerator * regs[i].denominator,
+                    first.denominator * regs[i].numerator)
+        priors = [(slots[s], draw_threshold(rows[s]))
+                  for s in sorted(range(len(slots)),
+                                  key=lambda s: repr(slots[s]))]
+        worlds = []
+        for _ in range(k):
+            world: dict = {}
+            stack = [self.root]
+            while stack:
+                i = stack.pop()
+                op, arg = program[i]
+                if op == OP_OR:
+                    stack.append(arg[0] if rng.random() < thresholds[i]
+                                 else arg[1])
+                elif op == OP_AND:
+                    stack.extend(arg)
+                elif op == OP_LIT:
+                    world[slots[arg]] = True
+                elif op == OP_NEG:
+                    world[slots[program[arg][1]]] = False
+            for var, prior in priors:
+                if var not in world:
+                    world[var] = rng.random() < prior
+            worlds.append(world)
+        return worlds
+
+    def marginals(self, weights, default) -> dict:
+        """``Circuit.marginals`` by a reverse pass of adjoints over one
+        exact pass.  Register i is regs[i] / D**e[i] and its adjoint
+        d Pr / d value(i) is adj[i] / D**(E - e[i]), E the root's e, so
+        an AND passes adjoint x prefix x suffix to its operands, an OR
+        scales it by D**(e[OR] - e[operand]), a NEG negates it, and a
+        LIT's gives its variable's derivative adj * D / D**E."""
+        _, regs, exps, pows, common = self._exact_pass(weights, default)
+        program = self._program()
+        adjoints = [0] * len(program)
+        adjoints[self.root] = 1
+        for i in range(len(program) - 1, -1, -1):
+            adjoint = adjoints[i]
+            op, arg = program[i]
+            if not adjoint:
+                continue
+            if op == OP_AND:
+                # Prefix/suffix products keep the pass linear even when
+                # several operands are zero.
+                prefix = [adjoint]
+                for src in arg[:-1]:
+                    prefix.append(prefix[-1] * regs[src])
+                suffix = 1
+                for j in range(len(arg) - 1, -1, -1):
+                    adjoints[arg[j]] += prefix[j] * suffix
+                    suffix *= regs[arg[j]]
+            elif op == OP_OR:
+                for src in arg:
+                    adjoints[src] += adjoint * pows[exps[i] - exps[src]]
+            elif op == OP_NEG:
+                adjoints[arg] -= adjoint
+        grads: dict = {}
+        scale = pows[exps[self.root]]
+        for i, (op, arg) in enumerate(program):
+            if op == OP_LIT:  # hash-equal slots add up, as one key
+                var = self.slots[arg]
+                grads[var] = grads.get(var, 0) + Fraction(
+                    adjoints[i] * common, scale)
+        return grads
+
+    def _exact_pass(self, weights, default) -> tuple:
+        """``(rows, registers, e, pows, D)`` of one exact lane, which
+        ``probability``, ``sample`` and ``marginals`` share, in a
+        ``kernel`` span; on Fraction lanes every e is 0 and D is 1."""
         with obs.span("kernel", numeric="exact", lanes=1) as sp:
             lookup = make_lookup(weights, default)
             rows = [_exact_weight(lookup(var), var, 0)
                     for var in self.slots]
             common = self._lane_denominator(rows)
-            if common is not None:
-                return self._exact_lanes(rows, 1, common, sp)[0]
-            value = forward(lookup)[self.circuit_root]
-            sp.tag(arith="fraction", bits=value.numerator.bit_length())
-            return value
+            regs, exps, pows = self._exact_registers(rows, common)
+            sp.tag(arith="fraction" if common is None else "int",
+                   bits=regs[self.root].numerator.bit_length())
+        return rows, regs, exps, pows, common or 1
 
     def _lane_rows(self, weight_specs, default,
                    convert=_exact_weight) -> list:
@@ -497,35 +592,41 @@ class Tape:
             return common
         return None
 
-    def _exact_lanes(self, rows, k, common, span) -> list:
-        """Exact values of ``rows`` (``_lane_rows``): integer lanes
-        over ``common`` = D — each weight put over D, register ``i``
-        standing for ``regs[i] / D**e[i]``, one division per lane at
-        the root — or Fraction lanes when ``common`` is None."""
+    def _exact_registers(self, rows, common) -> tuple:
+        """``(registers, e, pows)`` of one exact pass over ``rows``
+        (``_lane_rows``): integer lanes over ``common`` = D, register
+        ``i`` standing for ``registers[i] / D**e[i]`` and ``pows[j]``
+        for D**j, or Fraction lanes when ``common`` is None (every e 0,
+        ``pows`` (1,))."""
         if common is None:
-            arith, exps, pows = "fraction", None, (1,)
-        else:
-            arith = "int"
-            exps, top = self._exponent_table()
-            pows = [1]
-            for _ in range(top):
-                pows.append(pows[-1] * common)
-            rows = [
-                [w.numerator * (common // w.denominator) for w in row]
-                if type(row) is list
-                else row.numerator * (common // row.denominator)
-                for row in rows]
-        root = self._lanes(rows, exps, pows)
+            regs = self._lanes(rows, None, (1,))
+            return regs, bytes(len(regs)), (1,)
+        exps, top = self._exponent_table()
+        pows = [1]
+        for _ in range(top):
+            pows.append(pows[-1] * common)
+        rows = [
+            [w.numerator * (common // w.denominator) for w in row]
+            if type(row) is list
+            else row.numerator * (common // row.denominator)
+            for row in rows]
+        return self._lanes(rows, exps, pows), exps, pows
+
+    def _exact_lanes(self, rows, k, common, span) -> list:
+        """Exact values of ``rows`` (``_lane_rows``): one
+        ``_exact_registers`` pass, one division per lane at the root."""
+        regs, exps, pows = self._exact_registers(rows, common)
+        root = regs[self.root]
         roots = root if type(root) is list else (root,)
-        denominator = 1 if exps is None else pows[exps[self.root]]
+        denominator = pows[exps[self.root]]
         values = [Fraction(x, denominator) for x in roots]
-        span.tag(arith=arith,
+        span.tag(arith="fraction" if common is None else "int",
                  bits=max(x.numerator.bit_length() for x in roots))
         return values if type(root) is list else values * k
 
     def _lanes(self, weights, exps, pows, vector=list):
         """The lane loop of the integer, Fraction and float lanes;
-        returns the root register.
+        returns every register.
 
         A register keeps one scalar while it is the same in every lane
         and widens to a ``vector`` of k only where lanes diverge: a
@@ -596,7 +697,7 @@ class Tape:
                 regs[i] = 1
             else:
                 regs[i] = 0
-        return regs[self.root]
+        return regs
 
     # ------------------------------------------------------------------
     # Serialization (versioned, exact round trip)

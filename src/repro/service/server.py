@@ -52,8 +52,10 @@ from types import MappingProxyType as _freeze
 from repro.booleans.adaptive import (
     ENGINE_LABELS,
     ESTIMATORS,
+    WEIGHT_CAPS,
     BudgetPlanner,
     estimate_with,
+    max_draws,
     resolve_estimator,
 )
 from repro.booleans.approximate import (
@@ -98,6 +100,15 @@ from repro.tid.lineage import lineage
 #: requests, and a method added to the evaluator is automatically
 #: servable.
 EVAL_METHODS = METHODS
+
+#: The most worlds one estimate may draw: ``_estimator_knobs``
+#: refuses an (epsilon, delta) whose sampler could draw more, since
+#: the draws run on the request thread (an estimate of 1,045,814 draws
+#: on path 1 at p=4 took 3.2-3.6 s on a 2-vCPU host).
+MAX_ESTIMATE_DRAWS = 1 << 20
+
+#: How long ``close()`` waits for the replies in flight and the serve thread.
+CLOSE_WAIT_SECONDS = 5
 
 _ESTIMATOR_FIELDS = ("budget_nodes", "epsilon", "delta", "seed",
                      "estimator", "relative_error")
@@ -168,19 +179,27 @@ class _Handler(socketserver.StreamRequestHandler):
             line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             if not line:
                 return
-            if len(line) > MAX_REQUEST_BYTES:
-                response = error_response(
-                    None, "bad-request",
-                    f"request line exceeds {MAX_REQUEST_BYTES} bytes")
-                # The connection's framing is now unrecoverable (the
-                # oversized line was truncated mid-stream): answer and
-                # hang up.
-                self._reply(response)
-                return
-            if not line.strip():
-                continue
-            if not self._reply(service.handle_line(line)):
-                return
+            # Counted from the moment a line is read until its reply is
+            # written, so close() drains it; an idle connection blocked
+            # in readline is not counted.
+            service._reply_due()
+            try:
+                if len(line) > MAX_REQUEST_BYTES:
+                    response = error_response(
+                        None, "bad-request",
+                        f"request line exceeds {MAX_REQUEST_BYTES} "
+                        f"bytes")
+                    # The connection's framing is now unrecoverable
+                    # (the oversized line was truncated mid-stream):
+                    # answer and hang up.
+                    self._reply(response)
+                    return
+                if not line.strip():
+                    continue
+                if not self._reply(service.handle_line(line)):
+                    return
+            finally:
+                service._reply_done()
 
     def _reply(self, response: dict) -> bool:
         try:
@@ -300,6 +319,10 @@ class ServiceFrontEnd:
         self.workloads = WorkloadResolver(workload_cache_size)
         self._tenant_local = threading.local()
         self._counter_lock = threading.Lock()
+        #: Request lines read whose replies are not written yet;
+        #: ``_replied`` is notified when it drops to 0 after ``close()``.
+        self._unreplied = 0
+        self._replied = threading.Condition(self._counter_lock)
         self._requests = 0
         self._errors = 0
         self._op_counts: dict[str, int] = {}
@@ -358,18 +381,21 @@ class ServiceFrontEnd:
         return self.address
 
     def close(self) -> None:
-        """Stop serving, close the listener, and release the
-        subclass's resources.  Safe in any state — never started,
-        serving, or already closed — and idempotent."""
+        """Stop serving, close the listener, wait until every request
+        line already read has its reply written (at most
+        ``CLOSE_WAIT_SECONDS``), and release the subclass's resources.
+        Safe in any state — never started, serving, or already closed
+        — and idempotent."""
         with self._lifecycle_lock:
             if self._closed:
                 return
             self._closed = True
         self._stop_serving()
         self._tcp.server_close()
+        self._drain_replies()
         self._release()
         if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5)
+            self._serve_thread.join(timeout=CLOSE_WAIT_SECONDS)
             self._serve_thread = None
 
     def _stop_serving(self) -> None:
@@ -381,9 +407,29 @@ class ServiceFrontEnd:
         if serving:
             self._tcp.shutdown()
 
+    def _reply_due(self) -> None:
+        """A request line was read: unreplied until ``_reply_done``."""
+        with self._counter_lock:
+            self._unreplied += 1
+
+    def _reply_done(self) -> None:
+        with self._counter_lock:
+            self._unreplied -= 1
+            if self._closed and not self._unreplied:
+                self._replied.notify_all()
+
+    def _drain_replies(self) -> None:
+        """Wait, at most ``CLOSE_WAIT_SECONDS``, until no request line
+        read is left without its reply: a process that exits after
+        ``close()`` (``serve_until_closed``) must not cut off the reply
+        to the ``shutdown`` op that stopped it."""
+        with self._counter_lock:
+            self._replied.wait_for(lambda: not self._unreplied,
+                                   CLOSE_WAIT_SECONDS)
+
     def _release(self) -> None:
         """Hook: release what the subclass holds, after the listener
-        closed."""
+        closed and the replies in flight were written."""
 
     def __enter__(self):
         self.start()
@@ -464,9 +510,9 @@ class ServiceFrontEnd:
     def _op_shutdown(self, params: dict) -> dict:
         check_fields(params, ())
         # Stopping blocks until serve_forever returns, so it must run
-        # off-thread; the response is written before the accept loop
-        # notices anything.  close() (the CLI's finally) releases the
-        # rest after in-flight work drains.
+        # off-thread.  close() (serve_until_closed's finally) waits
+        # until this reply and every other one in flight is written,
+        # then releases the rest.
         threading.Thread(target=self._stop_serving, daemon=True).start()
         return {"stopping": True}
 
@@ -789,6 +835,13 @@ class ReproServer(ServiceFrontEnd):
             raise ProtocolError(
                 "bad-request",
                 "param 'relative_error' must be positive") from None
+        draws = max_draws(epsilon, delta, WEIGHT_CAPS[estimator])
+        if draws > MAX_ESTIMATE_DRAWS:
+            raise ProtocolError(
+                "bad-request",
+                f"epsilon {epsilon} and delta {delta} let the "
+                f"{estimator} sampler draw up to {draws} worlds per "
+                f"estimate, over the cap of {MAX_ESTIMATE_DRAWS}")
         return budget, epsilon, delta, seed, estimator, relative
 
     def _evaluate_one(self, workload: Workload, method: str,
@@ -923,6 +976,8 @@ class ReproServer(ServiceFrontEnd):
         k = take_int(params, "k", default=1, minimum=0, maximum=10_000)
         seed = take_int(params, "seed", default=0)
         workload, circuit = self._sampling_circuit(params)
+        # As for evaluate: a warm store's .tape sidecar spares a flatten.
+        wmc.ensure_tape(workload.formula, circuit)
         try:
             with span("evaluate", method="sample", k=k):
                 worlds = circuit.sample(workload.tid.probability, k,

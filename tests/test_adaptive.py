@@ -32,6 +32,7 @@ from repro.booleans.adaptive import (
     GROWTH,
     INITIAL_BATCH,
     ONE,
+    WEIGHT_CAPS,
     ZERO,
     BudgetPlanner,
     _checkpoint_delta,
@@ -43,6 +44,7 @@ from repro.booleans.adaptive import (
     estimate_with,
     importance_estimate_probability,
     log_upper,
+    max_draws,
     resolve_sweep_method,
     sqrt_upper,
     tilted_proposal,
@@ -216,6 +218,43 @@ class TestIntervalCoverage:
             assert estimate.low <= estimate.estimate <= estimate.high
             hits += estimate.contains(exact)
         assert hits >= (1 - COVERAGE_DELTA) * COVERAGE_TRIALS
+
+
+class TestMaxDraws:
+    """``max_draws``: what one estimate of each sampler may draw at
+    most, the figure the service caps."""
+
+    @pytest.mark.parametrize("epsilon,delta", [
+        (F(1, 20), F(1, 20)), (F(1, 100), F(1, 20)),
+        (F(1, 753), F(1, 20)), (F(1, 754), F(1, 20))])
+    def test_each_sampler_at_the_boundary(self, epsilon, delta):
+        fixed = hoeffding_sample_count(epsilon, delta)
+        half = hoeffding_sample_count(epsilon, delta / 2)
+        assert max_draws(epsilon, delta) == fixed
+        assert max_draws(epsilon, delta, WEIGHT_CAPS["adaptive"]) == half
+        assert max_draws(epsilon, delta,
+                         WEIGHT_CAPS["importance"]) == 16 * half
+        assert max_draws(epsilon, delta, F(3, 2)) == \
+            -(-9 * half // 4)  # the ceiling on the exact rational
+
+    def test_the_service_cap_sits_between_753_and_754(self):
+        """1/753 is the smallest epsilon of the form 1/m whose
+        Hoeffding count at delta 1/20 fits under 2^20."""
+        assert max_draws(F(1, 753), F(1, 20)) == 1_045_814
+        assert max_draws(F(1, 754), F(1, 20)) == 1_048_594
+        assert max_draws(F(1, 100), F(1, 20),
+                         WEIGHT_CAPS["adaptive"]) == 21_911
+
+    def test_sequential_runs_stop_at_max_draws(self):
+        """A target the Bernstein bound never meets runs to the cap."""
+        formula = CNF([["a", "b"]])
+        weights = {"a": F(1, 2), "b": F(1, 2)}
+        for name in ("adaptive", "importance"):
+            estimate = estimate_with(name, formula, weights, F(1, 10),
+                                     F(1, 10), rng=0,
+                                     relative_error=F(1, 10 ** 6))
+            assert estimate.samples == max_draws(F(1, 10), F(1, 10),
+                                                 WEIGHT_CAPS[name])
 
 
 class TestEarlyStopping:

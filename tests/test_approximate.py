@@ -126,6 +126,16 @@ class TestHoeffding:
         assert hoeffding_sample_count(F(1, 20), F(1, 20)) == 738
         assert hoeffding_sample_count(F(1, 10), F(1, 2)) == 70
 
+    def test_bounds_beyond_the_float_range(self):
+        """An epsilon or delta that underflows a float still gets its
+        count (ln(2/delta) from the integers), not a ZeroDivisionError
+        or OverflowError."""
+        # ln(2 * 10^400) / (2 * (1/2)^2) = 1843.5 -> 1844
+        assert hoeffding_sample_count(F(1, 2), F(1, 10 ** 400)) == 1844
+        assert hoeffding_sample_count(F(1, 2), F(1, 10 ** 320)) == 1476
+        huge = hoeffding_sample_count(F(1, 10 ** 200), F(1, 20))
+        assert 10 ** 400 < huge < 10 ** 401
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             hoeffding_sample_count(0, F(1, 2))

@@ -4,9 +4,13 @@ The core validation idiom: on random monotone CNFs and random rational
 weight maps, the compiled d-DNNF circuit must agree *exactly* (as
 Fractions) with both the recursive Shannon engine and brute-force
 world enumeration, and its unweighted counts must match brute-force
-model counting.
+model counting.  ``sample`` and ``marginals`` walk the registers of
+the tape's exact pass; the ``Fraction`` walk of the node table they
+replaced is kept here (``node_values``, ``node_sample``,
+``node_marginals``) as their reference.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.booleans.circuit import AND, ITE, Circuit, compile_cnf
+from repro.booleans.circuit import (
+    AND, FALSE, ITE, LEAF, TRUE, Circuit, as_rng, compile_cnf,
+    draw_threshold, make_lookup,
+)
 from repro.booleans.cnf import CNF
+from repro.core.catalog import path_query
 from repro.counting.p2cnf import P2CNF
 from repro.counting.pp2cnf import PP2CNF
 from repro.evaluation import (
@@ -24,11 +32,13 @@ from repro.evaluation import (
     evaluate_batch,
     probability_sweep,
 )
+from repro.reduction.blocks import path_block
 from repro.tid.brute import (
     cnf_probability_brute,
     count_models,
     shannon_probability,
 )
+from repro.tid.lineage import lineage
 from repro.tid.wmc import cnf_probability, compiled
 
 F = Fraction
@@ -51,6 +61,93 @@ def random_weights(formula: CNF, seed: int) -> dict:
     rng = random.Random(seed)
     return {v: rng.choice(WEIGHT_VALUES)
             for v in sorted(formula.variables(), key=repr)}
+
+
+def node_values(circuit: Circuit, lookup) -> list:
+    """Every node's probability, by one ``Fraction`` walk of the node
+    table: the evaluator behind ``sample`` and ``marginals`` before
+    they ran on the tape."""
+    values = [F(0)] * len(circuit.nodes)
+    for i, node in enumerate(circuit.nodes):
+        if node[0] == ITE:
+            p = F(lookup(node[1]))
+            values[i] = p * values[node[2]] + (1 - p) * values[node[3]]
+        elif node[0] == AND:
+            values[i] = math.prod((values[c] for c in node[1]), start=F(1))
+        elif node[0] == LEAF:
+            values[i] = F(lookup(node[1]))
+        elif node[0] == TRUE:
+            values[i] = F(1)
+    return values
+
+
+def node_sample(circuit: Circuit, weights, k, rng, default=None) -> list:
+    """The node-table ``sample``: a decision draws its true branch
+    against ``draw_threshold`` of the branch's exact posterior, a
+    product descends into every child, and unset variables are drawn
+    from their priors in sorted-repr order."""
+    lookup = make_lookup(weights, default)
+    values = node_values(circuit, lookup)
+    if not values[circuit.root]:
+        raise ValueError("probability 0")
+    rng = as_rng(rng)
+    thresholds = {}
+    for i, node in enumerate(circuit.nodes):
+        if node[0] == ITE:
+            p = F(lookup(node[1]))
+            hi = p * values[node[2]]
+            mass = hi + (1 - p) * values[node[3]]
+            if mass:
+                thresholds[i] = draw_threshold(hi / mass)
+    priors = [(var, draw_threshold(F(lookup(var))))
+              for var in sorted(circuit.variables(), key=repr)]
+    worlds = []
+    for _ in range(k):
+        world = {}
+        stack = [circuit.root]
+        while stack:
+            i = stack.pop()
+            node = circuit.nodes[i]
+            if node[0] == ITE:
+                bit = rng.random() < thresholds[i]
+                world[node[1]] = bit
+                stack.append(node[2] if bit else node[3])
+            elif node[0] == AND:
+                stack.extend(node[1])
+            elif node[0] == LEAF:
+                world[node[1]] = True
+        for var, prior in priors:
+            if var not in world:
+                world[var] = rng.random() < prior
+        worlds.append(world)
+    return worlds
+
+
+def node_marginals(circuit: Circuit, weights, default=None) -> dict:
+    """The node-table ``marginals``: one backward pass of ``Fraction``
+    derivatives over ``node_values``."""
+    lookup = make_lookup(weights, default)
+    values = node_values(circuit, lookup)
+    derivs = [F(0)] * len(circuit.nodes)
+    derivs[circuit.root] = F(1)
+    grads = {var: F(0) for var in circuit.variables()}
+    for i in range(len(circuit.nodes) - 1, -1, -1):
+        d, node = derivs[i], circuit.nodes[i]
+        if not d:
+            continue
+        if node[0] == ITE:
+            p = F(lookup(node[1]))
+            derivs[node[2]] += p * d
+            derivs[node[3]] += (1 - p) * d
+            grads[node[1]] += (values[node[2]] - values[node[3]]) * d
+        elif node[0] == AND:
+            for child in node[1]:
+                derivs[child] += d * math.prod(
+                    (values[c] for c in node[1] if c != child),
+                    start=F(1))
+        elif node[0] == LEAF:
+            grads[node[1]] += d
+    return grads
 
 
 class TestCircuitAgreement:
@@ -89,8 +186,8 @@ class TestCircuitAgreement:
         for var in grads:
             hi = dict(weights, **{var: F(1)})
             lo = dict(weights, **{var: F(0)})
-            assert grads[var] == \
-                circuit.probability(hi) - circuit.probability(lo)
+            assert grads[var] == cnf_probability_brute(formula, hi) \
+                - cnf_probability_brute(formula, lo)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -153,6 +250,113 @@ class TestCircuitStructure:
         per_copy = sizes[2] - sizes[1]
         assert sizes[3] - sizes[2] == per_copy
         assert sizes[4] - sizes[3] == 4 * per_copy
+
+
+#: Seven variables, so that dense wide weights outgrow the integer lanes.
+VARS = [f"x{i}" for i in range(7)]
+#: Pairwise nearly coprime denominators of ~1500 bits.
+WIDE = 2 ** 1500
+
+
+def cnfs():
+    clause = st.lists(st.sampled_from(VARS), min_size=1, max_size=3,
+                      unique=True)
+    return (st.just(CNF.TRUE) | st.just(CNF.FALSE)
+            | st.lists(clause, min_size=1, max_size=8).map(CNF))
+
+
+def walk_weights():
+    """0, 1, 1/2, 1/3, or about j/64 over a distinct wide denominator."""
+    return (st.sampled_from([F(0), F(1), HALF, F(1, 3)])
+            | st.integers(1, 63).map(
+                lambda j: F(j * WIDE // 64 + 1, WIDE + j)))
+
+
+def weight_maps():
+    """Sparse maps (the rest take the default) or dense ones; dense wide
+    maps send the exact pass to the Fraction lanes."""
+    return st.booleans().flatmap(lambda dense: st.dictionaries(
+        st.sampled_from(VARS), walk_weights(),
+        min_size=len(VARS) if dense else 0))
+
+
+class TestTapeWalks:
+    """``Circuit.sample`` and ``Circuit.marginals`` on the tape equal
+    the node walk, world for world and ``Fraction`` for ``Fraction``,
+    on both the integer and the ``Fraction`` lanes."""
+
+    def test_sample_and_marginals_equal_the_node_walk(self):
+        from test_tape import kernel_tags
+
+        arith = set()
+
+        @given(cnfs(), weight_maps(), st.none() | walk_weights(),
+               st.integers(0, 2 ** 32), st.integers(0, 8))
+        @settings(derandomize=True, max_examples=200, deadline=None)
+        def check(formula, weights, default, seed, k):
+            circuit = compile_cnf(formula)
+            tags = kernel_tags(
+                lambda: circuit.marginals(weights, default))
+            arith.add(tags["arith"])
+            assert circuit.marginals(weights, default) == \
+                node_marginals(circuit, weights, default)
+            try:
+                want = node_sample(circuit, weights, k, seed, default)
+            except ValueError:
+                with pytest.raises(ValueError, match="probability 0"):
+                    circuit.sample(weights, k, seed, default)
+                return
+            assert circuit.sample(weights, k, seed, default) == want
+
+        check()
+        assert arith == {"int", "fraction"}
+
+    def test_sample_equals_the_node_walk_on_seeded_cases(self):
+        """Larger cases than the examples above: random CNFs over up to
+        nine variables and the path lineages at p=4."""
+        cases = []
+        for seed in range(300):
+            formula = random_cnf(seed, n_vars=9, max_clauses=9)
+            cases.append((formula, random_weights(formula, seed)))
+        for length in (1, 2, 3):
+            query = path_query(length)
+            tid = path_block(query, 4)
+            cases.append((lineage(query, tid), tid.probability))
+        for seed, (formula, weights) in enumerate(cases):
+            circuit = compile_cnf(formula)
+            try:
+                want = node_sample(circuit, weights, 6, seed)
+            except ValueError:
+                continue
+            assert circuit.sample(weights, 6, seed) == want
+            assert circuit.marginals(weights) == \
+                node_marginals(circuit, weights)
+
+    def test_rejects_negative_k(self):
+        circuit = compile_cnf(CNF([["a", "b"]]))
+        with pytest.raises(ValueError, match="non-negative"):
+            circuit.sample(k=-1)
+        assert circuit.sample(k=0) == []
+
+    def test_no_decision_has_a_false_branch(self):
+        """Unit clauses are conditioned away before any branch, so
+        neither cofactor of a decision is false: each decision lowers
+        to one two-operand OR, and the tape's world walk draws where
+        the node walk drew."""
+        circuits = [compile_cnf(random_cnf(seed)) for seed in range(500)]
+        for length in (1, 2, 3):
+            query = path_query(length)
+            for p in (4, 8, 12):
+                circuits.append(compile_cnf(
+                    lineage(query, path_block(query, p))))
+        decisions = 0
+        for circuit in circuits:
+            for node in circuit.nodes:
+                if node[0] == ITE:
+                    decisions += 1
+                    assert circuit.nodes[node[2]][0] != FALSE
+                    assert circuit.nodes[node[3]][0] != FALSE
+        assert decisions > 1000
 
 
 class TestCNFFastPaths:

@@ -3,6 +3,7 @@ real sockets, the client library and the CLI verbs against it."""
 
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -29,7 +30,12 @@ from repro.service.protocol import (
     dump_line,
 )
 from repro.service.scheduler import CompilePool
-from repro.service.server import EVAL_METHODS, ReproServer
+from repro.service import server as server_module
+from repro.service.server import (
+    EVAL_METHODS,
+    ReproServer,
+    serve_until_closed,
+)
 from repro.tid import wmc
 from repro.tid.lineage import lineage
 
@@ -581,24 +587,98 @@ class TestCloseInAnyState:
             assert handle.process.poll() is not None
 
     @pytest.mark.parametrize("state", ["never started", "serving",
-                                       "closed twice"])
+                                       "closed twice", "idle connection"])
     @pytest.mark.parametrize("factory", [
         lambda: ReproServer(port=0),
         lambda: ReproDispatcher(port=0, workers=1),
     ], ids=["server", "dispatcher"])
     def test_close_returns_promptly(self, factory, state):
         """``close()`` wakes the serve loop instead of waiting for
-        ``socketserver``'s 0.5 s poll: every close returns within
-        0.25 s."""
+        ``socketserver``'s 0.5 s poll, and waits for no idle
+        keep-alive connection: every close returns within 0.25 s."""
         service = factory()
+        idle = None
         if state != "never started":
             service.start()
             with ServiceClient(*service.address) as c:
                 assert c.ping() == {"pong": True}
+        if state == "idle connection":
+            idle = ServiceClient(*service.address)
+            assert idle.ping() == {"pong": True}
         for _ in range(2 if state == "closed twice" else 1):
             started = time.perf_counter()
             close_within(service)
             assert time.perf_counter() - started < 0.25
+        if idle is not None:
+            idle.close()
+
+    def test_unreplied_count_survives_concurrent_connections(self):
+        """Eight connections (more than the cores) ping at once with a
+        short switch interval: a lost update of the unreplied count
+        would leave it above 0 after close() drained (which then waits
+        out its bound for nothing)."""
+        service = ReproServer(port=0)
+        service.start()
+        replies = []
+
+        def client():
+            with ServiceClient(*service.address) as c:
+                replies.extend(c.ping() for _ in range(50))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(replies) == 400
+        close_within(service)
+        with service._counter_lock:
+            assert service._unreplied == 0
+
+    def test_reply_in_flight_is_written_before_release(self, monkeypatch):
+        """A served process exits as soon as ``serve_until_closed``'s
+        ``close()`` returns, so ``close()`` must not release anything
+        while a request line it has read still waits for its reply,
+        such as the reply to the ``shutdown`` op that stopped it."""
+        log = []
+        draining = threading.Event()
+        reply = server_module._Handler._reply
+
+        def held_reply(handler, response):
+            # Hold the reply until close() has started to drain.
+            draining.wait(timeout=10)
+            written = reply(handler, response)
+            log.append("replied")
+            return written
+
+        service = ReproServer(port=0)
+        drain, release = service._drain_replies, service._release
+
+        def signalled_drain():
+            draining.set()
+            drain()
+
+        def logged_release():
+            log.append("released")
+            release()
+
+        monkeypatch.setattr(server_module._Handler, "_reply", held_reply)
+        monkeypatch.setattr(service, "_drain_replies", signalled_drain)
+        monkeypatch.setattr(service, "_release", logged_release)
+        runner = threading.Thread(target=serve_until_closed,
+                                  args=(service, "test"), daemon=True)
+        runner.start()
+        with ServiceClient(*service.address) as client:
+            assert client.call("shutdown") == {"stopping": True}
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert log == ["replied", "released"]
 
 
 class TestCoalescing:
@@ -869,6 +949,22 @@ class TestTapeService:
                 assert stats["tape_flattens"] == 0
                 assert stats["tape_bytes"] > 0
                 assert again["values"] == first["values"]
+
+    def test_warm_store_sample_never_reflattens(self, tmp_path):
+        """``sample`` walks the tape's registers and reads the tape as
+        ``evaluate`` and ``sweep`` do: against a warm store it adopts
+        the persisted tape instead of flattening again."""
+        with ReproServer(port=0, store=str(tmp_path)) as server:
+            with ServiceClient(*server.address) as c:
+                first = c.sample(QUERY, p=4, k=3, seed=5)
+                assert c.stats()["cache"]["tape_flattens"] == 1
+
+                wmc.clear_circuit_cache()  # simulate a restart
+                again = c.sample(QUERY, p=4, k=3, seed=5)
+                stats = c.stats()["cache"]
+                assert stats["compiles"] == 0
+                assert stats["tape_flattens"] == 0
+                assert again["worlds"] == first["worlds"]
 
 
 class TestStoreGC:
@@ -1213,6 +1309,55 @@ class TestAdaptiveService:
             assert excinfo.value.code == "bad-request", (op, extra)
             assert f"{name} must be in (0, 1)" in str(excinfo.value)
         assert client.stats()["cache"]["compiles"] == 0
+
+    @pytest.mark.parametrize("factory", [
+        lambda: ReproServer(port=0),
+        lambda: ReproDispatcher(port=0, workers=1),
+    ], ids=["server", "dispatcher"])
+    def test_epsilon_past_the_draw_cap_is_a_bad_request(self, factory):
+        """epsilon 1/10^6 would let a sampler draw ~1.8e12 worlds on
+        the request thread: every op that takes the sampler knobs
+        refuses it before any work, naming the count and the cap."""
+        calls = [("estimate", {}), ("estimate", {"estimator": "adaptive"}),
+                 ("evaluate", {}), ("evaluate", {"budget_nodes": 2}),
+                 ("evaluate_batch", {"ps": [3, 4]}),
+                 ("sweep", {}), ("sweep", {"budget_nodes": 2})]
+        with factory() as service:
+            with ServiceClient(*service.address) as c:
+                for op, extra in calls:
+                    where = {} if op == "evaluate_batch" else {"p": 4}
+                    with pytest.raises(ServiceError) as excinfo:
+                        c.call(op, query=QUERY, **where, **extra,
+                               epsilon="1/1000000", timeout=10)
+                    assert excinfo.value.code == "bad-request", \
+                        (op, extra)
+                    message = str(excinfo.value)
+                    assert f"cap of {1 << 20}" in message
+                    draws = re.search(r"draw up to (\d+) worlds", message)
+                    assert int(draws.group(1)) > 10 ** 12
+                assert c.stats()["cache"]["compiles"] == 0
+
+    def test_draw_cap_boundary(self, client):
+        """The largest Hoeffding count under the cap is served, the
+        next epsilon is refused (an exact evaluate draws nothing, so
+        the accepted side returns at once)."""
+        from repro.booleans.approximate import hoeffding_sample_count
+
+        m = 753
+        assert hoeffding_sample_count(F(1, m), F(1, 20)) <= 1 << 20 \
+            < hoeffding_sample_count(F(1, m + 1), F(1, 20))
+        assert client.evaluate(QUERY, p=4, epsilon=f"1/{m}")["engine"] \
+            == "exact"
+        with pytest.raises(ServiceError) as excinfo:
+            client.evaluate(QUERY, p=4, epsilon=f"1/{m + 1}")
+        assert excinfo.value.code == "bad-request"
+        # Knobs beyond the float range are counted, not an internal
+        # error: a tiny delta costs few draws, a tiny epsilon too many.
+        assert client.evaluate(QUERY, p=4, delta="1e-400")["engine"] \
+            == "exact"
+        with pytest.raises(ServiceError) as excinfo:
+            client.evaluate(QUERY, p=4, epsilon="1e-200")
+        assert excinfo.value.code == "bad-request"
 
     def test_bad_estimator_rejected(self, client):
         with pytest.raises(ServiceError) as excinfo:

@@ -302,7 +302,7 @@ class TestIntegerLanes:
         assert tags["arith"] == "fraction"
         assert tape.evaluate(specs) == want
         assert integer_lanes(tape, specs) == want
-        # A single wide lane runs the circuit's node-table pass.
+        # A single wide lane takes the Fraction lanes too.
         tags = kernel_tags(lambda: circuit.probability(wide))
         assert tags["arith"] == "fraction"
         assert circuit.probability(wide) == want[0]
