@@ -15,6 +15,9 @@ over n variables, the reduction:
 4. solves it exactly with the fraction-free basis that selected the
    rows (``IncrementalBasis.solve``), recovering every signature count
    #k', and returns #Phi = sum of #k' over signatures with k00 = 0.
+   The kept rows and their basis are kept per (Q, m) for the life of
+   the process, so a later run with the same query and clause count
+   is its oracle calls plus one replayed solve.
 
 Row selection.  Since y_ab is symmetric in (p1, p2), rows indexed by the
 full grid {1..m+1}^2 repeat; we therefore enumerate parameter
@@ -26,6 +29,18 @@ basis then solves the system, so the kept rows are eliminated once.
 Theorem 3.6 (via conditions (22)-(24), which hold for final queries by
 Theorem 3.14) guarantees the row space reaches full rank; the oracle is
 consulted only for kept rows, so the reduction stays polynomial.
+
+What is kept.  The coefficients y_ab(p) come from A(1) = A(1, Q) alone,
+so the matrix of Eq. (10) depends on Q and m and never on Phi, which
+enters only through the oracle answers on the right-hand side.  Two
+bounded LRU caches under one lock therefore hold, per (Q, m), the kept
+parameter pairs and the full-rank basis that selected them, and per Q,
+A(1) (``base_matrix``) and the z-values by p.  Only a full-rank system
+is kept: a selection that falls short raises on every run.  Selection
+runs outside the lock, so two racing cold runs may both select, and
+the first to finish is kept (they compute the same system).  The kept
+basis is only read: ``IncrementalBasis.solve`` replays its steps in
+locals.  Every run still asks the oracle once per kept parameter.
 
 Integer arithmetic.  Every tuple probability lies in {1/2, 1}, so each
 y_ab is dyadic.  The coefficient rows (``monomial_row``) and the product
@@ -47,15 +62,18 @@ asserted.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable
 
 from repro.algebra.matrices import (
-    common_denominator, monomial_row, select_rows,
+    IncrementalBasis, Matrix, common_denominator, monomial_row, select_rows,
 )
 from repro.core.final import is_final
+from repro.core.queries import Query
 from repro.core.safety import query_type
 from repro.counting.p2cnf import P2CNF, Signature
 from repro.reduction.block_matrix import z_matrix_direct, z_matrix_power
@@ -65,6 +83,17 @@ from repro.tid.lineage import lineage
 from repro.tid.wmc import compiled
 
 Oracle = Callable[[TID], Fraction]
+
+#: Guards both caches below (see "What is kept" above).
+_LOCK = threading.Lock()
+#: (Q, m) -> (kept parameter pairs, the full-rank basis that kept them).
+_SYSTEMS: OrderedDict[tuple[Query, int],
+                      tuple[tuple, IncrementalBasis]] = OrderedDict()
+_SYSTEM_LIMIT = 32
+#: Q -> (A(1), z-values by p); the z dict is read and written under
+#: ``_LOCK`` too.
+_QUERIES: OrderedDict[Query, tuple[Matrix, dict]] = OrderedDict()
+_QUERY_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -98,22 +127,28 @@ class Type1Reduction:
                 "reduction's non-singularity argument; pass "
                 "check_final=False to override")
         self.query = query
-        # The one-link block matrix A(1), computed once by exact WMC.
-        self.base_matrix = z_matrix_direct(query, 1)
-        self._z_cache: dict[int, dict[str, Fraction]] = {}
+        with _LOCK:
+            known = _lookup(_QUERIES, query)
+        if known is None:
+            # The one-link block matrix A(1), by exact WMC.
+            known = (z_matrix_direct(query, 1), {})
+            with _LOCK:
+                known = _remember(_QUERIES, query, known, _QUERY_LIMIT)
+        self.base_matrix, self._z_cache = known
 
     # ------------------------------------------------------------------
     def z_values(self, p: int) -> dict[str, Fraction]:
         """z_ab(p) for ab in {00, 10, 11} via Lemma 3.19."""
-        cached = self._z_cache.get(p)
+        with _LOCK:
+            cached = self._z_cache.get(p)
         if cached is not None:
             return cached
         a_p = z_matrix_power(self.query, p, self.base_matrix)
         if a_p[0, 1] != a_p[1, 0]:
             raise AssertionError("block is not symmetric (Prop. 3.20)")
         values = {"00": a_p[0, 0], "10": a_p[1, 0], "11": a_p[1, 1]}
-        self._z_cache[p] = values
-        return values
+        with _LOCK:
+            return self._z_cache.setdefault(p, values)
 
     def y_values(self, params: tuple[int, int]) -> dict[str, Fraction]:
         """y_ab(p1, p2) = z_ab(p1) * z_ab(p2) (Eq. 25)."""
@@ -173,14 +208,7 @@ class Type1Reduction:
             count = 2 ** phi.n
             return ReductionResult({(0, 0, 0): count}, count, 0, 0, ())
         signatures = valid_signatures(m)
-        kept, basis = select_rows(
-            lambda params: self.coefficient_row(m, params),
-            len(signatures), 2, 64)
-        if basis.rank < len(signatures):
-            raise AssertionError(
-                "could not reach full rank; Theorem 3.6's conditions "
-                "appear violated (is the query final?)")
-        params_used = tuple(kept)
+        params_used, basis = self._system(m, len(signatures))
 
         rhs = []
         for params in params_used:
@@ -212,6 +240,44 @@ class Type1Reduction:
                           if k00 == 0)
         return ReductionResult(counts, model_count, len(params_used),
                                len(signatures), params_used)
+
+    def _system(self, m: int, width: int) -> tuple:
+        """The kept parameter pairs of Eq. (10) for m clauses and the
+        full-rank basis that selected them, kept per (Q, m)."""
+        key = (self.query, m)
+        with _LOCK:
+            system = _lookup(_SYSTEMS, key)
+        if system is not None:
+            return system
+        kept, basis = select_rows(
+            lambda params: self.coefficient_row(m, params), width, 2, 64)
+        if basis.rank < width:
+            raise AssertionError(
+                "could not reach full rank; Theorem 3.6's conditions "
+                "appear violated (is the query final?)")
+        with _LOCK:
+            return _remember(_SYSTEMS, key, (tuple(kept), basis),
+                             _SYSTEM_LIMIT)
+
+
+def _lookup(cache: OrderedDict, key):
+    """The entry for ``key``, marked most recently used, or None.
+    Caller holds ``_LOCK``."""
+    entry = cache.get(key)
+    if entry is not None:
+        cache.move_to_end(key)
+    return entry
+
+
+def _remember(cache: OrderedDict, key, entry, limit: int):
+    """Keep ``entry`` unless a racing run kept one first, evict the
+    least recently used past ``limit``, and return the kept entry.
+    Caller holds ``_LOCK``."""
+    entry = cache.setdefault(key, entry)
+    cache.move_to_end(key)
+    while len(cache) > limit:
+        cache.popitem(last=False)
+    return entry
 
 
 def count_p2cnf(query, phi: P2CNF, oracle: str | Oracle = "product") -> int:

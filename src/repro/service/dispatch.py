@@ -54,15 +54,17 @@ from bisect import bisect_left
 from pathlib import Path
 
 from repro.booleans.adaptive import BudgetPlanner
+from repro.evaluation import ESTIMATE_METHODS
 from repro.obs import Tracer, current_trace_id, span
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     ERROR_CODES,
     ProtocolError,
     check_fields,
-    take_int_list,
 )
-from repro.service.server import ServiceFrontEnd
+from repro.service.server import (
+    _ESTIMATOR_FIELDS, MAX_REQUEST_DRAWS, ServiceFrontEnd,
+)
 from repro.service.tenants import ANONYMOUS, TenantQuota
 from repro.service.worker import BANNER
 from repro.tid import wmc
@@ -366,11 +368,12 @@ class ReproDispatcher(ServiceFrontEnd):
             sequence = self._child_seq
         return f"{base[:96]}.w{handle.index}.{sequence}"
 
-    def _proxy(self, op: str, params: dict) -> dict:
+    def _proxy(self, op: str, params: dict, route: dict | None = None
+               ) -> dict:
         """One compute request, routed to the worker that owns its
-        fingerprint."""
+        fingerprint (that of ``route``'s query and p, if given)."""
         self._reject_reserved(params)
-        fingerprint = self.workloads.resolve(params).fingerprint
+        fingerprint = self.workloads.resolve(route or params).fingerprint
         handle = self._workers[self._ring.route(fingerprint)]
         tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
         if fingerprint not in handle.resident and op != "estimate":
@@ -460,13 +463,23 @@ class ReproDispatcher(ServiceFrontEnd):
     def _op_evaluate_batch(self, params: dict) -> dict:
         """A batch is one formula *per block length*: split it and
         route every ``p`` by its own fingerprint so the batch spreads
-        over the pool instead of serializing on one worker."""
+        over the pool instead of serializing on one worker.  A batch
+        by a method that can sample, whose estimates could draw more
+        than ``MAX_REQUEST_DRAWS``, goes whole to one worker instead:
+        which p samples shows only after its compile, and that worker
+        counts the draws before any."""
         self._reject_reserved(params)
         if "p" in params:
             raise ProtocolError(
                 "bad-request",
                 "unexpected params: p (evaluate_batch takes 'ps')")
-        ps = take_int_list(params, "ps", minimum=1, max_items=256)
+        check_fields(params, ("query", "ps", "method")
+                     + _ESTIMATOR_FIELDS)
+        ps, method, knobs = self._batch_knobs(params)
+        samples = method == "auto" or method in ESTIMATE_METHODS
+        if samples and len(ps) * knobs.draws > MAX_REQUEST_DRAWS:
+            return self._proxy("evaluate_batch", params,
+                               route={**params, "p": ps[0]})
         shared = {key: value for key, value in params.items()
                   if key != "ps"}
         results = [self._proxy("evaluate", {**shared, "p": p})

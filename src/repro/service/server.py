@@ -47,6 +47,7 @@ import time
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from types import MappingProxyType as _freeze
 
 from repro.booleans.adaptive import (
@@ -69,7 +70,9 @@ from repro.booleans.cnf import CNF
 from repro.booleans.store import CircuitStore, cnf_fingerprint
 from repro.core.queries import Query, parse_query
 from repro.core.safety import is_safe
-from repro.evaluation import METHODS, endpoint_weight_grid, evaluate
+from repro.evaluation import (
+    ESTIMATE_METHODS, METHODS, endpoint_weight_grid, evaluate,
+)
 from repro.reduction.blocks import path_block
 from repro.obs import NULL_SPAN, Tracer, span
 from repro.service.protocol import (
@@ -94,6 +97,7 @@ from repro.tid import wmc
 from repro.tid.database import TID, r_tuple, t_tuple
 from repro.tid.lifted import UnsafeQueryError
 from repro.tid.lineage import lineage
+from repro.tid.plans import safe_plan
 
 #: Evaluation methods a client may force: exactly the library's —
 #: "brute"/"cross-check" are expensive but legitimate validation
@@ -107,11 +111,41 @@ EVAL_METHODS = METHODS
 #: on path 1 at p=4 took 3.2-3.6 s on a 2-vCPU host).
 MAX_ESTIMATE_DRAWS = 1 << 20
 
+#: The most worlds one request may draw over all its estimates: a
+#: past-budget ``sweep`` runs one estimate per lane (``grid`` up to
+#: 100,000) and ``evaluate_batch`` one per entry of ``ps`` (up to 256),
+#: so a request that samples is refused before it could draw past this.
+MAX_REQUEST_DRAWS = 1 << 22
+
 #: How long ``close()`` waits for the replies in flight and the serve thread.
 CLOSE_WAIT_SECONDS = 5
 
 _ESTIMATOR_FIELDS = ("budget_nodes", "epsilon", "delta", "seed",
                      "estimator", "relative_error")
+
+
+class _Knobs(NamedTuple):
+    """A request's sampler knobs, and the most worlds one of its
+    estimates may draw (``adaptive.max_draws``)."""
+
+    budget: int | None
+    epsilon: Fraction
+    delta: Fraction
+    seed: int
+    estimator: str
+    relative: Fraction | None
+    draws: int
+
+
+def _check_request_draws(estimates: int, draws: int) -> None:
+    """Refuse a request whose ``estimates`` estimates of up to ``draws``
+    worlds each could draw more than ``MAX_REQUEST_DRAWS`` in all."""
+    if estimates * draws > MAX_REQUEST_DRAWS:
+        raise ProtocolError(
+            "bad-request",
+            f"{estimates} estimates of up to {draws} worlds each could "
+            f"draw {estimates * draws} worlds for this request, over "
+            f"the cap of {MAX_REQUEST_DRAWS} per request")
 
 
 @dataclass(frozen=True)
@@ -125,6 +159,9 @@ class Workload:
     formula: CNF = field(compare=False)
     fingerprint: str = field(compare=False)
     safe: bool = field(compare=False)
+    #: Whether the safe plan answers the query, so ``auto`` compiles
+    #: nothing (false for a safe full clause that shares a symbol).
+    lifted: bool = field(compare=False)
 
 
 class _ServiceTCPServer(socketserver.ThreadingTCPServer):
@@ -256,14 +293,26 @@ class WorkloadResolver:
                     "bad-query",
                     f"cannot ground {text!r} over B_{p}(u, v): "
                     f"{error}") from None
+            safe = is_safe(query)
             workload = Workload(text, p, query, tid, formula,
-                                cnf_fingerprint(formula),
-                                is_safe(query))
+                                cnf_fingerprint(formula), safe,
+                                safe and _has_plan(query))
             with self._lock:
                 self._cache[key] = workload
                 while len(self._cache) > self._cache_size:
                     self._cache.popitem(last=False)
             return workload
+
+
+def _has_plan(query: Query) -> bool:
+    """Whether ``lifted_probability`` answers the safe ``query``."""
+    if query.is_constant():
+        return True
+    try:
+        safe_plan(query)
+    except UnsafeQueryError:
+        return False
+    return True
 
 
 class ServiceFrontEnd:
@@ -501,6 +550,51 @@ class ServiceFrontEnd:
                 self._errors += 1
 
     # ------------------------------------------------------------------
+    # Request knobs
+    # ------------------------------------------------------------------
+    def _estimator_knobs(self, params: dict,
+                         method: str | None = None) -> _Knobs:
+        budget = take_int(params, "budget_nodes",
+                          default=self.default_budget, minimum=2)
+        epsilon = take_fraction(params, "epsilon",
+                                default=DEFAULT_EPSILON)
+        delta = take_fraction(params, "delta", default=DEFAULT_DELTA)
+        try:
+            check_accuracy(epsilon, delta)
+        except ValueError as error:
+            raise ProtocolError("bad-request", f"param {error}") from None
+        seed = take_int(params, "seed", default=0)
+        estimator = take_str(params, "estimator", default="hoeffding",
+                             choices=ESTIMATORS)
+        relative = take_fraction(params, "relative_error", default=None)
+        try:
+            estimator = resolve_estimator(estimator, relative)
+        except ValueError:
+            raise ProtocolError(
+                "bad-request",
+                "param 'relative_error' must be positive") from None
+        # The sampler an evaluate method forces, else the knob's.
+        sampler = method if method in ("adaptive", "importance") \
+            else estimator
+        draws = max_draws(epsilon, delta, WEIGHT_CAPS[sampler])
+        if draws > MAX_ESTIMATE_DRAWS:
+            raise ProtocolError(
+                "bad-request",
+                f"epsilon {epsilon} and delta {delta} let the "
+                f"{sampler} sampler draw up to {draws} worlds per "
+                f"estimate, over the cap of {MAX_ESTIMATE_DRAWS}")
+        return _Knobs(budget, epsilon, delta, seed, estimator, relative,
+                      draws)
+
+    def _batch_knobs(self, params: dict) -> tuple[list, str, _Knobs]:
+        """``evaluate_batch``'s ``ps``, ``method`` and knobs, parsed as
+        both deployments parse them."""
+        ps = take_int_list(params, "ps", minimum=1, max_items=256)
+        method = take_str(params, "method", default="auto",
+                          choices=EVAL_METHODS)
+        return ps, method, self._estimator_knobs(params, method)
+
+    # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
     def _op_ping(self, params: dict) -> dict:
@@ -721,14 +815,32 @@ class ReproServer(ServiceFrontEnd):
             self._auto_reclaimed_bytes += max(reclaimed, 0)
 
     def _prewarm(self, workload: Workload,
-                 budget_nodes: int | None) -> None:
+                 budget_nodes: int | None) -> bool:
         """Route the compilation a downstream exact/auto evaluation
-        will need through the deduping pool; a blown budget is left
-        for the auto policy to degrade gracefully."""
+        will need through the deduping pool.  Returns whether the
+        budget blew: the auto policy then degrades to its sampler."""
         try:
             self._compiled(workload, budget_nodes)
         except CompilationBudgetExceeded:
-            pass
+            return True
+        return False
+
+    def _prewarm_for(self, workload: Workload, method: str,
+                     budget: int | None) -> bool:
+        """``_prewarm`` the compile that evaluating ``workload`` by
+        ``method`` will need, and return whether that evaluation draws
+        worlds: an estimate method always does, and ``auto`` does when
+        no safe plan answers the query and its compile blows
+        ``budget``."""
+        if workload.query.is_false():
+            return False
+        if method in ESTIMATE_METHODS:
+            return True
+        if method == "auto" and not workload.lifted:
+            return self._prewarm(workload, budget)
+        if method in ("wmc", "cross-check") and not workload.safe:
+            self._prewarm(workload, None)
+        return False
 
     # ------------------------------------------------------------------
     # Operations
@@ -815,54 +927,22 @@ class ReproServer(ServiceFrontEnd):
             "circuit": circuit.stats(),
         }
 
-    def _estimator_knobs(self, params: dict):
-        budget = take_int(params, "budget_nodes",
-                          default=self.default_budget, minimum=2)
-        epsilon = take_fraction(params, "epsilon",
-                                default=DEFAULT_EPSILON)
-        delta = take_fraction(params, "delta", default=DEFAULT_DELTA)
-        try:
-            check_accuracy(epsilon, delta)
-        except ValueError as error:
-            raise ProtocolError("bad-request", f"param {error}") from None
-        seed = take_int(params, "seed", default=0)
-        estimator = take_str(params, "estimator", default="hoeffding",
-                             choices=ESTIMATORS)
-        relative = take_fraction(params, "relative_error", default=None)
-        try:
-            estimator = resolve_estimator(estimator, relative)
-        except ValueError:
-            raise ProtocolError(
-                "bad-request",
-                "param 'relative_error' must be positive") from None
-        draws = max_draws(epsilon, delta, WEIGHT_CAPS[estimator])
-        if draws > MAX_ESTIMATE_DRAWS:
-            raise ProtocolError(
-                "bad-request",
-                f"epsilon {epsilon} and delta {delta} let the "
-                f"{estimator} sampler draw up to {draws} worlds per "
-                f"estimate, over the cap of {MAX_ESTIMATE_DRAWS}")
-        return budget, epsilon, delta, seed, estimator, relative
-
     def _evaluate_one(self, workload: Workload, method: str,
-                      budget, epsilon, delta, seed, estimator,
-                      relative) -> dict:
-        if method in ("auto", "wmc", "cross-check") \
-                and not workload.safe and not workload.query.is_false():
-            self._prewarm(workload,
-                          budget if method == "auto" else None)
+                      knobs: _Knobs) -> dict:
         with span("evaluate", method=method):
             try:
                 result = evaluate(workload.query, workload.tid, method,
-                                  budget_nodes=budget, epsilon=epsilon,
-                                  delta=delta, rng=seed,
-                                  estimator=estimator,
-                                  relative_error=relative,
+                                  budget_nodes=knobs.budget,
+                                  epsilon=knobs.epsilon,
+                                  delta=knobs.delta, rng=knobs.seed,
+                                  estimator=knobs.estimator,
+                                  relative_error=knobs.relative,
                                   formula=workload.formula,
                                   safe=workload.safe)
             except UnsafeQueryError as error:  # method="lifted"
                 raise ProtocolError("bad-request", str(error)) from None
-        self._note_estimates([result.estimate], epsilon, delta)
+        self._note_estimates([result.estimate], knobs.epsilon,
+                             knobs.delta)
         payload = result.as_dict()
         payload["p"] = workload.p
         payload["fingerprint"] = workload.fingerprint
@@ -873,23 +953,25 @@ class ReproServer(ServiceFrontEnd):
                      + _ESTIMATOR_FIELDS)
         method = take_str(params, "method", default="auto",
                           choices=EVAL_METHODS)
-        knobs = self._estimator_knobs(params)
-        return self._evaluate_one(self.workloads.resolve(params),
-                                  method, *knobs)
+        knobs = self._estimator_knobs(params, method)
+        workload = self.workloads.resolve(params)
+        # One estimate stays within MAX_ESTIMATE_DRAWS: no count here.
+        self._prewarm_for(workload, method, knobs.budget)
+        return self._evaluate_one(workload, method, knobs)
 
     def _op_evaluate_batch(self, params: dict) -> dict:
         check_fields(params, ("query", "ps", "method")
                      + _ESTIMATOR_FIELDS)
-        ps = take_int_list(params, "ps", minimum=1, max_items=256)
-        method = take_str(params, "method", default="auto",
-                          choices=EVAL_METHODS)
-        knobs = self._estimator_knobs(params)
+        ps, method, knobs = self._batch_knobs(params)
         text = take_str(params, "query")
-        results = [
-            self._evaluate_one(
-                self.workloads.resolve({"query": text, "p": p}),
-                method, *knobs)
-            for p in ps]
+        workloads = [self.workloads.resolve({"query": text, "p": p})
+                     for p in ps]
+        # Every compile first, so the draws are counted before any.
+        estimates = sum(self._prewarm_for(workload, method, knobs.budget)
+                        for workload in workloads)
+        _check_request_draws(estimates, knobs.draws)
+        results = [self._evaluate_one(workload, method, knobs)
+                   for workload in workloads]
         return {"results": results, "count": len(results)}
 
     def _op_sweep(self, params: dict) -> dict:
@@ -899,8 +981,7 @@ class ReproServer(ServiceFrontEnd):
                      maximum=100_000)
         numeric = take_str(params, "numeric", default="exact",
                            choices=("exact", "float"))
-        budget, epsilon, delta, seed, estimator, relative = \
-            self._estimator_knobs(params)
+        knobs = self._estimator_knobs(params)
         workload = self.workloads.resolve(params)
         r_u, t_v = r_tuple("u"), t_tuple("v")
         if not {r_u, t_v} & workload.formula.variables():
@@ -913,15 +994,18 @@ class ReproServer(ServiceFrontEnd):
                                            workload.tid, k)
         # A cold compile goes through the deduping pool (N concurrent
         # sweeps pay for one); a blown budget's negative cache then
-        # makes the pass's own compile abort at once, and the request's
-        # seed alone drives its estimates.
-        self._prewarm(workload, budget)
+        # makes the pass's own compile abort at once, every lane is an
+        # estimate, and the request's seed alone drives them.
+        if self._prewarm(workload, knobs.budget):
+            _check_request_draws(len(weight_maps), knobs.draws)
         with span("evaluate", lanes=len(weight_maps), numeric=numeric):
             sweep = wmc.probability_batch_auto(
-                workload.formula, weight_maps, budget_nodes=budget,
-                epsilon=epsilon, delta=delta, rng=seed, numeric=numeric,
-                estimator=estimator, relative_error=relative)
-        self._note_estimates(sweep.estimates or [], epsilon, delta)
+                workload.formula, weight_maps, budget_nodes=knobs.budget,
+                epsilon=knobs.epsilon, delta=knobs.delta, rng=knobs.seed,
+                numeric=numeric, estimator=knobs.estimator,
+                relative_error=knobs.relative)
+        self._note_estimates(sweep.estimates or [], knobs.epsilon,
+                             knobs.delta)
         result = {
             "fingerprint": workload.fingerprint,
             "engine": sweep.engine,
@@ -941,18 +1025,17 @@ class ReproServer(ServiceFrontEnd):
                               "estimator", "relative_error"))
         # Same knob parsing as evaluate/sweep; the budget slot is
         # inert here (check_fields already rejected budget_nodes).
-        _, epsilon, delta, seed, estimator, relative = \
-            self._estimator_knobs(params)
+        knobs = self._estimator_knobs(params)
         workload = self.workloads.resolve(params)
-        with span("evaluate", method=estimator):
+        with span("evaluate", method=knobs.estimator):
             estimate = estimate_with(
-                estimator, workload.formula,
-                workload.tid.probability, epsilon, delta, seed,
-                relative_error=relative)
-        self._note_estimates([estimate], epsilon, delta)
+                knobs.estimator, workload.formula,
+                workload.tid.probability, knobs.epsilon, knobs.delta,
+                knobs.seed, relative_error=knobs.relative)
+        self._note_estimates([estimate], knobs.epsilon, knobs.delta)
         return {
             "fingerprint": workload.fingerprint,
-            "engine": ENGINE_LABELS[estimator],
+            "engine": ENGINE_LABELS[knobs.estimator],
             "estimate": estimate.as_dict(),
         }
 

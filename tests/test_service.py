@@ -1359,6 +1359,159 @@ class TestAdaptiveService:
             client.evaluate(QUERY, p=4, epsilon="1e-200")
         assert excinfo.value.code == "bad-request"
 
+    @pytest.mark.parametrize("factory", [
+        lambda: ReproServer(port=0),
+        lambda: ReproDispatcher(port=0, workers=1),
+    ], ids=["server", "dispatcher"])
+    def test_a_request_past_the_draw_cap_is_a_bad_request(self, factory):
+        """Each estimate at epsilon 1/753 is under the per-estimate cap,
+        but five of them could draw more than ``MAX_REQUEST_DRAWS``: a
+        past-budget sweep and an evaluate_batch that samples are refused
+        before any draw, naming the count and the cap.  The same sweep
+        under budget draws nothing and is served."""
+        from repro.booleans.adaptive import max_draws
+
+        draws = max_draws(F(1, 753), F(1, 20))
+        assert draws <= server_module.MAX_ESTIMATE_DRAWS
+        calls = [("sweep", {"p": 4, "grid": 5, "budget_nodes": 2}),
+                 ("evaluate_batch", {"ps": [1, 2, 3, 4, 5],
+                                     "method": "estimate"}),
+                 ("evaluate_batch", {"ps": [3, 4, 5, 6, 7],
+                                     "budget_nodes": 2})]
+        with factory() as service:
+            with ServiceClient(*service.address) as c:
+                for op, extra in calls:
+                    with pytest.raises(ServiceError) as excinfo:
+                        c.call(op, query=QUERY, **extra, epsilon="1/753",
+                               timeout=30)
+                    assert excinfo.value.code == "bad-request", \
+                        (op, extra)
+                    message = str(excinfo.value)
+                    assert f"draw {5 * draws} worlds" in message
+                    assert f"cap of {1 << 22} per request" in message
+                result = c.call("sweep", query=QUERY, p=4, grid=5,
+                                epsilon="1/753", timeout=30)
+                assert result["engine"] == "exact"
+                batch = c.call("evaluate_batch", query=QUERY,
+                               ps=[1, 2, 3, 4, 5], epsilon="1/753",
+                               timeout=30)
+                assert [r["engine"] for r in batch["results"]] == \
+                    ["exact"] * 5
+                assert [r["value"] for r in batch["results"]] == [
+                    str(evaluate(parse_query(QUERY),
+                                 path_block(parse_query(QUERY), p),
+                                 "wmc").value)
+                    for p in (1, 2, 3, 4, 5)]
+
+    def test_request_draw_cap_boundary(self, client, monkeypatch):
+        """A request whose estimates could draw up to exactly the most
+        lanes x draws under ``MAX_REQUEST_DRAWS`` samples; one estimate
+        more is refused before any draw.  The samplers are replaced by
+        recorders, so nothing is drawn either way.  A safe query that
+        no safe plan answers (R(x) v T(y) sharing R; ``parse_query``
+        has no syntax for it, so the resolver is handed the ``Query``)
+        compiles and samples under ``auto`` like an unsafe one, and is
+        counted like one."""
+        import repro.evaluation
+        from repro.booleans.adaptive import max_draws
+        from repro.booleans.approximate import ProbabilityEstimate
+        from repro.core.queries import Clause, Query
+        from repro.core.safety import is_safe
+
+        full = Query([Clause("full", {"R", "T"}, []),
+                      Clause.left_type1("S1")])
+        assert is_safe(full)
+        parse = server_module.parse_query
+        monkeypatch.setattr(
+            server_module, "parse_query",
+            lambda text: full if text == "(R|T)(R|S1)" else parse(text))
+        draws = max_draws(F(1, 753), F(1, 20))
+        lanes = server_module.MAX_REQUEST_DRAWS // draws
+        assert lanes * draws <= server_module.MAX_REQUEST_DRAWS \
+            < (lanes + 1) * draws
+        sampled = []
+
+        def recorded(epsilon, delta):
+            sampled.append(1)
+            return ProbabilityEstimate(F(1, 2), F(epsilon), F(delta),
+                                       1, 1)
+
+        monkeypatch.setattr(
+            wmc, "estimate_batch_with",
+            lambda estimator, formula, specs, epsilon, delta, *rest:
+                [recorded(epsilon, delta) for _ in specs])
+        for module in (wmc, repro.evaluation):
+            monkeypatch.setattr(
+                module, "estimate_with",
+                lambda estimator, formula, weights, epsilon, delta, *rest,
+                **kw: recorded(epsilon, delta))
+        knobs = {"epsilon": "1/753", "budget_nodes": 2}
+        requests = [
+            ("sweep", lambda n: {"query": QUERY, "p": 4, "grid": n}),
+            ("evaluate_batch",
+             lambda n: {"query": QUERY, "ps": list(range(3, 3 + n)),
+                        "method": "auto"}),
+            ("evaluate_batch",
+             lambda n: {"query": QUERY, "ps": list(range(3, 3 + n)),
+                        "method": "estimate"}),
+            ("evaluate_batch",
+             lambda n: {"query": "(R|T)(R|S1)", "ps": [4] * n}),
+        ]
+        for op, where in requests:
+            sampled.clear()
+            client.call(op, **where(lanes), **knobs)
+            assert len(sampled) == lanes, where(lanes)
+            sampled.clear()
+            with pytest.raises(ServiceError) as excinfo:
+                client.call(op, **where(lanes + 1), **knobs)
+            assert excinfo.value.code == "bad-request"
+            assert sampled == []
+
+    def test_an_exact_batch_past_the_draw_cap_still_splits(self):
+        """Only a batch that can sample goes whole to one worker: an
+        exact method draws no world whatever its epsilon, so its batch
+        is still split per p, while the same batch under ``auto`` is
+        sent whole."""
+        ps = [1, 2, 3, 4, 5]  # 5 x 1,045,814 draws > MAX_REQUEST_DRAWS
+        with ReproDispatcher(port=0, workers=1) as service:
+            proxied = []
+            proxy = service._proxy
+
+            def recorded(op, params, route=None):
+                proxied.append(op)
+                return proxy(op, params, route)
+
+            service._proxy = recorded
+            with ServiceClient(*service.address) as c:
+                exact = c.call("evaluate_batch", query=QUERY, ps=ps,
+                               method="wmc", epsilon="1/753", timeout=30)
+                assert proxied == ["evaluate"] * len(ps)
+                proxied.clear()
+                auto = c.call("evaluate_batch", query=QUERY, ps=ps,
+                              epsilon="1/753", timeout=30)
+                assert proxied == ["evaluate_batch"]
+        assert [r["value"] for r in exact["results"]] == \
+            [r["value"] for r in auto["results"]]
+
+    def test_a_forced_sampler_is_capped_by_its_own_draws(self, client):
+        """``method`` adaptive/importance draws with that sampler, not
+        the ``estimator`` knob's, so the per-estimate cap counts that
+        sampler's worst case: at epsilon 1/753 Hoeffding (1,045,814
+        draws) is under the cap and both sequential samplers are not."""
+        from repro.booleans.adaptive import WEIGHT_CAPS, max_draws
+
+        assert client.evaluate(QUERY, p=4, epsilon="1/753")["engine"] \
+            == "exact"
+        for method in ("adaptive", "importance"):
+            draws = max_draws(F(1, 753), F(1, 20), WEIGHT_CAPS[method])
+            assert draws > server_module.MAX_ESTIMATE_DRAWS
+            with pytest.raises(ServiceError) as excinfo:
+                client.evaluate(QUERY, p=4, method=method,
+                                epsilon="1/753")
+            assert excinfo.value.code == "bad-request"
+            assert f"the {method} sampler draw up to {draws} worlds" \
+                in str(excinfo.value)
+
     def test_bad_estimator_rejected(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.evaluate(QUERY, p=4, estimator="magic")

@@ -1,11 +1,17 @@
 """The end-to-end Cook reduction #P2CNF -> FOMC_bi(Q), Theorem 3.1
 (experiments E8, E9)."""
 
+import random
+import sys
+import threading
+from collections import OrderedDict
+
 import pytest
 
 from repro.core import catalog
 from repro.counting.p2cnf import P2CNF
 from repro.counting.problems import FOMC_VALUES
+from repro.reduction import type1
 from repro.reduction.type1 import Type1Reduction, count_p2cnf
 
 FORMULAS = [
@@ -169,3 +175,205 @@ class TestValidation:
     def test_rejects_h0(self):
         with pytest.raises(ValueError):
             Type1Reduction(catalog.h0())
+
+
+# ----------------------------------------------------------------------
+# The system kept per (query, m)
+# ----------------------------------------------------------------------
+KEPT_QUERIES = [
+    ("rst", catalog.rst_query),
+    ("path1", lambda: catalog.path_query(1)),
+    ("path2", lambda: catalog.path_query(2)),
+    ("path3", lambda: catalog.path_query(3)),
+    ("wide", catalog.wide_final_query),
+]
+
+
+def random_p2cnf(rng: random.Random, n: int, m: int) -> P2CNF:
+    """m distinct clauses over n variables, each randomly oriented."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return P2CNF(n, tuple((i, j) if rng.random() < 0.5 else (j, i)
+                          for i, j in rng.sample(pairs, m)))
+
+
+def empty_caches() -> None:
+    type1._SYSTEMS.clear()
+    type1._QUERIES.clear()
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty reduction caches for the test; the process's own caches
+    come back afterwards."""
+    monkeypatch.setattr(type1, "_SYSTEMS", OrderedDict())
+    monkeypatch.setattr(type1, "_QUERIES", OrderedDict())
+
+
+class Spy:
+    """Counts the calls of the named ``Type1Reduction`` methods and
+    records their arguments."""
+
+    def __init__(self, monkeypatch, *names):
+        self.calls = {name: [] for name in names}
+        for name in names:
+            original = getattr(Type1Reduction, name)
+
+            def spy(self_, *args, _original=original, _name=name):
+                self.calls[_name].append(args)
+                return _original(self_, *args)
+
+            monkeypatch.setattr(Type1Reduction, name, spy)
+
+    def count(self, name) -> int:
+        return len(self.calls[name])
+
+    def reset(self) -> None:
+        for calls in self.calls.values():
+            calls.clear()
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestKeptSystem:
+    @pytest.mark.parametrize("name,ctor", KEPT_QUERIES,
+                             ids=[name for name, _ in KEPT_QUERIES])
+    def test_cold_and_warm_runs_agree(self, name, ctor):
+        """A run on empty caches and a warm run give equal results,
+        both the brute-force count, for every m in 1..6 and for a
+        second instance that only ever runs warm after another one."""
+        query = ctor()
+        rng = random.Random(31)
+        for m in range(1, 7):
+            first, second = (random_p2cnf(rng, 5, m) for _ in range(2))
+            empty_caches()
+            cold = Type1Reduction(query).run(first)
+            warm = Type1Reduction(query).run(first)
+            assert cold == warm
+            assert cold.model_count == first.count_satisfying_brute()
+            warm_other = Type1Reduction(query).run(second)
+            empty_caches()
+            assert Type1Reduction(query).run(second) == warm_other
+            assert warm_other.model_count == \
+                second.count_satisfying_brute()
+            assert warm_other.parameters_used == PARAMETERS_USED[m]
+
+    def test_a_warm_run_is_its_oracle_calls(self, monkeypatch):
+        query = catalog.path_query(1)
+        rng = random.Random(5)
+        spy = Spy(monkeypatch, "coefficient_row", "product_oracle_value")
+        cold = Type1Reduction(query).run(random_p2cnf(rng, 6, 5))
+        assert spy.count("coefficient_row") >= cold.oracle_calls
+        assert spy.count("product_oracle_value") == cold.oracle_calls
+        for _ in range(3):
+            spy.reset()
+            phi = random_p2cnf(rng, 6, 5)
+            warm = Type1Reduction(query).run(phi)
+            assert spy.count("coefficient_row") == 0
+            assert spy.count("product_oracle_value") == warm.oracle_calls
+            assert [params for _, params in
+                    spy.calls["product_oracle_value"]] == \
+                list(warm.parameters_used)
+            assert warm.model_count == phi.count_satisfying_brute()
+
+    def test_filling_past_the_bound_evicts_the_least_recently_used(
+            self, monkeypatch):
+        monkeypatch.setattr(type1, "_SYSTEM_LIMIT", 2)
+        query = catalog.rst_query()
+        spy = Spy(monkeypatch, "coefficient_row")
+        for m in (1, 2, 1, 3):
+            Type1Reduction(query).run(P2CNF.path(m + 1))
+        assert list(type1._SYSTEMS) == [(query, 1), (query, 3)]
+        for m, recomputed in ((1, False), (2, True)):
+            spy.reset()
+            Type1Reduction(query).run(P2CNF.path(m + 1))
+            assert (spy.count("coefficient_row") > 0) is recomputed
+        assert list(type1._SYSTEMS) == [(query, 1), (query, 2)]
+
+    def test_query_bound_keeps_the_most_recent_query(self, monkeypatch):
+        monkeypatch.setattr(type1, "_QUERY_LIMIT", 1)
+        first = Type1Reduction(catalog.rst_query())
+        second = Type1Reduction(catalog.path_query(2))
+        assert list(type1._QUERIES) == [catalog.path_query(2)]
+        # An evicted query's reduction keeps its own A(1) and z-values.
+        phi = P2CNF.path(3)
+        assert first.run(phi).model_count == phi.count_satisfying_brute()
+        assert second.run(phi).model_count == \
+            phi.count_satisfying_brute()
+
+    def test_the_key_is_the_query_value(self, monkeypatch):
+        """An equal query built anew finds the kept system; another
+        query with the same m selects its own."""
+        spy = Spy(monkeypatch, "coefficient_row")
+        Type1Reduction(catalog.path_query(2)).run(P2CNF.path(4))
+        spy.reset()
+        phi = P2CNF.star(4)
+        result = Type1Reduction(catalog.path_query(2)).run(phi)
+        assert spy.count("coefficient_row") == 0
+        assert result.model_count == phi.count_satisfying_brute()
+        result = Type1Reduction(catalog.rst_query()).run(phi)
+        assert spy.count("coefficient_row") > 0
+        assert result.model_count == phi.count_satisfying_brute()
+
+    def test_a_failed_full_rank_check_is_not_kept(self, monkeypatch):
+        reduction = Type1Reduction(catalog.safe_left_only(),
+                                   check_final=False)
+        spy = Spy(monkeypatch, "coefficient_row")
+        for _ in range(2):
+            spy.reset()
+            with pytest.raises(AssertionError, match="full rank"):
+                reduction.run(P2CNF.path(3))
+            assert spy.count("coefficient_row") > 0
+        assert not type1._SYSTEMS
+
+    @pytest.mark.parametrize("oracle", ["wmc", "callable"])
+    def test_oracles_see_the_same_parameters_warm_as_cold(
+            self, monkeypatch, oracle):
+        from repro.tid.wmc import probability
+
+        query = catalog.rst_query()
+        if oracle == "callable":
+            def oracle(tid):
+                return probability(query, tid)
+        spy = Spy(monkeypatch, "reduction_database")
+        phi = P2CNF.path(4)
+        results = []
+        for _ in range(2):
+            spy.reset()
+            results.append(Type1Reduction(query).run(phi, oracle=oracle))
+            assert [params for _, params in
+                    spy.calls["reduction_database"]] == \
+                list(results[-1].parameters_used)
+        cold, warm = results
+        assert cold == warm
+        assert cold.parameters_used == PARAMETERS_USED[phi.m]
+        assert cold.model_count == phi.count_satisfying_brute()
+
+    def test_threads_on_one_cold_system_agree(self):
+        query = catalog.path_query(2)
+        phi = random_p2cnf(random.Random(8), 6, 5)
+        barrier = threading.Barrier(8)
+        results: list = [None] * 8
+        errors: list = []
+
+        def work(i):
+            try:
+                barrier.wait()
+                results[i] = Type1Reduction(query).run(phi)
+            except BaseException as error:  # surfaced by the assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(result == results[0] for result in results)
+        assert results[0].model_count == phi.count_satisfying_brute()
+        assert list(type1._SYSTEMS) == [(query, phi.m)]
