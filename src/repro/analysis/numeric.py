@@ -22,8 +22,9 @@ Zones:
   ``booleans/tape.py`` (``Circuit.probability``/``model_count``/
   ``marginals``/``sample``/``top_k_worlds``, the ``_kbest_*`` helpers,
   ``_Compiler``, ``compile_cnf``, ``Tape.probability``/``sample``/
-  ``marginals``, the lane loop ``Tape._lanes`` (shared with the float
-  lanes), its decoded program and list-row helpers,
+  ``marginals``, ``Tape.run_products`` (the safe plan's batches: one
+  product per run of lanes), the lane loop ``Tape._lanes`` (shared
+  with the float lanes), its decoded program and list-row helpers,
   ``_Flattener``/``flatten_circuit``), of the integer algebra in
   ``algebra/matrices.py`` (``IncrementalBasis``, ``Matrix.determinant``/
   ``rank``/``solve``/``inverse``, ``select_rows``, ``monomial_row``
@@ -64,7 +65,8 @@ _EXACT_ZONES = {
         "_Compiler", "compile_cnf",
     ),
     "booleans/tape.py": ("Tape.probability", "Tape.sample",
-                         "Tape.marginals", "Tape._lanes", "Tape._program",
+                         "Tape.marginals", "Tape.run_products",
+                         "Tape._lanes", "Tape._program",
                          "Tape._exponent_table", "Tape._lane_denominator",
                          "_row_mul", "_row_add", "_row_sub", "_Flattener",
                          "flatten_circuit"),

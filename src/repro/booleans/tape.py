@@ -32,6 +32,8 @@ order (an ``("ite", v, hi, lo)`` node lowers to ``p*hi + (1-p)*lo``
 spelled as ``OR(AND(LIT, hi), AND(NEG, lo))``).  Lanes given as
 ``WeightOverlay(base, pinned)`` fill in O(slots x bases + pins): one
 converted column per distinct base, and a row only where a lane pins.
+``Tape.run_products`` runs the safe plan's batches from rows of raw
+weights and returns one exact product per run of consecutive lanes.
 
 Lowering rules (one pass over the topologically ordered node table):
 
@@ -103,6 +105,15 @@ TAPE_FORMAT_VERSION = 1
 #: lost past roughly 20k root bits, at 6-25x the Fraction width.
 INT_LANE_FLOOR_BITS = 16384
 INT_LANE_RATIO = 4
+#: ``Tape.run_products`` keeps the integer lanes while D has at most
+#: ``INT_LANE_RATIO`` times the widest single denominator's bits, or
+#: this many: on the safe plan's constant-size formulas, a wider D made
+#: every lane pay for the other lanes' denominators (2x slower with
+#: distinct 200-bit denominators), and a D of small primes' product
+#: ran 2x faster on integer lanes than on Fraction lanes.
+RUN_FLOOR_BITS = 256
+
+ONE = Fraction(1)
 
 _LOCK = threading.Lock()
 _STATS = {"tape_hits": 0, "tape_flattens": 0, "tape_bytes": 0}
@@ -592,12 +603,14 @@ class Tape:
             return common
         return None
 
-    def _exact_registers(self, rows, common) -> tuple:
+    def _exact_registers(self, rows, common, scaled=None) -> tuple:
         """``(registers, e, pows)`` of one exact pass over ``rows``
         (``_lane_rows``): integer lanes over ``common`` = D, register
         ``i`` standing for ``registers[i] / D**e[i]`` and ``pows[j]``
         for D**j, or Fraction lanes when ``common`` is None (every e 0,
-        ``pows`` (1,))."""
+        ``pows`` (1,)).  ``scaled`` maps ``id(w)`` to w's numerator
+        over D when the caller has them per weight object; each lane
+        scales its own weight otherwise."""
         if common is None:
             regs = self._lanes(rows, None, (1,))
             return regs, bytes(len(regs)), (1,)
@@ -605,11 +618,15 @@ class Tape:
         pows = [1]
         for _ in range(top):
             pows.append(pows[-1] * common)
-        rows = [
-            [w.numerator * (common // w.denominator) for w in row]
-            if type(row) is list
-            else row.numerator * (common // row.denominator)
-            for row in rows]
+        if scaled is None:
+            rows = [
+                [w.numerator * (common // w.denominator) for w in row]
+                if type(row) is list
+                else row.numerator * (common // row.denominator)
+                for row in rows]
+        else:
+            rows = [[scaled[id(w)] for w in row] if type(row) is list
+                    else scaled[id(row)] for row in rows]
         return self._lanes(rows, exps, pows), exps, pows
 
     def _exact_lanes(self, rows, k, common, span) -> list:
@@ -623,6 +640,72 @@ class Tape:
         span.tag(arith="fraction" if common is None else "int",
                  bits=max(x.numerator.bit_length() for x in roots))
         return values if type(root) is list else values * k
+
+    def run_products(self, rows, runs: int, run: int) -> list[Fraction]:
+        """``runs`` exact products in one batch: ``rows`` holds each
+        slot's raw weights over ``runs * run`` lanes, one run of ``run``
+        consecutive lanes per product, and entry ``r`` is the product of
+        the formula's values over run ``r``'s lanes.
+
+        Each distinct weight object of a row is converted once, and a
+        row whose lanes all hold one object stays one value.  The
+        integer lanes run while ``_lane_denominator`` allows them and D
+        has at most ``INT_LANE_RATIO`` times the bits of the widest
+        single denominator, or ``RUN_FLOOR_BITS``; past that every lane
+        would pay for the other lanes' denominators, and the Fraction
+        lanes run.  On integer lanes a run's root integers multiply and
+        divide once by D**(e*run), or each lane divides when that
+        product would be wider than ``INT_LANE_FLOOR_BITS``.  The
+        ``kernel`` span is tagged as ``evaluate`` tags it.
+        """
+        if not runs * run:  # no lanes: every product is empty
+            return [ONE] * runs
+        with obs.span("kernel", numeric="exact", lanes=runs * run) as sp:
+            lanes, distinct = [], []
+            for var, row in zip(self.slots, rows):
+                objects = {id(w): w for w in row}
+                values = [_exact_weight(w, var, 0)
+                          for w in objects.values()]
+                if len(values) == 1:
+                    row = values[0]
+                elif any(v is not w
+                         for v, w in zip(values, objects.values())):
+                    converted = dict(zip(objects, values))
+                    row = [converted[id(w)] for w in row]
+                lanes.append(row)
+                distinct.append(values)
+            common = self._lane_denominator(distinct)
+            widest = max((w.denominator for values in distinct
+                          for w in values), default=1)
+            if common is not None and common.bit_length() > max(
+                    INT_LANE_RATIO * widest.bit_length(), RUN_FLOOR_BITS):
+                common = None
+            scaled = None if common is None else {
+                id(w): w.numerator * (common // w.denominator)
+                for values in distinct for w in values}
+            regs, exps, pows = self._exact_registers(lanes, common, scaled)
+            root = regs[self.root]
+            roots = root if type(root) is list else (root,)
+            sp.tag(arith="fraction" if common is None else "int",
+                   bits=max(roots).bit_length() if common is not None
+                   else max(x.numerator for x in roots).bit_length())
+            denominator = pows[exps[self.root]]
+            if type(root) is not list:
+                return [Fraction(root, denominator) ** run] * runs
+            scale = None
+            if common is not None:
+                if run * denominator.bit_length() <= INT_LANE_FLOOR_BITS:
+                    scale = denominator ** run
+                else:
+                    root = [Fraction(x, denominator) for x in root]
+            products = []
+            for start in range(0, runs * run, run):
+                product = 1
+                for x in root[start:start + run]:
+                    product *= x
+                products.append(product if scale is None
+                                else Fraction(product, scale))
+            return products
 
     def _lanes(self, weights, exps, pows, vector=list):
         """The lane loop of the integer, Fraction and float lanes;

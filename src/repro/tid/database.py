@@ -39,6 +39,13 @@ def s_tuple(symbol: str, u, v) -> Tuple:
     return (symbol, u, v)
 
 
+def _fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``, the same object when it is one: a
+    value shared across tuples stays one object, so weight memos keyed
+    by ``id`` convert it once."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class TID:
     """An immutable bipartite tuple-independent database."""
 
@@ -51,12 +58,12 @@ class TID:
         self.right_domain = tuple(dict.fromkeys(right_domain))
         if set(self.left_domain) & set(self.right_domain):
             raise ValueError("left and right domains must be disjoint")
-        self.default = Fraction(default)
+        self.default = _fraction(default)
         cleaned: dict[Tuple, Fraction] = {}
         left = set(self.left_domain)
         right = set(self.right_domain)
         for token, value in (probs or {}).items():
-            value = Fraction(value)
+            value = _fraction(value)
             if not 0 <= value <= 1:
                 raise ValueError(f"probability out of range: {token}={value}")
             self._check_token(token, left, right)

@@ -11,21 +11,30 @@ Pr(Q) = prod_u Pr(Q[u/x]) (mirror-wise with no left clauses).  Each
 factor expands its Type-II disjunctions OR_l forall y S_{J_l}(u, y) by
 inclusion-exclusion over the (query-sized) set of subclause choices,
 and each signed conjunction is a product over the opposite domain of a
-constant-size CNF, evaluated as one exact batch over the CNF's
-circuit.  A plan evaluates any TID in time O(|U| * |V|) per component
-for a fixed query, and pretty-prints why the query is tractable: which
-independence it exploits, where the unary atom is Shannon-expanded and
-where inclusion-exclusion runs.
+constant-size CNF.  A plan evaluates any TID in time O(|U| * |V|) per
+component for a fixed query, and pretty-prints why the query is
+tractable: which independence it exploits, where the unary atom is
+Shannon-expanded and where inclusion-exclusion runs.
+
+Batching.  A ``DomainProduct`` walks its outer domain in doubling
+chunks of 1, 2, 4, ... constants, and the factor below it returns one
+value per constant of a chunk.  Each local formula runs as one exact
+batch per chunk (``Tape.run_products`` over the formula's tape,
+resolved once per evaluation): a lane per (outer, inner) pair, each
+slot's lane row read straight from ``tid.probs``, and one product per
+outer constant.  The walk stops at the first chunk whose product is 0,
+so a zero factor costs at most twice the work up to it.  A
+``PairProduct`` is one chunk: the whole left domain in one batch.
 
 Plan node algebra:
 
     IndependentJoin [components multiply]
       IndependentOr [a full clause R(x) v T(y)]
       PairProduct [middle clauses only: one batch over U x V]
-      DomainProduct(side) [factors over u in U or v in V]
+      DomainProduct(side) [factors over u in U or v in V, by chunks]
         Shannon(unary) [condition on R(u) / T(v), if it occurs]
           InclusionExclusion [over Type-II subclause choices]
-            LocalProduct [one batch over the opposite domain]
+            LocalProduct [one batch per chunk, over the opposite domain]
               LocalFormula [constant-size CNF of binary atoms]
 """
 
@@ -41,7 +50,7 @@ from repro.booleans.cnf import CNF
 from repro.core.queries import Query
 from repro.core.safety import connected_components, is_unsafe
 from repro.core.symbols import LEFT_UNARY, RIGHT_UNARY
-from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
+from repro.tid.database import TID, r_tuple, t_tuple
 from repro.tid.wmc import compiled, ensure_tape
 
 ONE = Fraction(1)
@@ -58,16 +67,30 @@ class LocalFormula:
 
     subclauses: tuple[frozenset[str], ...]
 
-    def product(self, tid: TID, pairs) -> Fraction:
-        """prod over the (independent) ``(u, v)`` of ``pairs`` of the
-        formula's probability there: one batch over its circuit."""
-        formula = CNF(frozenset(j) for j in self.subclauses)
-        circuit = compiled(formula)
-        ensure_tape(formula, circuit)
-        return prod(circuit.probability_batch([
-            (lambda symbol, u=u, v=v: tid.probability(
-                s_tuple(symbol, u, v)))
-            for u, v in pairs]), start=ONE)
+    def products(self, tid: TID, chunk: Sequence, left_side: bool,
+                 tapes: dict) -> list[Fraction]:
+        """For each constant w of ``chunk`` (on the left when
+        ``left_side``), prod over the opposite domain of the formula's
+        probability at the pair of w and the inner constant: one exact
+        batch (``Tape.run_products``) over the formula's tape, with
+        each slot's lane row read straight from ``tid.probs``.
+        ``tapes`` holds the tapes one evaluation has resolved."""
+        tape = tapes.get(self)
+        if tape is None:
+            formula = CNF(frozenset(j) for j in self.subclauses)
+            tape = tapes[self] = ensure_tape(formula, compiled(formula))
+        get, default = tid.probs.get, tid.default
+        if left_side:
+            inner = tid.right_domain
+            rows = [[get((symbol, w, v), default)
+                     for w in chunk for v in inner]
+                    for symbol in tape.slots]
+        else:
+            inner = tid.left_domain
+            rows = [[get((symbol, u, w), default)
+                     for w in chunk for u in inner]
+                    for symbol in tape.slots]
+        return tape.run_products(rows, len(chunk), len(inner))
 
     def describe(self) -> str:
         inner = " & ".join(
@@ -83,12 +106,10 @@ class LocalProduct:
     formula: LocalFormula
     left_side: bool  # the *outer* variable is on the left
 
-    def evaluate(self, tid: TID, w) -> Fraction:
-        if self.left_side:
-            pairs = [(w, v) for v in tid.right_domain]
-        else:
-            pairs = [(u, w) for u in tid.left_domain]
-        return self.formula.product(tid, pairs)
+    def values(self, tid: TID, chunk: Sequence, tapes: dict
+               ) -> list[Fraction]:
+        """One product per constant of ``chunk``, in one batch."""
+        return self.formula.products(tid, chunk, self.left_side, tapes)
 
     def describe(self) -> str:
         domain = "v in V" if self.left_side else "u in U"
@@ -101,9 +122,18 @@ class InclusionExclusion:
 
     terms: tuple[tuple[int, LocalProduct], ...]
 
-    def evaluate(self, tid: TID, w) -> Fraction:
-        return sum((sign * term.evaluate(tid, w)
-                    for sign, term in self.terms), ZERO)
+    def values(self, tid: TID, chunk: Sequence, tapes: dict
+               ) -> list[Fraction]:
+        """One signed sum per constant of ``chunk``: one batch per
+        term."""
+        totals = None
+        for sign, term in self.terms:
+            values = term.values(tid, chunk, tapes)
+            if sign < 0:
+                values = [-v for v in values]
+            totals = values if totals is None \
+                else [t + v for t, v in zip(totals, values)]
+        return totals
 
     def describe(self) -> str:
         if len(self.terms) == 1 and self.terms[0][0] == 1:
@@ -133,10 +163,23 @@ class Shannon:
             branches.append((p, self.when_true))
         return branches
 
-    def evaluate(self, tid: TID, w) -> Fraction:
-        token = r_tuple(w) if self.unary == LEFT_UNARY else t_tuple(w)
-        return sum((weight * factor.evaluate(tid, w) for weight, factor
-                    in self.branches(tid.probability(token))), ZERO)
+    def values(self, tid: TID, chunk: Sequence, tapes: dict
+               ) -> list[Fraction]:
+        """One expansion per constant of ``chunk``: each branch runs
+        once, over the constants that take it."""
+        token = r_tuple if self.unary == LEFT_UNARY else t_tuple
+        expansions = [self.branches(tid.probability(token(w)))
+                      for w in chunk]
+        totals = [ZERO] * len(chunk)
+        for factor in (self.when_false, self.when_true):
+            taken = [(i, weight) for i, expansion in enumerate(expansions)
+                     for weight, branch in expansion if branch is factor]
+            if not taken:
+                continue
+            values = factor.values(tid, [chunk[i] for i, _ in taken], tapes)
+            for (i, weight), value in zip(taken, values):
+                totals[i] += weight * value
+        return totals
 
     def describe(self) -> str:
         false_part = "0" if self.when_false is None \
@@ -149,18 +192,27 @@ class Shannon:
 class DomainProduct:
     """prod over the shared-variable domain of the per-constant factor
     (the first observation before Definition 2.4); the factor is
-    Shannon-expanded when the side's clauses carry the unary atom."""
+    Shannon-expanded when the side's clauses carry the unary atom.  The
+    walk takes the domain in doubling chunks and stops at the first
+    chunk whose product is 0 (see the module docstring)."""
 
     left_side: bool
     factor: Shannon | InclusionExclusion
 
     def evaluate(self, tid: TID) -> Fraction:
         outer = tid.left_domain if self.left_side else tid.right_domain
+        tapes: dict = {}
         total = ONE
-        for w in outer:
-            total *= self.factor.evaluate(tid, w)
+        start, size = 0, 1
+        while start < len(outer):
+            # The chunk's product first: small factors meet before they
+            # meet the wide running total.
+            total *= prod(self.factor.values(
+                tid, outer[start:start + size], tapes), start=ONE)
             if total == 0:
                 return ZERO
+            start += size
+            size *= 2
         return total
 
     def describe(self, indent: str = "") -> str:
@@ -172,13 +224,14 @@ class DomainProduct:
 @dataclass(frozen=True)
 class PairProduct:
     """prod over every (u, v) of a local formula: a component of middle
-    clauses only, whose ground atoms are independent pair by pair."""
+    clauses only, whose ground atoms are independent pair by pair, in
+    one chunk of the left domain."""
 
     formula: LocalFormula
 
     def evaluate(self, tid: TID) -> Fraction:
-        return self.formula.product(tid, [
-            (u, v) for u in tid.left_domain for v in tid.right_domain])
+        return prod(self.formula.products(tid, tid.left_domain, True, {}),
+                    start=ONE)
 
     def describe(self, indent: str = "") -> str:
         return f"{indent}prod_{{u in U, v in V}} {self.formula.describe()}"

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core.queries import parse_query
 from repro.counting.problems import FOMC_VALUES, GFOMC_VALUES
+from repro.reduction.blocks import path_block
 from repro.tid.database import TID, r_tuple, s_tuple, t_tuple
 
 F = Fraction
@@ -51,6 +53,30 @@ class TestConstruction:
     def test_malformed_tuple(self):
         with pytest.raises(ValueError):
             TID(["u"], ["v"], {("S",): F(1, 2)})
+
+    def test_shared_fractions_stay_one_object(self):
+        """A ``Fraction`` is kept as given, so weight memos keyed by
+        ``id`` convert a shared value once: the p=12 path block's 97
+        tuples all hold its one 1/2."""
+        tid = path_block(parse_query("(R|S1|S2)(S2|S3)"), 12)
+        assert len(tid.probs) == 97
+        assert len({id(value) for value in tid.probs.values()}) == 1
+        half, default = F(1, 2), F(1)
+        kept = TID(["u"], ["v"], {r_tuple("u"): half,
+                                  t_tuple("v"): half}, default=default)
+        assert kept.probability(r_tuple("u")) is half
+        assert kept.probability(t_tuple("v")) is half
+        assert kept.default is default
+
+    def test_other_numbers_become_equal_fractions(self):
+        tid = TID(["u"], ["v"], {r_tuple("u"): 0.5, t_tuple("v"): 0},
+                  default=1)
+        assert type(tid.probability(r_tuple("u"))) is Fraction
+        assert type(tid.default) is Fraction
+        assert tid == TID(["u"], ["v"], {r_tuple("u"): F(1, 2),
+                                         t_tuple("v"): F(0)})
+        assert hash(tid) == hash(TID(["u"], ["v"], {
+            r_tuple("u"): F(1, 2), t_tuple("v"): F(0)}))
 
 
 class TestOperations:
