@@ -19,7 +19,12 @@ on ``PYTHONHASHSEED``.  On ``path_query(3)`` at p=12, ``Circuit.sample``
 (k=1) and ``Circuit.marginals``, which walk the registers of one exact
 tape pass, must return exactly what the ``Fraction`` walk of the node
 table returns (``node_sample``/``node_marginals``, kept here as the
-baseline) and be **>= 3x** faster.
+baseline) and be **>= 3x** faster.  On the same lineage a tape's
+compiled kernel (the hot tier, ``Tape._kernel``) must return exactly
+what its interpreter returns on one exact lane, the 16-lane exact
+endpoint grid and the 256-lane float grid, and its one-lane exact pass
+must be **>= 3x** the interpreter's; the compile cost per instruction,
+the pass speedups and the bytes the kernel keeps are recorded.
 
 Runable two ways:
 
@@ -28,16 +33,19 @@ Runable two ways:
   smoke run (CI uses ``--quick``) that exits non-zero if the float
   lanes lose their margin, the exact lanes drift or pick the wrong
   arithmetic, the tape's sample or marginals drift from the node walk
-  or lose their margin, or the tape serializes differently under two
+  or lose their margin, the compiled kernel drifts from the interpreter
+  or loses its margin, or the tape serializes differently under two
   hash seeds.
 """
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +56,7 @@ from repro.booleans.circuit import (
     ITE, LEAF, TRUE, AND, WeightOverlay, as_rng, compile_cnf,
     draw_threshold, make_lookup,
 )
+from repro.evaluation import endpoint_weight_grid
 from repro.booleans import tape as tape_module
 from repro.core import catalog
 from repro.reduction.blocks import path_block
@@ -63,6 +72,10 @@ SPEEDUP_GATE = 10.0
 #: The acceptance floor for the tape's sample (k=1) and marginals over
 #: the node walk on path_query(3) at p=12.
 WALK_GATE = 3.0
+
+#: The acceptance floor for a compiled one-lane exact pass over the
+#: interpreter's on path_query(3) at p=12.
+KERNEL_GATE = 3.0
 
 
 def theta_workload(p=8, k=256):
@@ -459,6 +472,95 @@ def check_tape_walks(length=3, p=12, repeats=7) -> tuple[bool, dict]:
     return ok, record
 
 
+def check_compiled_kernel(length=3, p=12, repeats=7) -> tuple[bool, dict]:
+    """A compiled tape (the hot tier) against one on the interpreter:
+    identical values on one exact lane, the 16-lane exact endpoint grid
+    and the 256-lane float grid, and a one-lane exact pass (``_lanes``
+    on integer lanes, set-up excluded) at least ``KERNEL_GATE`` times
+    the interpreter's.  The interpreter's tape stays below
+    ``KERNEL_PASSES``, so it never compiles."""
+    query = catalog.path_query(length)
+    tid = path_block(query, p)
+    formula = lineage(query, tid)
+    circuit = compile_cnf(formula)
+    cold = tape_module.flatten_circuit(circuit)
+    hot = tape_module.flatten_circuit(circuit)
+    kept = tape_module.flatten_circuit(circuit)
+    for tape in (cold, hot, kept):
+        tape._exponent_table()
+    start = time.perf_counter()
+    hot._kernel()
+    compile_s = time.perf_counter() - start
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept._kernel()
+        gc.collect()
+        kernel_bytes = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    weights = tid.probability
+    exact_grid = endpoint_weight_grid(formula, tid, 16)
+    float_grid = endpoint_weight_grid(formula, tid, 256)
+    passes = {
+        "one_lane": lambda tape: tape.probability(weights, None),
+        "exact_16": lambda tape: tape.evaluate(exact_grid),
+        "float_256": lambda tape: tape.evaluate(float_grid,
+                                                numeric="float"),
+    }
+    n = cold.n_instructions
+    record = {"query": f"path_query({length})", "p": p,
+              "instructions": n, "gate": KERNEL_GATE,
+              "compile_us_per_instruction": round(compile_s * 1e6 / n, 2),
+              "kernel_bytes": kernel_bytes,
+              "kernel_bytes_per_instruction": round(kernel_bytes / n, 1)}
+    identical = True
+    for name, run in passes.items():
+        t_cold, want = _best_of(run, cold, repeats=repeats)
+        t_hot, got = _best_of(run, hot, repeats=repeats)
+        identical &= got == want
+        record[name] = {"interpreter_ms": round(t_cold * 1e3, 3),
+                        "kernel_ms": round(t_hot * 1e3, 3),
+                        "speedup": round(t_cold / t_hot, 2),
+                        "identical": got == want}
+    lookup = make_lookup(weights)
+    rows = [F(lookup(var)) for var in cold.slots]
+    common = cold._lane_denominator(rows)
+    pows = [1]
+    for _ in range(cold._exponent_table()[1]):
+        pows.append(pows[-1] * common)
+    scaled = [w.numerator * (common // w.denominator) for w in rows]
+    t_cold, want = _best_of(cold._interpret, scaled, pows,
+                            tape_module._Row, repeats=repeats)
+    t_hot, got = _best_of(hot._lanes, scaled, pows, repeats=repeats)
+    identical &= got == want
+    speedup = t_cold / t_hot
+    record["bare_pass"] = {"interpreter_ms": round(t_cold * 1e3, 3),
+                           "kernel_ms": round(t_hot * 1e3, 3),
+                           "speedup": round(speedup, 2),
+                           "identical": got == want}
+    record["identical"] = identical
+    if cold._compiled is not None:
+        print("KERNEL: the interpreter's tape compiled during the check",
+              file=sys.stderr)
+        return False, record
+    if not identical:
+        print("KERNEL DRIFT: the compiled kernel differs from the "
+              "interpreter", file=sys.stderr)
+    verdict = "" if speedup >= KERNEL_GATE \
+        else f"  <-- below {KERNEL_GATE}x gate"
+    shares = ", ".join(f"{name} {record[name]['speedup']:.1f}x"
+                       for name in passes)
+    print(f"kernel: one-lane exact pass {t_cold * 1e3:.3f}ms -> "
+          f"{t_hot * 1e3:.3f}ms ({speedup:.1f}x; {shares}) on "
+          f"path_query({length}) p={p}, compile "
+          f"{compile_s * 1e6 / n:.1f}us/instruction, "
+          f"{kernel_bytes / 1024:.0f} KiB kept, identical: "
+          f"{identical}{verdict}")
+    return identical and speedup >= KERNEL_GATE, record
+
+
 _HASHSEED_PROBE = """
 import hashlib, json
 from fractions import Fraction
@@ -525,6 +627,8 @@ def main(argv=None) -> int:
     ok &= wide_ok
     walks_ok, walks = check_tape_walks()
     ok &= walks_ok
+    kernel_ok, kernel = check_compiled_kernel()
+    ok &= kernel_ok
     seed_ok, seeds = check_hashseed_determinism()
     ok &= seed_ok
     _bench_io.emit("tape", {
@@ -534,6 +638,7 @@ def main(argv=None) -> int:
         "exact": exact,
         "wide": wide,
         "walks": walks,
+        "kernel": kernel,
         "hashseed": seeds,
         "ok": bool(ok),
     })
@@ -541,12 +646,14 @@ def main(argv=None) -> int:
         print("perf regression: the tape lost its float margin, the "
               "exact lanes drifted or picked the wrong arithmetic, the "
               "tape's sample or marginals drifted from the node walk "
-              "or lost their margin, or serialization broke "
-              "determinism", file=sys.stderr)
+              "or lost their margin, the compiled kernel drifted from "
+              "the interpreter or lost its margin, or serialization "
+              "broke determinism", file=sys.stderr)
         return 1
     print("ok: tape-float clears the gate, integer lanes equal the "
           "Fraction lanes, wide denominators take the Fraction lanes, "
           "sample and marginals equal and beat the node walk, "
+          "the compiled kernel equals and beats the interpreter, "
           "serialization is hashseed-stable")
     return 0
 

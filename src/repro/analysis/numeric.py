@@ -9,11 +9,15 @@ inputs.  The mirror-image bug is building ``Fraction`` objects inside
 the per-lane loops of the float kernels, which erases the 10x+ speedup
 the tape exists for.
 
-One lane loop, ``Tape._lanes``, runs the integer, ``Fraction`` and
-float lanes alike (``Tape.sample``/``marginals`` walk its registers).
-It stays in the exact zone: it holds no float literal, and whatever
-the float lanes need (their weights, the NEG constant 1, numpy's row
-type) reaches it as arguments from ``Tape.evaluate``, not a zone.
+One pass, ``Tape._lanes``, runs the integer, ``Fraction`` and float
+lanes alike (``Tape.sample``/``marginals`` walk its registers), on the
+interpreter (``Tape._interpret``) or on the straight-line kernel that
+``Tape._kernel_source`` generates and ``Tape._kernel`` compiles.  All
+of it stays in the exact zone: it holds no float literal, the
+generated source holds none either (only register names, operators and
+integers), and whatever the float lanes need (their weights, the NEG
+constant 1, numpy's row type) reaches it as arguments from
+``Tape.evaluate``, not a zone.
 
 Zones:
 
@@ -23,12 +27,14 @@ Zones:
   ``marginals``/``sample``/``top_k_worlds``, the ``_kbest_*`` helpers,
   ``_Compiler``, ``compile_cnf``, ``Tape.probability``/``sample``/
   ``marginals``, ``Tape.run_products`` (the safe plan's batches: one
-  product per run of lanes), the lane loop ``Tape._lanes`` (shared
-  with the float lanes), its decoded program and list-row helpers,
-  ``_Flattener``/``flatten_circuit``), of the integer algebra in
-  ``algebra/matrices.py`` (``IncrementalBasis``, ``Matrix.determinant``/
-  ``rank``/``solve``/``inverse``, ``select_rows``, ``monomial_row``
-  and their helpers), and of ``Type1Reduction``/``Type2Reduction``; a
+  product per run of lanes), the pass ``Tape._lanes`` (shared with the
+  float lanes) with its two tiers (``Tape._interpret``, the kernel
+  generator ``Tape._kernel_source`` and ``Tape._kernel``), its decoded
+  program and row type ``_Row``, ``_Flattener``/``flatten_circuit``),
+  of the integer algebra in ``algebra/matrices.py``
+  (``IncrementalBasis``, ``Matrix.determinant``/``rank``/``solve``/
+  ``inverse``, ``select_rows``, ``monomial_row`` and their helpers),
+  and of ``Type1Reduction``/``Type2Reduction``; a
   test checks that every entry names live code.  Flags float
   literals, ``float(...)``/``complex(...)`` casts, and any ``math.*``
   use other than the exact-integer helpers (``isqrt``/``gcd``/``lcm``/
@@ -66,10 +72,10 @@ _EXACT_ZONES = {
     ),
     "booleans/tape.py": ("Tape.probability", "Tape.sample",
                          "Tape.marginals", "Tape.run_products",
-                         "Tape._lanes", "Tape._program",
+                         "Tape._lanes", "Tape._interpret", "Tape._kernel",
+                         "Tape._kernel_source", "Tape._program",
                          "Tape._exponent_table", "Tape._lane_denominator",
-                         "_row_mul", "_row_add", "_row_sub", "_Flattener",
-                         "flatten_circuit"),
+                         "_Row", "_Flattener", "flatten_circuit"),
     "algebra/matrices.py": (
         "IncrementalBasis", "Matrix.determinant", "Matrix.rank",
         "Matrix.solve", "Matrix.inverse", "common_denominator",

@@ -5,15 +5,16 @@ into a :class:`Tape` — parallel arrays of opcodes, operand index
 ranges, and a literal→slot table — so k weight vectors cost one pass
 over flat arrays, not a Python-level dispatch per node per vector.
 Every ``Circuit.probability``/``probability_batch`` call runs here, in
-one lane loop (``Tape._lanes``); ``sample`` and ``marginals`` walk the
-registers of one exact pass of it.  A register holds one scalar while it
-is the same in every lane and widens to a row of k only where lanes
-diverge: sweeps vary a handful of variables (an Eq. 20 endpoint grid
-pins two), so most of the tape runs once whatever k is.  Three kinds
-of lanes share the loop:
+one pass over the registers (``Tape._lanes``); ``sample`` and
+``marginals`` walk the registers of one exact pass.  A register holds
+one scalar while it is the same in every lane and widens to a row of k
+only where lanes diverge: sweeps vary a handful of variables (an Eq. 20
+endpoint grid pins two), so most of the tape runs once whatever k is.
+Three kinds of lanes share the pass:
 
 * **float lanes**: Python floats, with numpy float64 rows for the
-  divergent registers when numpy is importable (list rows otherwise).
+  divergent registers when numpy is importable (``_Row`` rows
+  otherwise).
   AND and OR fold their operands in operand order, so every lane
   rounds exactly as a full-width pass over k lanes would;
 * **integer lanes**, the exact default: the batch's weights go over
@@ -34,6 +35,33 @@ spelled as ``OR(AND(LIT, hi), AND(NEG, lo))``).  Lanes given as
 converted column per distinct base, and a row only where a lane pins.
 ``Tape.run_products`` runs the safe plan's batches from rows of raw
 weights and returns one exact product per run of consecutive lanes.
+
+A pass runs in one of two tiers with one semantics:
+
+* **the interpreter** (``Tape._interpret``) dispatches on each
+  instruction, about 0.2 us apiece per pass even where lanes agree:
+  in a 256-lane float batch only 24-62 of 381-1,731 registers diverge,
+  so that dispatch, not the arithmetic, is most of a pass.  A tape's
+  first ``KERNEL_PASSES - 1`` passes run here, and one-shot callers (a
+  CLI verb, a reduction's block matrix, a cold request) never leave it;
+* **the compiled kernel** (``Tape._kernel``): at pass
+  ``KERNEL_PASSES`` the tape's decoded program and exponent table become
+  straight-line Python, one assignment per register on local names, in
+  functions of ``KERNEL_CHUNK`` instructions, compiled once and cached
+  on the tape (never serialized), and every later pass runs it.  On
+  ``path_query(3)`` over B_12 a one-lane exact pass takes 0.17 ms on the
+  interpreter and 0.033 ms compiled; generating and compiling costs
+  9-14 us per instruction, about what 64 passes save, so ``KERNEL_PASSES``
+  is 64.  Smaller chunks run as fast as bigger ones and keep
+  compilation's peak memory low; a kernel keeps about 70 bytes per
+  instruction.
+
+Both tiers fold every AND and OR left to right in operand order on the
+same row type, ``_Row`` (a list whose ``*``, ``+`` and ``-`` work lane
+by lane and broadcast scalars, as numpy rows do), so exact lanes return
+the same ``Fraction``s and float lanes the same floats in either tier.
+The interpreter stays as the cold tier, which costs nothing to start,
+and as the reference the tests hold the kernel to.
 
 Lowering rules (one pass over the topologically ordered node table):
 
@@ -56,16 +84,15 @@ circuit serialization already honours.
 itself (circuits are immutable, so the tape lives exactly as long as
 its circuit does — in particular alongside it in the ``tid.wmc``
 memory LRU) and maintains module-level counters (``tape_hits``,
-``tape_flattens``, ``tape_bytes``) surfaced through
-``repro.tid.wmc.cache_info`` and the service ``stats`` op, so warm
-paths can *prove* they never re-flatten.
+``tape_flattens``, ``tape_bytes``, and ``tape_kernels`` for compiled
+kernels) surfaced through ``repro.tid.wmc.cache_info`` and the service
+``stats`` op, so warm paths can *prove* they never re-flatten.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 import threading
 
 from array import array
@@ -113,10 +140,27 @@ INT_LANE_RATIO = 4
 #: ran 2x faster on integer lanes than on Fraction lanes.
 RUN_FLOOR_BITS = 256
 
+#: The pass that compiles a tape's kernel: passes before it run on the
+#: interpreter.  Generating and compiling cost 9-14 us per instruction
+#: (in a warm and a fresh process) and a compiled pass saves 0.13-0.21
+#: us per instruction, so the kernel pays for itself after 45-110
+#: passes: this is the ski-rental point between them.
+KERNEL_PASSES = 64
+#: Instructions per generated function.  On ``path_query(3)`` over B_16
+#: (1,731 instructions) every size from 64 to 4,096 ran a pass in the
+#: same 0.06 ms, while compiling peaked at 1.2 MB of allocations with
+#: 256, 2.2 MB with 512 and 3.9 MB with 1,024.
+KERNEL_CHUNK = 256
+#: Operands per generated expression: a wider AND or OR folds on over
+#: several statements, since ``compile`` recurses once per operand of
+#: a chain and fails with ``RecursionError`` near 3,000.
+KERNEL_FOLD = 32
+
 ONE = Fraction(1)
 
 _LOCK = threading.Lock()
-_STATS = {"tape_hits": 0, "tape_flattens": 0, "tape_bytes": 0}
+_STATS = {"tape_hits": 0, "tape_flattens": 0, "tape_bytes": 0,
+          "tape_kernels": 0}
 
 
 def tape_stats() -> dict:
@@ -156,27 +200,42 @@ def _probe(spec):
     return (spec if type(spec) is dict else dict(spec or {})).get
 
 
-def _row_mul(a, b):
-    """Lane-wise ``a * b`` of list rows; either may be a scalar."""
-    if type(a) is not list:
-        return [a * y for y in b]
-    if type(b) is not list:
-        return [x * b for x in a]
-    return [x * y for x, y in zip(a, b)]
+class _Row(list):
+    """The lane values of a register where lanes diverge, on exact
+    lanes and on float lanes without numpy.  ``*``, ``+`` and ``-`` work
+    lane by lane against another row and broadcast a scalar, left
+    operand first, as numpy rows do, so both tiers fold any mix of
+    scalars and rows with the plain operators."""
 
+    __slots__ = ()
 
-def _row_add(a, b):
-    """Lane-wise ``a + b`` of list rows; either may be a scalar."""
-    if type(a) is not list:
-        return [a + y for y in b]
-    if type(b) is not list:
-        return [x + b for x in a]
-    return [x + y for x, y in zip(a, b)]
+    def __mul__(self, other):
+        if type(other) is _Row:
+            return _Row([x * y for x, y in zip(self, other)])
+        return _Row([x * other for x in self])
 
+    def __rmul__(self, other):
+        if type(other) is int and other == 1:
+            # A power of D on the Fraction and float lanes: every lane
+            # stays as it is, and stored rows are never mutated.
+            return self
+        return _Row([other * x for x in self])
 
-def _row_sub(top, row):
-    """Lane-wise ``top - row`` of a scalar and a list row."""
-    return [top - x for x in row]
+    def __add__(self, other):
+        if type(other) is _Row:
+            return _Row([x + y for x, y in zip(self, other)])
+        return _Row([x + other for x in self])
+
+    def __radd__(self, other):
+        return _Row([other + x for x in self])
+
+    def __sub__(self, other):
+        if type(other) is _Row:
+            return _Row([x - y for x, y in zip(self, other)])
+        return _Row([x - other for x in self])
+
+    def __rsub__(self, other):
+        return _Row([other - x for x in self])
 
 
 class Tape:
@@ -187,7 +246,7 @@ class Tape:
 
     __slots__ = ("ops", "arg0", "arg1", "operands", "slots", "root",
                  "circuit_nodes", "circuit_root", "_slot_index",
-                 "_exponents", "_decoded")
+                 "_exponents", "_decoded", "_passes", "_compiled")
 
     def __init__(self, ops: array, arg0: array, arg1: array,
                  operands: array, slots: tuple, root: int,
@@ -203,6 +262,16 @@ class Tape:
         self._slot_index = None
         self._exponents = None
         self._decoded = None
+        self._passes = 0
+        self._compiled = None
+
+    def __getstate__(self):
+        """Pickle and copy state: the compiled kernel is code of this
+        process, so a copy starts on the interpreter with its own pass
+        count."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state.update(_passes=0, _compiled=None)
+        return None, state
 
     # ------------------------------------------------------------------
     @property
@@ -346,12 +415,12 @@ class Tape:
                                          self._lane_denominator(rows), sp)
             sp.tag(arith="float")
             rows = self._lane_rows(weight_specs, default, _float_weight)
-            vector = list
+            vector = _Row
             if _np is not None:
                 vector = _np.ndarray
-                rows = [_np.array(row) if type(row) is list else row
+                rows = [_np.array(row) if type(row) is _Row else row
                         for row in rows]
-            root = self._lanes(rows, None, (1,), vector)[self.root]
+            root = self._lanes(rows, None, vector)[self.root]
             return list(map(float, root)) if type(root) is vector \
                 else [float(root)] * k
 
@@ -484,7 +553,7 @@ class Tape:
         memo: dict = {}
         rows = []
         for var in self.slots:
-            row: list = []
+            row = _Row()
             ap = row.append
             for probe in probes:
                 value = probe(var, fallback)
@@ -526,7 +595,7 @@ class Tape:
         first, *others = columns.values()
         rows = first if not others else [
             first[s] if all(other[s] == first[s] for other in others)
-            else [column[s] for column in lane_columns]
+            else _Row([column[s] for column in lane_columns])
             for s in range(len(slots))]
         index = self._slot_index
         if index is None:
@@ -547,13 +616,13 @@ class Tape:
                                              convert(value, var, lane))
                 for s in pinned:
                     row = rows[s]
-                    if type(row) is not list:
-                        row = rows[s] = [row] * k
+                    if type(row) is not _Row:
+                        row = rows[s] = _Row([row] * k)
                     row[lane] = hit[1]
         return rows
 
     def _program(self) -> list:
-        """The instructions decoded for ``_lanes``, one ``(op, arg)``
+        """The instructions decoded for both tiers, one ``(op, arg)``
         per register: ``arg`` is a LIT's slot, a NEG's source register,
         or the tuple of an AND's or OR's operand registers.  Built once
         per tape and cached, never serialized."""
@@ -592,8 +661,8 @@ class Tape:
         is too wide for them."""
         denominators, width = set(), 0
         for row in rows:
-            seen = {w.denominator for w in row} if type(row) is list \
-                else (row.denominator,)
+            seen = {w.denominator for w in row} \
+                if isinstance(row, list) else (row.denominator,)
             denominators.update(seen)
             width += max(seen).bit_length()
         common = math.lcm(*denominators)
@@ -612,7 +681,7 @@ class Tape:
         over D when the caller has them per weight object; each lane
         scales its own weight otherwise."""
         if common is None:
-            regs = self._lanes(rows, None, (1,))
+            regs = self._lanes(rows)
             return regs, bytes(len(regs)), (1,)
         exps, top = self._exponent_table()
         pows = [1]
@@ -620,26 +689,26 @@ class Tape:
             pows.append(pows[-1] * common)
         if scaled is None:
             rows = [
-                [w.numerator * (common // w.denominator) for w in row]
-                if type(row) is list
+                _Row([w.numerator * (common // w.denominator) for w in row])
+                if type(row) is _Row
                 else row.numerator * (common // row.denominator)
                 for row in rows]
         else:
-            rows = [[scaled[id(w)] for w in row] if type(row) is list
+            rows = [_Row([scaled[id(w)] for w in row]) if type(row) is _Row
                     else scaled[id(row)] for row in rows]
-        return self._lanes(rows, exps, pows), exps, pows
+        return self._lanes(rows, pows), exps, pows
 
     def _exact_lanes(self, rows, k, common, span) -> list:
         """Exact values of ``rows`` (``_lane_rows``): one
         ``_exact_registers`` pass, one division per lane at the root."""
         regs, exps, pows = self._exact_registers(rows, common)
         root = regs[self.root]
-        roots = root if type(root) is list else (root,)
+        roots = root if type(root) is _Row else (root,)
         denominator = pows[exps[self.root]]
         values = [Fraction(x, denominator) for x in roots]
         span.tag(arith="fraction" if common is None else "int",
                  bits=max(x.numerator.bit_length() for x in roots))
-        return values if type(root) is list else values * k
+        return values if type(root) is _Row else values * k
 
     def run_products(self, rows, runs: int, run: int) -> list[Fraction]:
         """``runs`` exact products in one batch: ``rows`` holds each
@@ -671,7 +740,9 @@ class Tape:
                 elif any(v is not w
                          for v, w in zip(values, objects.values())):
                     converted = dict(zip(objects, values))
-                    row = [converted[id(w)] for w in row]
+                    row = _Row([converted[id(w)] for w in row])
+                else:
+                    row = _Row(row)
                 lanes.append(row)
                 distinct.append(values)
             common = self._lane_denominator(distinct)
@@ -685,12 +756,12 @@ class Tape:
                 for values in distinct for w in values}
             regs, exps, pows = self._exact_registers(lanes, common, scaled)
             root = regs[self.root]
-            roots = root if type(root) is list else (root,)
+            roots = root if type(root) is _Row else (root,)
             sp.tag(arith="fraction" if common is None else "int",
                    bits=max(roots).bit_length() if common is not None
                    else max(x.numerator for x in roots).bit_length())
             denominator = pows[exps[self.root]]
-            if type(root) is not list:
+            if type(root) is not _Row:
                 return [Fraction(root, denominator) ** run] * runs
             scale = None
             if common is not None:
@@ -707,47 +778,59 @@ class Tape:
                                 else Fraction(product, scale))
             return products
 
-    def _lanes(self, weights, exps, pows, vector=list):
-        """The lane loop of the integer, Fraction and float lanes;
-        returns every register.
+    def _lanes(self, weights, pows=None, vector=_Row):
+        """Every register of one pass over ``weights`` (one value or row
+        per slot), on integer lanes when ``pows`` holds the powers of D
+        and with every exponent 0 (Fraction and float lanes) when it is
+        None.  A tape's first ``KERNEL_PASSES - 1`` passes run on the
+        interpreter (``_interpret``), every later one on the compiled
+        kernel (``_kernel``); both return the same registers.  The pass
+        count may lose an update to a racing thread, which only delays
+        the compile."""
+        kernel = self._compiled
+        if kernel is None:
+            self._passes += 1
+            if self._passes < KERNEL_PASSES:
+                return self._interpret(weights, pows, vector)
+            kernel = self._kernel()
+        if pows is None:
+            pows = (1,) * (self._exponent_table()[1] + 1)
+        registers = [None] * len(self.ops)
+        for chunk in kernel:
+            chunk(registers, weights, pows)
+        return registers
+
+    def _interpret(self, weights, pows, vector):
+        """The interpreter: one dispatch per instruction.
 
         A register keeps one scalar while it is the same in every lane
         and widens to a ``vector`` of k only where lanes diverge: a
-        list, or on float lanes a numpy row when numpy is importable.
-        Sweeps vary a handful of variables, so most of the tape runs
-        once.  AND and OR fold their operands in operand order, a
-        scalar standing for k equal lanes, so every float lane rounds
-        as a full-width pass over k lanes would; a scalar zero operand
-        makes an AND zero, as it makes every finite lane.  On integer
-        lanes an OR operand is scaled by ``pows[gap]``, D to the gap
-        between its exponent and the OR's, and NEG subtracts from
-        ``pows[e]``; ``exps=None`` sets every exponent to 0.  Stored
-        rows are never mutated, so registers may share them.
+        ``_Row``, or on float lanes a numpy row when numpy is
+        importable.  Sweeps vary a handful of variables, so most of the
+        tape runs once.  AND and OR fold their operands in operand
+        order, a scalar standing for k equal lanes, so every float lane
+        rounds as a full-width pass over k lanes would; a scalar zero
+        operand makes an AND zero, as it makes every finite lane.  On
+        integer lanes an OR operand is scaled by ``pows[gap]``, D to the
+        gap between its exponent and the OR's, and NEG subtracts from
+        ``pows[e]``.  Stored rows are never mutated, so registers may
+        share them.
         """
         program = self._program()
-        if exps is None:
-            exps = bytes(len(program))
-        if vector is list:
-            mul, add, sub = _row_mul, _row_add, _row_sub
-        else:  # numpy broadcasts a scalar operand itself
-            mul, add, sub = operator.mul, operator.add, operator.sub
+        if pows is None:
+            exps, pows = bytes(len(program)), (1,)
+        else:
+            exps = self._exponent_table()[0]
         regs: list = [None] * len(program)
         for i, (op, arg) in enumerate(program):
             if op == OP_AND:
                 acc = None
                 for src in arg:
                     row = regs[src]
-                    if type(row) is vector:
-                        acc = row if acc is None else mul(acc, row)
-                    elif not row:
+                    if type(row) is not vector and not row:
                         acc = row
                         break
-                    elif acc is None:
-                        acc = row
-                    elif type(acc) is vector:
-                        acc = mul(acc, row)
-                    else:
-                        acc = acc * row
+                    acc = row if acc is None else acc * row
                 regs[i] = acc
             elif op == OP_OR:
                 top = exps[i]
@@ -755,32 +838,93 @@ class Tape:
                 for src in arg:
                     row = regs[src]
                     gap = top - exps[src]
-                    if type(row) is vector:
-                        if gap:
-                            row = mul(row, pows[gap])
-                        acc = row if acc is None else add(acc, row)
-                    else:
-                        if gap:
-                            row = pows[gap] * row
-                        if acc is None:
-                            acc = row
-                        elif type(acc) is vector:
-                            acc = add(acc, row)
-                        else:
-                            acc = acc + row
+                    if gap:
+                        row = pows[gap] * row
+                    acc = row if acc is None else acc + row
                 regs[i] = acc
             elif op == OP_LIT:
                 regs[i] = weights[arg]
             elif op == OP_NEG:
-                top = pows[exps[arg]]
-                row = regs[arg]
-                regs[i] = sub(top, row) if type(row) is vector \
-                    else top - row
+                regs[i] = pows[exps[arg]] - regs[arg]
             elif op == OP_CONST1:
                 regs[i] = 1
             else:
                 regs[i] = 0
         return regs
+
+    def _kernel(self) -> tuple:
+        """The compiled tier: the chunk functions of ``_kernel_source``,
+        compiled once per tape and cached on it, never serialized.  The
+        code runs with no builtins.  It compiles outside ``_LOCK``, and
+        when threads race the first kernel stored is kept and counted
+        (``tape_kernels``)."""
+        kernel = self._compiled
+        if kernel is None:
+            scope = {"__builtins__": {}}
+            chunks = []
+            for source in self._kernel_source():
+                names: dict = {}
+                exec(compile(source, "<tape kernel>", "exec"), scope, names)
+                chunks.append(names["k"])
+            with _LOCK:
+                if self._compiled is None:
+                    self._compiled = tuple(chunks)
+                    _STATS["tape_kernels"] += 1
+                kernel = self._compiled
+        return kernel
+
+    def _kernel_source(self) -> list[str]:
+        """The compiled tier as straight-line Python: one function
+        ``k(R, w, P)`` per ``KERNEL_CHUNK`` instructions.  It reads the
+        earlier registers it uses from ``R`` and the powers ``p<j>`` from
+        ``P[j]``, assigns each of its registers once to a local
+        ``r<i>``, and stores them into ``R``.  LIT is ``w[slot]``, AND
+        ``a * b * ...``, OR ``p<gap> * a + ...`` and NEG ``p<e> - a``,
+        the gaps and exponents those of the integer lanes (``P`` holds
+        ones on the other lanes); operands fold left to right, as
+        ``_interpret`` folds them, in statements of at most
+        ``KERNEL_FOLD`` operands.  The text holds register names,
+        ``R``, ``w``, ``P``, operators and integers read from the
+        tape's arrays, so it is the same under every hash seed, and
+        slot tokens never reach it."""
+        program = self._program()
+        exps = self._exponent_table()[0]
+        chunks = []
+        for start in range(0, len(program), KERNEL_CHUNK):
+            stop = min(start + KERNEL_CHUNK, len(program))
+            reads, powers, body = set(), set(), []
+            for i in range(start, stop):
+                op, arg = program[i]
+                if op == OP_LIT:
+                    body.append(f"r{i} = w[{arg}]")
+                elif op == OP_NEG:
+                    reads.add(arg)
+                    powers.add(exps[arg])
+                    body.append(f"r{i} = p{exps[arg]} - r{arg}")
+                elif op == OP_AND or op == OP_OR:
+                    reads.update(arg)
+                    if op == OP_AND:
+                        sign, terms = " * ", [f"r{src}" for src in arg]
+                    else:
+                        gaps = [exps[i] - exps[src] for src in arg]
+                        powers.update(gap for gap in gaps if gap)
+                        sign, terms = " + ", [
+                            f"p{gap} * r{src}" if gap else f"r{src}"
+                            for gap, src in zip(gaps, arg)]
+                    body.append(f"r{i} = " + sign.join(terms[:KERNEL_FOLD]))
+                    for j in range(KERNEL_FOLD, len(terms), KERNEL_FOLD - 1):
+                        body.append(f"r{i} = r{i}{sign}"
+                                    + sign.join(terms[j:j + KERNEL_FOLD - 1]))
+                else:
+                    body.append(f"r{i} = {int(op == OP_CONST1)}")
+            lines = ["def k(R, w, P):"]
+            lines += [f"r{j} = R[{j}]" for j in sorted(reads) if j < start]
+            lines += [f"p{j} = P[{j}]" for j in sorted(powers)]
+            lines += body
+            lines.append(f"R[{start}:{stop}] = "
+                         + "".join(f"r{i}, " for i in range(start, stop)))
+            chunks.append("\n ".join(lines) + "\n")
+        return chunks
 
     # ------------------------------------------------------------------
     # Serialization (versioned, exact round trip)

@@ -77,7 +77,8 @@ VNODES = 64
 #: (limits and booleans are per-process configuration, not load).
 _SUMMABLE_CACHE = ("entries", "nodes", "hits", "store_hits",
                    "store_misses", "compiles", "budget_aborts",
-                   "tape_hits", "tape_flattens", "tape_bytes")
+                   "tape_hits", "tape_flattens", "tape_bytes",
+                   "tape_kernels")
 
 
 def _ring_hash(text: str) -> int:

@@ -39,7 +39,8 @@ _PREFIX = "repro"
 _CURATED_SERVICE = ("requests", "errors", "ops", "uptime_seconds",
                     "started_at")
 _CURATED_CACHE = ("hits", "compiles", "store_hits", "store_misses",
-                  "budget_aborts", "tape_hits", "tape_flattens")
+                  "budget_aborts", "tape_hits", "tape_flattens",
+                  "tape_kernels")
 
 
 def _escape_label(value: str) -> str:
@@ -171,6 +172,10 @@ def render_metrics(stats: dict) -> str:
              "Circuits flattened to instruction tapes.",
              [({}, cache["tape_flattens"])]
              if "tape_flattens" in cache else [])
+    w.family("tape_kernels_total", "counter",
+             "Hot instruction tapes compiled into kernels.",
+             [({}, cache["tape_kernels"])]
+             if "tape_kernels" in cache else [])
 
     # Per-tenant usage (the multi-tenant hardening story).
     w.family("tenant_requests_total", "counter",

@@ -131,7 +131,8 @@ def main() -> int:
             _require(stats["cache"]["hits"] >= 1,
                      "warm memory hits recorded", stats["cache"])
             _require(all(key in stats["cache"] for key in
-                         ("tape_hits", "tape_flattens", "tape_bytes")),
+                         ("tape_hits", "tape_flattens", "tape_bytes",
+                          "tape_kernels")),
                      "tape counters exposed in stats", stats["cache"])
 
             degraded = client.evaluate(QUERY, p=6, budget_nodes=2)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product as iter_product
 from math import prod
 from typing import Iterator, Sequence
@@ -55,6 +56,13 @@ from repro.tid.wmc import compiled, ensure_tape
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+#: Queries whose plan ``safe_plan`` keeps.  Building one costs 20-50 us
+#: (``is_unsafe``, the components and their compilation), about 5% of
+#: a warm safe-query request; a service sees a handful of distinct
+#: queries, each many times.
+PLAN_CACHE_SIZE = 256
 
 
 class UnsafeQueryError(ValueError):
@@ -275,13 +283,17 @@ class IndependentJoin:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def safe_plan(query: Query) -> IndependentJoin:
     """Compile a safe bipartite query into a plan tree.
 
     Raises :class:`UnsafeQueryError` on unsafe input — there is no safe
     plan for those (that is the dichotomy) — and on a safe full clause
     sharing a symbol with another clause, which falls outside the
-    paper's bipartite fragment.
+    paper's bipartite fragment.  Plans are frozen, so the last
+    ``PLAN_CACHE_SIZE`` queries keep theirs (an LRU shared by every
+    caller: ``lifted_probability`` and the service resolver); a query
+    that raises is compiled, and raises, anew.
     """
     if query.is_constant():
         raise ValueError("constant queries need no plan")

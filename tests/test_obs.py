@@ -8,7 +8,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -517,29 +516,38 @@ class TestClientTransport:
             with pytest.raises(ValueError):
                 client.call("ping", timeout=0)
 
-    def test_connect_retry_waits_for_late_listener(self):
+    def test_connect_retry_waits_for_late_listener(self, monkeypatch):
+        """The listener opens during the client's first retry backoff:
+        the client's ``sleep`` is replaced, so no wall-clock time
+        passes."""
+        import types
+
+        from repro.service import client as client_module
+
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         host, port = probe.getsockname()
         probe.close()
         listener = socket.socket()
+        backoffs = []
 
-        def open_late():
-            time.sleep(0.2)
-            listener.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(1)
+        def open_late(seconds):
+            if not backoffs:
+                listener.setsockopt(socket.SOL_SOCKET,
+                                    socket.SO_REUSEADDR, 1)
+                listener.bind((host, port))
+                listener.listen(1)
+            backoffs.append(seconds)
 
-        thread = threading.Thread(target=open_late)
-        thread.start()
+        monkeypatch.setattr(client_module, "time",
+                            types.SimpleNamespace(sleep=open_late))
         try:
             client = ServiceClient(host, port, connect_retries=10,
                                    retry_backoff=0.05)
             client.close()
         finally:
-            thread.join()
             listener.close()
+        assert backoffs == [0.05]
 
     def test_exhausted_retries_propagate(self):
         probe = socket.socket()

@@ -96,6 +96,24 @@ class TestCompilation:
         with pytest.raises(ValueError):
             safe_plan(Query.TRUE)
 
+    def test_equal_query_built_anew_reuses_the_plan(self):
+        """``safe_plan`` keeps one plan per query: an equal query parsed
+        again gets the same plan object and the same value, and an
+        unsafe query raises on every call."""
+        from repro.core.queries import parse_query
+
+        first = parse_query("(R|S1|S2)(S2|S3)")
+        again = parse_query("(R|S1|S2)(S2|S3)")
+        assert first is not again and first == again
+        plan = safe_plan(first)
+        assert safe_plan(again) is plan
+        tid = path_block(first, 4)
+        assert lifted_probability(again, tid) == \
+            lifted_probability(first, tid) == probability(first, tid)
+        for _ in range(2):
+            with pytest.raises(UnsafeQueryError):
+                safe_plan(parse_query("(R|S1)(S1|T)"))
+
     def test_full_clause_r_or_t(self):
         full = Clause("full", {"R", "T"}, [])
         q = Query([full])

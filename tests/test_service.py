@@ -908,7 +908,8 @@ class TestStoreIntegration:
 class TestTapeService:
     def test_stats_expose_tape_counters(self, client):
         stats = client.stats()
-        for key in ("tape_hits", "tape_flattens", "tape_bytes"):
+        for key in ("tape_hits", "tape_flattens", "tape_bytes",
+                    "tape_kernels"):
             assert key in stats["cache"]
 
     def test_float_sweep_flattens_once(self, client):

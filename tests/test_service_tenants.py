@@ -235,7 +235,7 @@ def sample_stats():
         "cache": {"hits": 12, "compiles": 3, "store_hits": 1,
                   "store_misses": 2, "budget_aborts": 1,
                   "tape_hits": 4, "tape_flattens": 2,
-                  "tape_bytes": 2048, "entries": 3,
+                  "tape_kernels": 1, "tape_bytes": 2048, "entries": 3,
                   "store_attached": True},
         "service": {"uptime_seconds": 12.5, "requests": 20, "errors": 2,
                     "ops": {"sweep": 9, "evaluate": 11},
@@ -276,6 +276,7 @@ class TestMetricsRendering:
         assert "repro_cache_hits_total 12" in text
         assert "repro_budget_aborts_total 1" in text
         assert "repro_tape_flattens_total 2" in text
+        assert "repro_tape_kernels_total 1" in text
 
     def test_uncurated_numerics_fall_through_as_gauges(self):
         text = render_metrics(sample_stats())

@@ -10,7 +10,10 @@ with the exact values to float tolerance and reject non-finite weights
 loudly;
 ``to_bytes``/``from_bytes`` round trips exactly and is byte-identical
 across ``PYTHONHASHSEED`` values; ``tape_for_circuit`` flattens once
-per circuit and the counters prove it.
+per circuit and the counters prove it; a hot tape's compiled kernel
+returns on every entry point exactly what the interpreter returns, is
+compiled once (at pass ``KERNEL_PASSES``, even under racing threads)
+and is generated from the tape's integers alone.
 """
 
 import json
@@ -783,7 +786,7 @@ from fractions import Fraction
 from repro import obs
 from repro.booleans.circuit import WeightOverlay, compile_cnf
 from repro.booleans.tape import flatten_circuit
-from repro.core.catalog import rst_query
+from repro.core.catalog import path_query, rst_query
 from repro.reduction.blocks import path_block
 from repro.tid.lineage import lineage
 
@@ -798,8 +801,13 @@ with tracer.root("probe"):
     lanes = tape.evaluate(grid)
 kernel = next(s for s in tracer.recent(1)[0]["spans"]
               if s["name"] == "kernel")
+path = path_query(2)
+chunked = flatten_circuit(compile_cnf(lineage(path, path_block(path, 8))))
 print(json.dumps({
     "bytes": hashlib.sha256(tape.to_bytes()).hexdigest(),
+    "kernel_source": [hashlib.sha256("".join(t._kernel_source())
+                                     .encode()).hexdigest()
+                      for t in (tape, chunked)],
     "stats": tape.stats(),
     "block_probability": str(tape.evaluate([tid.probability])[0]),
     "integer_lanes": [str(v) for v in lanes],
@@ -817,9 +825,12 @@ def _probe(hashseed: str) -> dict:
 
 class TestDeterminism:
     def test_tape_bytes_identical_across_hash_seeds(self):
+        """The tape's bytes, values and generated kernel source (here a
+        one-chunk and a three-chunk tape) do not depend on the hash
+        seed."""
         first = _probe("0")
         assert first["kernel_tags"]["arith"] == "int"
-        assert first == _probe("12345")
+        assert first == _probe("12345") == _probe("31337")
 
 
 class TestCachingAndCounters:
@@ -912,3 +923,249 @@ class TestFlattening:
         assert a is not b
         assert a.to_bytes() == b.to_bytes()
         assert peek_tape(circuit) is None  # no attachment side effect
+
+
+def tiers(circuit):
+    """Two tapes of ``circuit``: one on the interpreter and one that
+    runs its compiled kernel from the first pass."""
+    cold, hot = flatten_circuit(circuit), flatten_circuit(circuit)
+    hot._kernel()
+    return cold, hot
+
+
+def path_cases():
+    """The path lineages over a small block, with their tuple marginals:
+    the shape of the service's unsafe queries and of ``sweep``."""
+    from repro.core.catalog import path_query
+    from repro.reduction.blocks import path_block
+
+    for length in (1, 2, 3):
+        query = path_query(length)
+        tid = path_block(query, 5)
+        yield lineage(query, tid), tid
+
+
+class TestCompiledKernel:
+    """A hot tape runs generated straight-line code (``Tape._kernel``)
+    instead of the interpreter (``Tape._interpret``): every entry point
+    returns the same values, Fraction for Fraction and float for
+    float, and the kernel is compiled once per tape."""
+
+    @given(st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_entry_points_equal_the_interpreter(self, data):
+        formula = data.draw(cnfs())
+        family = data.draw(st.sampled_from(["paper", "grid", "wide"]))
+        weights = weight_family(family)
+        dense = family == "wide" and data.draw(st.booleans())
+        default = data.draw(st.none() | weights)
+        specs = [data.draw(weight_specs(weights, dense))
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        circuit = compile_cnf(formula)
+        cold, hot = tiers(circuit)
+        want = cold.evaluate(specs, default=default)
+        assert hot.evaluate(specs, default=default) == want
+        assert integer_lanes(hot, specs, default) == want
+        assert fraction_lanes(hot, specs, default) == want
+        floats = float_weights()
+        specs = lane_specs(data, floats, data.draw(st.integers(1, 6)))
+        want = full_width_float_lanes(cold, specs)
+        assert cold.evaluate(specs, numeric="float") == want
+        assert hot.evaluate(specs, numeric="float") == want
+        assert float_lanes_without_numpy(hot, specs) == want
+        lanes = data.draw(st.integers(0, 3)) * data.draw(st.integers(1, 3))
+        runs = data.draw(st.sampled_from([r for r in (1, 2, 3)
+                                          if not lanes % r]))
+        rows = [[data.draw(weights) for _ in range(lanes)]
+                for _ in cold.slots]
+        assert hot.run_products(rows, runs, lanes // runs) == \
+            cold.run_products(rows, runs, lanes // runs)
+        table = data.draw(weight_tables(weights, dense))
+        assert hot.marginals(table, default) == \
+            cold.marginals(table, default)
+        seed, k = data.draw(st.integers(0, 2 ** 32)), data.draw(
+            st.integers(0, 4))
+        try:
+            want = cold.sample(table, k, seed, default)
+        except ValueError:
+            with pytest.raises(ValueError, match="probability 0"):
+                hot.sample(table, k, seed, default)
+        else:
+            assert hot.sample(table, k, seed, default) == want
+        assert cold._compiled is None
+
+    def test_path_lineages_equal_the_interpreter(self):
+        from repro.evaluation import endpoint_weight_grid
+
+        for formula, tid in path_cases():
+            circuit = compile_cnf(formula)
+            cold, hot = tiers(circuit)
+            for grid in (16, 256):
+                lanes = endpoint_weight_grid(formula, tid, grid)
+                want = cold.evaluate(lanes)
+                assert hot.evaluate(lanes) == want
+                assert fraction_lanes(hot, lanes) == want
+                want = full_width_float_lanes(cold, lanes)
+                assert hot.evaluate(lanes, numeric="float") == want
+                assert float_lanes_without_numpy(hot, lanes) == want
+            # Distinct wide denominators take the Fraction lanes.
+            wide = {var: F(j + 1, 2 ** 64 + 2 * j + 1)
+                    for j, var in enumerate(cold.slots)}
+            specs = [WeightOverlay(wide, {var: F(1, 3)})
+                     for var in cold.slots[:4]]
+            tags = kernel_tags(lambda: hot.evaluate(specs))
+            assert tags["arith"] == "fraction"
+            assert hot.evaluate(specs) == cold.evaluate(specs)
+            weights = tid.probability
+            assert hot.probability(weights, None) == \
+                cold.probability(weights, None)
+            assert hot.marginals(weights, None) == \
+                cold.marginals(weights, None)
+            assert hot.sample(weights, 8, 7, None) == \
+                cold.sample(weights, 8, 7, None)
+            rows = [[tid.probability(var)] * 6 for var in cold.slots]
+            rows[0][3] = F(1, 3)
+            assert hot.run_products(rows, 3, 2) == \
+                cold.run_products(rows, 3, 2)
+            assert cold._compiled is None
+
+    def test_compiles_once_at_pass_k(self):
+        formula, tid = rst_formula()
+        tape = flatten_circuit(compile_cnf(formula))
+        before = tape_stats()["tape_kernels"]
+        want = tape.probability(tid.probability, None)
+        for _ in range(tape_module.KERNEL_PASSES - 2):
+            tape.probability(tid.probability, None)
+        assert tape._compiled is None
+        assert tape_stats()["tape_kernels"] == before
+        assert tape.probability(tid.probability, None) == want  # pass K
+        kernel = tape._compiled
+        assert kernel is not None
+        assert tape_stats()["tape_kernels"] == before + 1
+        for _ in range(3):
+            assert tape.probability(tid.probability, None) == want
+        assert tape._compiled is kernel
+        assert tape_stats()["tape_kernels"] == before + 1
+
+    def test_racing_threads_keep_one_kernel(self, monkeypatch):
+        """Eight threads make pass K on one cold tape at once, and all
+        eight generate a kernel (each waits for the others before it
+        compiles): every thread gets the interpreter's values, and one
+        kernel is kept and counted."""
+        import threading
+
+        from repro.evaluation import endpoint_weight_grid
+
+        formula, tid = next(path_cases())
+        tape = flatten_circuit(compile_cnf(formula))
+        grid = endpoint_weight_grid(formula, tid, 16)
+        want = tape.evaluate(grid)
+        for _ in range(tape_module.KERNEL_PASSES - 2):
+            tape.evaluate(grid)
+        assert tape._compiled is None
+        before = tape_stats()["tape_kernels"]
+        start, compiling = threading.Barrier(8), threading.Barrier(8)
+        generate = Tape._kernel_source
+
+        def racing_source(self):
+            compiling.wait(timeout=30)
+            return generate(self)
+
+        monkeypatch.setattr(Tape, "_kernel_source", racing_source)
+        results = [None] * 8
+
+        def run(i):
+            start.wait(timeout=30)
+            results[i] = [tape.evaluate(grid) for _ in range(3)]
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[want] * 3] * 8
+        assert tape_stats()["tape_kernels"] == before + 1
+        assert tape._kernel() is tape._compiled
+
+    def test_hostile_slot_tokens_never_reach_the_source(self):
+        hostile = ['a"b', "c'd", "e\nf", "__import__('os').system('x')",
+                   "'''", '"""', "\\", "g) + (h", "#"]
+        formula = CNF([hostile[:3], hostile[3:6], hostile[5:],
+                       [hostile[0], hostile[8]]])
+        cold, hot = tiers(compile_cnf(formula))
+        source = "".join(hot._kernel_source())
+        for token in hostile:
+            assert token not in source
+        specs = [{var: F(j + 1, j + 3) for j, var in enumerate(hostile)},
+                 {hostile[2]: F(1, 5)}]
+        assert hot.evaluate(specs) == cold.evaluate(specs) == [
+            shannon_probability(formula, spec) for spec in specs]
+        assert hot.evaluate(specs, numeric="float") == \
+            cold.evaluate(specs, numeric="float")
+
+    def test_wide_operand_lists_compile(self):
+        """A 5,000-operand AND and a 5,000-operand OR fold over several
+        statements, in operand order, and equal the interpreter."""
+        from array import array
+
+        n = 5000
+        variables = tuple(f"x{j}" for j in range(n))
+        lit, and_, or_ = (tape_module.OP_LIT, tape_module.OP_AND,
+                          tape_module.OP_OR)
+
+        def build(ops, arg0, arg1, operands):
+            tape = Tape(array("B", ops), array("q", arg0), array("q", arg1),
+                        array("q", operands), variables, len(ops) - 1, 0, 0)
+            tape.validate()
+            return tape
+
+        product = build([lit] * n + [and_], list(range(n)) + [0],
+                        [0] * n + [n], range(n))
+        # OR over n LITs and n - 1 ANDs of neighbouring LITs: operand
+        # exponents 1 and 2, so the OR scales half its operands.
+        pairs = [r for j in range(n - 1) for r in (j, j + 1)]
+        disjunction = build(
+            [lit] * n + [and_] * (n - 1) + [or_],
+            list(range(n)) + list(range(0, len(pairs), 2)) + [len(pairs)],
+            [0] * n + list(range(2, len(pairs) + 1, 2))
+            + [len(pairs) + 2 * n - 1],
+            pairs + list(range(2 * n - 1)))
+        rng = random.Random(5)
+        for tape in (product, disjunction):
+            cold = Tape.from_bytes(tape.to_bytes())
+            tape._kernel()
+            weights = {v: F(rng.randrange(1, 9), 9) for v in variables}
+            floats = [{v: rng.random() for v in variables}
+                      for _ in range(2)]
+            assert tape.probability(weights, None) == \
+                cold.probability(weights, None)
+            assert tape.evaluate(floats, numeric="float") == \
+                cold.evaluate(floats, numeric="float")
+
+    def test_a_pickled_hot_tape_starts_cold(self):
+        """A circuit whose tape runs a kernel still pickles, as it did
+        before kernels: the copy drops the kernel and compiles its own
+        once it is hot."""
+        import pickle
+
+        formula, tid = rst_formula()
+        circuit = compile_cnf(formula)
+        tape = tape_for_circuit(circuit)
+        tape._kernel()
+        copy = pickle.loads(pickle.dumps(circuit))
+        assert peek_tape(copy)._compiled is None
+        assert peek_tape(copy)._passes == 0
+        assert peek_tape(copy).to_bytes() == tape.to_bytes()
+        assert copy.probability(tid.probability) == \
+            circuit.probability(tid.probability)
+
+    def test_sidecar_tape_generates_the_same_source(self):
+        for formula, _ in path_cases():
+            tape = flatten_circuit(compile_cnf(formula))
+            loaded = Tape.from_bytes(tape.to_bytes())
+            assert loaded._kernel_source() == tape._kernel_source()
+            assert loaded._compiled is None
+            assert Tape.from_bytes(tape.to_bytes()).to_bytes() == \
+                tape.to_bytes()
