@@ -8,9 +8,9 @@ Four rule packs over the live source tree:
   ``with <lock>:`` region;
 * ``numeric-boundary`` — exact Fraction kernels free of float
   contamination, float lanes free of per-lane Fraction construction;
-* ``protocol-drift`` — service ops/params in sync across
-  ``protocol.OPS``, the server dispatch table, the client methods,
-  and the README op table.
+* ``protocol-drift`` — the one service op table,
+  ``protocol.OP_PARAMS``, in sync with its projections: the server
+  dispatch table, the client methods, and the README op table.
 
 See ``engine`` for suppressions (``# repro: allow[rule-id] reason``)
 and the committed ``ANALYSIS_BASELINE.json``.

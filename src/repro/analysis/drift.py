@@ -1,28 +1,27 @@
-"""Protocol-drift rule: one op surface, four projections, zero skew.
+"""Protocol-drift rule: one op table, three projections, zero skew.
 
-The service protocol lives in four places that only convention keeps
-aligned: ``protocol.OPS`` (the wire-validated op vocabulary),
-``server.py``'s op table and ``_op_*`` handlers (with their
-``check_fields`` allow-lists), ``client.py``'s convenience methods
-(one ``self.call("<op>", ...)`` each), and the README op table.
-Adding an op to three of the four is exactly the drift this rule
-exists to catch before a release does.  The op table is every
-``"<op>": self._op_<name>`` entry of a dict display in ``server.py``,
-so the shared front end's read-only table and the ops a subclass
-passes into it read alike.
+``protocol.OP_PARAMS`` is the service's one op table: each op and the
+params it accepts (the front end refuses any other).  Three other
+places restate part of it and only this rule keeps them aligned:
+``server.py``'s op table and its ``_op_*`` handlers, ``client.py``'s
+convenience methods (one ``self.call("<op>", ...)`` each), and the
+README op table.  Adding an op to the table but not to a projection
+is exactly the drift this rule exists to catch before a release does.
+The op table of ``server.py`` is every ``"<op>": self._op_<name>``
+entry of a dict display there, so the shared front end's read-only
+table and the ops a subclass passes into it read alike.
 
 Cross-checks (all repo-level, reported once per skew):
 
-* every op in ``OPS`` has a dispatch entry, a client ``self.call``
+* ``OP_PARAMS`` is a dict literal whose rows are tuples of string
+  constants (module-level tuple constants are resolved through ``+``
+  concatenation);
+* every op of the table has a dispatch entry, a client ``self.call``
   site, and a README table row — and vice versa;
-* every ``_op_*`` handler is reachable from the dispatch table, and
-  every dispatched op has a handler in ``server.py`` with a literal
-  ``check_fields`` allow-list (otherwise its params go unchecked);
-* per op, the README's documented params equal the server's
-  ``check_fields`` allow-list (module-level tuple constants such as
-  ``_ESTIMATOR_FIELDS`` are resolved through ``+`` concatenation);
-* per op, every keyword the client method sends is accepted by the
-  server's allow-list.
+* every dispatch entry names an ``_op_*`` handler ``server.py``
+  defines, and every handler is reachable from the dispatch table;
+* per op, the README's documented params equal the table's row;
+* per op, every keyword the client method sends is in the row.
 
 The README table is any markdown table whose header row contains
 ``op`` and ``params`` columns; params are the backticked names in the
@@ -62,15 +61,31 @@ def _tuple_value(node: ast.AST, consts: dict) -> tuple | None:
     return None
 
 
-def _module_tuple_consts(tree: ast.Module) -> dict:
+def _op_table(tree: ast.Module):
+    """``(op -> params or None, line)`` from the module-level
+    ``OP_PARAMS`` dict literal (``None`` for a row that is not a
+    literal tuple), or ``None`` when there is no such literal."""
     consts: dict = {}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            continue
+        name = node.targets[0].id
+        if name != "OP_PARAMS":
             value = _tuple_value(node.value, consts)
             if value is not None:
-                consts[node.targets[0].id] = value
-    return consts
+                consts[name] = value
+            continue
+        if not isinstance(node.value, ast.Dict) or not all(
+                isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                for key in node.value.keys):
+            return None
+        return ({key.value: _tuple_value(value, consts)
+                 for key, value in zip(node.value.keys,
+                                       node.value.values)},
+                node.lineno)
+    return None
 
 
 def _parse_readme_table(text: str) -> dict[str, set] | None:
@@ -103,8 +118,9 @@ def _parse_readme_table(text: str) -> dict[str, set] | None:
 
 class ProtocolDriftRule(Rule):
     id = "protocol-drift"
-    summary = ("service op surface out of sync across protocol.OPS, "
-               "server dispatch, client methods, and the README table")
+    summary = ("service op surface out of sync across protocol."
+               "OP_PARAMS, server dispatch, client methods, and the "
+               "README table")
 
     def check_repo(self, project: Project):
         proto = project.module("service/protocol.py")
@@ -113,116 +129,93 @@ class ProtocolDriftRule(Rule):
         if proto is None or server is None or client is None:
             return  # subset run or unrelated tree: nothing to check
 
-        ops = self._protocol_ops(proto.tree)
-        if ops is None:
-            yield Finding(
-                rule=self.id, path=proto.rel, line=1, context="module",
-                message="no literal OPS tuple found in protocol module")
-            return
-        dispatch, handlers, params = self._server_surface(server.tree)
-        client_ops = self._client_surface(client.tree)
-
-        def at(module, message, line=1, context="service"):
-            return Finding(rule=self.id, path=module.rel, line=line,
+        def at(path, message, line=1, context="service"):
+            return Finding(rule=self.id, path=path, line=line,
                            context=context, message=message)
 
+        found = _op_table(proto.tree)
+        if found is None:
+            yield at(proto.rel, "no literal OP_PARAMS dict found in "
+                                "protocol module", context="module")
+            return
+        params, table_line = found
+        ops = tuple(params)
+        dispatch, handlers = self._server_surface(server.tree)
+        client_ops = self._client_surface(client.tree)
+
         for op in ops:
+            if params[op] is None:
+                yield at(proto.rel, f"op {op!r}: its OP_PARAMS row is "
+                                    f"not a literal tuple of param names",
+                         line=table_line, context="module")
             if op not in dispatch:
-                yield at(server, f"op {op!r} in protocol.OPS has no "
-                                 f"server dispatch entry")
+                yield at(server.rel, f"op {op!r} in protocol.OP_PARAMS "
+                                     f"has no server dispatch entry")
             if op not in client_ops:
-                yield at(client, f"ServiceClient has no method issuing "
-                                 f"op {op!r}")
+                yield at(client.rel, f"ServiceClient has no method "
+                                     f"issuing op {op!r}")
         for op in sorted(set(dispatch) - set(ops)):
-            yield at(server, f"server dispatches op {op!r} missing "
-                             f"from protocol.OPS",
+            yield at(server.rel, f"server dispatches op {op!r} missing "
+                                 f"from protocol.OP_PARAMS",
                      line=dispatch[op][1])
         for op in sorted(set(client_ops) - set(ops)):
-            yield at(client, f"client issues op {op!r} missing from "
-                             f"protocol.OPS", line=client_ops[op][1])
+            yield at(client.rel, f"client issues op {op!r} missing from "
+                                 f"protocol.OP_PARAMS",
+                     line=client_ops[op][1])
         for name, line in sorted(handlers.items()):
             if name not in {m for m, _ in dispatch.values()}:
-                yield at(server, f"handler {name} is not reachable "
-                                 f"from the dispatch table", line=line)
+                yield at(server.rel, f"handler {name} is not reachable "
+                                     f"from the dispatch table", line=line)
         for op, (method, line) in sorted(dispatch.items()):
-            if op not in params:
-                yield at(server, f"op {op!r}: no {method} handler with "
-                                 f"a literal check_fields allow-list "
-                                 f"in server.py, so its params go "
-                                 f"unchecked", line=line)
+            if method not in handlers:
+                yield at(server.rel, f"op {op!r}: no {method} handler "
+                                     f"in server.py", line=line)
 
-        # Client keywords must be accepted by the server allow-list.
+        # Client keywords must be in the op's row.
         for op, (kwargs, line) in sorted(client_ops.items()):
             allowed = params.get(op)
             if allowed is None:
                 continue
             for kw in sorted(set(kwargs) - set(allowed)):
-                yield at(client, f"op {op!r}: client sends param "
-                                 f"{kw!r} the server rejects",
+                yield at(client.rel, f"op {op!r}: client sends param "
+                                     f"{kw!r} the server rejects",
                          line=line)
 
         readme_text = project.text("README.md")
         if readme_text is None:
-            yield at(server, "README.md not found; the op table is "
-                             "part of the protocol surface")
+            yield at(server.rel, "README.md not found; the op table is "
+                                 "part of the protocol surface")
             return
         table = _parse_readme_table(readme_text)
         if table is None:
-            yield Finding(
-                rule=self.id, path="README.md", line=1,
-                context="service",
-                message="README has no op/params markdown table")
+            yield at("README.md", "README has no op/params markdown table")
             return
         for op in ops:
             if op not in table:
-                yield Finding(
-                    rule=self.id, path="README.md", line=1,
-                    context="service",
-                    message=f"op {op!r} undocumented in the README "
-                            f"op table")
+                yield at("README.md", f"op {op!r} undocumented in the "
+                                      f"README op table")
         for op in sorted(set(table) - set(ops)):
-            yield Finding(
-                rule=self.id, path="README.md", line=1,
-                context="service",
-                message=f"README documents unknown op {op!r}")
+            yield at("README.md", f"README documents unknown op {op!r}")
         for op in ops:
             documented = table.get(op)
-            allowed = params.get(op)
+            allowed = params[op]
             if documented is None or allowed is None:
                 continue
             for p in sorted(set(allowed) - documented):
-                yield Finding(
-                    rule=self.id, path="README.md", line=1,
-                    context="service",
-                    message=(f"op {op!r}: param {p!r} accepted by the "
-                             f"server but absent from the README op "
-                             f"table"))
+                yield at("README.md", f"op {op!r}: param {p!r} accepted "
+                                      f"by the server but absent from "
+                                      f"the README op table")
             for p in sorted(documented - set(allowed)):
-                yield Finding(
-                    rule=self.id, path="README.md", line=1,
-                    context="service",
-                    message=(f"op {op!r}: README documents param "
-                             f"{p!r} the server rejects"))
+                yield at("README.md", f"op {op!r}: README documents "
+                                      f"param {p!r} the server rejects")
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _protocol_ops(tree: ast.Module) -> tuple | None:
-        for node in tree.body:
-            if isinstance(node, ast.Assign) \
-                    and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and node.targets[0].id == "OPS":
-                return _tuple_value(node.value, {})
-        return None
-
-    @staticmethod
     def _server_surface(tree: ast.Module):
         """``(dispatch op -> (method, line), _op_* handlers ->
-        line, op -> allowed params)``."""
-        consts = _module_tuple_consts(tree)
+        line)``."""
         dispatch: dict[str, tuple[str, int]] = {}
         handlers: dict[str, int] = {}
-        handler_params: dict[str, tuple] = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Dict):
                 for key, value in zip(node.keys, node.values):
@@ -237,19 +230,7 @@ class ProtocolDriftRule(Rule):
                                    ast.AsyncFunctionDef)) \
                     and node.name.startswith("_op_"):
                 handlers[node.name] = node.lineno
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Call) \
-                            and isinstance(sub.func, ast.Name) \
-                            and sub.func.id == "check_fields" \
-                            and len(sub.args) >= 2:
-                        allowed = _tuple_value(sub.args[1], consts)
-                        if allowed is not None:
-                            handler_params[node.name] = allowed
-                        break
-        params = {op: handler_params[m]
-                  for op, (m, _) in dispatch.items()
-                  if m in handler_params}
-        return dispatch, handlers, params
+        return dispatch, handlers
 
     @staticmethod
     def _client_surface(tree: ast.Module) -> dict:

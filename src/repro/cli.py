@@ -452,26 +452,23 @@ def cmd_serve(args) -> int:
 def cmd_query(args) -> int:
     import json
 
-    from repro.service.protocol import OPS
+    from repro.service.protocol import OP_PARAMS
 
     if args.op == "store_gc":
         # The op needs --max-bytes, which lives on the dedicated verb.
         raise SystemExit(
             "repro: use `repro ctl store-gc --max-bytes N` "
             "(store_gc is not addressable through `repro query`)")
-    needs_query = args.op not in ("stats", "metrics", "trace", "ping",
-                                  "shutdown")
-    if needs_query and not args.query:
+    accepted = OP_PARAMS[args.op]
+    if "query" in accepted and not args.query:
         raise SystemExit(
             f"repro: op {args.op!r} needs a query argument, e.g. "
             f"repro query {args.op} \"(R|S1)(S1|T)\"")
     params: dict = {}
-    if needs_query:
-        params["query"] = args.query
-    if args.op == "evaluate_batch":
+    if "ps" in accepted:
         if not args.ps:
             raise SystemExit(
-                "repro: evaluate_batch needs --ps, e.g. --ps 2,3,4")
+                f"repro: {args.op} needs --ps, e.g. --ps 2,3,4")
         try:
             ps = [int(piece) for piece in args.ps.split(",")
                   if piece.strip()]
@@ -483,30 +480,25 @@ def cmd_query(args) -> int:
             raise SystemExit(
                 f"repro: bad --ps {args.ps!r} — no block lengths")
         params["ps"] = ps
-    elif needs_query:
-        params["p"] = args.p
-    if args.op == "sweep":
-        params["grid"] = args.grid
-        if args.float:
-            params["numeric"] = "float"
-    if args.op in ("sample", "top_k"):
-        params["k"] = args.k
-    if args.op in ("evaluate", "evaluate_batch") and args.method:
-        params["method"] = args.method
-    if args.op in ("compile", "evaluate", "evaluate_batch", "sweep",
-                   "sample", "top_k") and args.budget is not None:
-        params["budget_nodes"] = args.budget
-    if args.op in ("evaluate", "evaluate_batch", "sweep", "estimate"):
-        params["epsilon"] = str(args.epsilon)
-        params["delta"] = str(args.delta)
-        if args.engine != "hoeffding":
-            params["estimator"] = args.engine
-        if args.relative_error is not None:
-            params["relative_error"] = str(args.relative_error)
-    if args.op in ("evaluate", "evaluate_batch", "sweep", "estimate",
-                   "sample"):
-        params["seed"] = args.seed
-    assert args.op in OPS
+    # Each flag goes to every op whose OP_PARAMS row names its param;
+    # None means "not given", so the server applies its default.
+    flags = {
+        "query": args.query,
+        "p": args.p,
+        "grid": args.grid,
+        "numeric": "float" if args.float else None,
+        "k": args.k,
+        "method": args.method or None,
+        "budget_nodes": args.budget,
+        "epsilon": str(args.epsilon),
+        "delta": str(args.delta),
+        "seed": args.seed,
+        "estimator": None if args.engine == "hoeffding" else args.engine,
+        "relative_error": (None if args.relative_error is None
+                           else str(args.relative_error)),
+    }
+    params.update((name, value) for name, value in flags.items()
+                  if name in accepted and value is not None)
     if args.op == "shutdown":
         # Tolerates the connection closing before the acknowledgement.
         result = _call_service(args, lambda client: client.shutdown())

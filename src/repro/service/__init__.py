@@ -2,8 +2,9 @@
 
 The package splits along transport-independent seams:
 
-* ``protocol`` — the versioned line-delimited JSON wire format and its
-  validation (pure functions, no sockets);
+* ``protocol`` — the versioned line-delimited JSON wire format, the
+  op table ``OP_PARAMS`` and their validation (pure functions, no
+  sockets);
 * ``scheduler`` — the compile pool: a bound on concurrent
   compilations with in-flight dedupe (pure threading, no sockets);
 * ``server`` — ``ServiceFrontEnd``, the request front end both

@@ -26,6 +26,7 @@ arrives after its deadline would desynchronize the line framing for
 every later call.  ``call`` also accepts ``trace=`` to pin the
 request's trace id; the id the server echoes (supplied or minted) is
 kept in ``last_trace`` for correlation with the ``trace`` op.
+``send`` sends a params dict as given, ``null``s included.
 
 A ``call`` on a connection that an earlier timeout (or ``close()``)
 already tore down raises ``ServiceError("connection-closed", ...)``
@@ -128,9 +129,20 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def call(self, op: str, *, timeout: float | None = None,
              trace: str | None = None, **params) -> dict:
-        """Send one request; return its ``result`` or raise
-        ``ServiceError``.  ``None``-valued params are omitted (the
-        server applies its defaults).
+        """``send`` these params, omitting ``None`` values (the
+        server applies its defaults); ``Fraction``s travel as
+        ``"num/den"`` strings."""
+        return self.send(op, {key: _wire_value(value)
+                              for key, value in params.items()
+                              if value is not None},
+                         timeout=timeout, trace=trace)
+
+    def send(self, op: str, payload: dict, *,
+             timeout: float | None = None,
+             trace: str | None = None) -> dict:
+        """Send one request with ``payload`` as its params, as given
+        (the dispatcher forwards requests so); return its ``result``
+        or raise ``ServiceError``.
 
         ``timeout`` bounds the wait for this one response; expiry
         raises ``ServiceError("timeout", ...)`` and closes the
@@ -140,8 +152,6 @@ class ServiceClient:
         """
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
-        payload = {key: _wire_value(value)
-                   for key, value in params.items() if value is not None}
         with self._lock:
             if self._closed:
                 # A previous timeout/close tore the connection down;

@@ -12,6 +12,10 @@ and memory LRU, all sharing one content-addressed ``CircuitStore``.
 
 Design points:
 
+* **Verbatim forwarding** — the shared front end checks params
+  against ``protocol.OP_PARAMS``; a worker gets exactly the params
+  received (``ServiceClient.send``), and a request whose query cannot
+  be grounded goes to worker 0, so every refusal is ``repro serve``'s.
 * **Consistent-hash routing** — requests route by the workload's
   ``cnf_fingerprint`` over a virtual-node hash ring, so one formula
   always lands on the same worker: memory LRUs stay warm and
@@ -55,16 +59,10 @@ from pathlib import Path
 
 from repro.booleans.adaptive import BudgetPlanner
 from repro.evaluation import ESTIMATE_METHODS
-from repro.obs import Tracer, current_trace_id, span
+from repro.obs import current_trace_id, span
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.protocol import (
-    ERROR_CODES,
-    ProtocolError,
-    check_fields,
-)
-from repro.service.server import (
-    _ESTIMATOR_FIELDS, MAX_REQUEST_DRAWS, ServiceFrontEnd,
-)
+from repro.service.protocol import ERROR_CODES, ProtocolError
+from repro.service.server import MAX_REQUEST_DRAWS, ServiceFrontEnd
 from repro.service.tenants import ANONYMOUS, TenantQuota
 from repro.service.worker import BANNER
 from repro.tid import wmc
@@ -146,7 +144,7 @@ class _WorkerHandle:
         self.resident: set[str] = set()
         self._idle: list[tuple[int, ServiceClient]] = []
 
-    def acquire(self, timeout) -> tuple[int, ServiceClient]:
+    def acquire(self) -> tuple[int, ServiceClient]:
         with self.lock:
             generation = self.generation
             address = self.address
@@ -155,7 +153,8 @@ class _WorkerHandle:
                 if pooled_generation == generation:
                     return generation, conn
                 _close_quietly(conn)
-        conn = ServiceClient(address[0], address[1], timeout=timeout,
+        # No timeout: the exchange waits as long as the work takes.
+        conn = ServiceClient(address[0], address[1], timeout=None,
                              connect_retries=0)
         return generation, conn
 
@@ -180,16 +179,11 @@ class ReproDispatcher(ServiceFrontEnd):
     Constructor surface mirrors ``ReproServer`` (the CLI treats the
     two uniformly) plus ``workers`` — the worker *process* count —
     and ``compile_threads``, each worker's compile-pool size.
-    ``worker_timeout`` optionally bounds each proxied exchange;
-    ``None`` (the default) matches the single-process behaviour of
-    waiting as long as the work takes, with crash detection riding on
-    the torn connection instead.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 2, store=None,
                  budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
-                 workload_cache_size: int = 128,
                  auth_tokens: dict[str, str] | None = None,
                  quota: TenantQuota | None = None,
                  tenant_quotas: dict[str, TenantQuota] | None = None,
@@ -198,17 +192,14 @@ class ReproDispatcher(ServiceFrontEnd):
                  slow_ms: float | None = None,
                  trace_buffer: int = 256,
                  trace_dir=None,
-                 tracer: Tracer | None = None,
                  clock=time.monotonic,
-                 compile_threads: int = 4,
-                 worker_timeout: float | None = None):
+                 compile_threads: int = 4):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if compile_threads < 1:
             raise ValueError("compile_threads must be at least 1")
         self.worker_count = workers
         self.compile_threads = compile_threads
-        self.worker_timeout = worker_timeout
         self.store_path = (None if store is None
                            else str(getattr(store, "root", store)))
         self.tracing = tracing
@@ -226,11 +217,10 @@ class ReproDispatcher(ServiceFrontEnd):
                 "store_gc": self._op_store_gc,
             },
             budget_nodes=budget_nodes,
-            workload_cache_size=workload_cache_size,
             auth_tokens=auth_tokens, quota=quota,
             tenant_quotas=tenant_quotas, store_max_bytes=store_max_bytes,
             tracing=tracing, slow_ms=slow_ms, trace_buffer=trace_buffer,
-            trace_dir=trace_dir, tracer=tracer, clock=clock)
+            trace_dir=trace_dir, clock=clock)
         try:
             for handle in self._workers:
                 self._spawn(handle)
@@ -344,18 +334,16 @@ class ReproDispatcher(ServiceFrontEnd):
         handler = self._ops.get(op)
         if handler is None:
             # A compute op: route it to its worker.
-            return self._proxy(op, params)
+            return self._proxy(op, params, self._fingerprint(params))
         return handler(params)
 
-    def _reject_reserved(self, params: dict) -> None:
-        # `timeout` and `trace` are protocol-level client/transport
-        # concerns; forwarding them as op params would let a request
-        # smuggle values into the worker hop.
-        for reserved in ("timeout", "trace"):
-            if reserved in params:
-                raise ProtocolError(
-                    "bad-request",
-                    f"unexpected params: {reserved}")
+    def _fingerprint(self, params: dict) -> str | None:
+        """The fingerprint of the request's query over its block, or
+        ``None`` when it cannot be grounded."""
+        try:
+            return self.workloads.resolve(params).fingerprint
+        except ProtocolError:
+            return None
 
     def _child_trace_id(self, handle: _WorkerHandle) -> str | None:
         """A derived trace id for the worker hop, unique per proxied
@@ -369,21 +357,24 @@ class ReproDispatcher(ServiceFrontEnd):
             sequence = self._child_seq
         return f"{base[:96]}.w{handle.index}.{sequence}"
 
-    def _proxy(self, op: str, params: dict, route: dict | None = None
+    def _proxy(self, op: str, params: dict, fingerprint: str | None
                ) -> dict:
-        """One compute request, routed to the worker that owns its
-        fingerprint (that of ``route``'s query and p, if given)."""
-        self._reject_reserved(params)
-        fingerprint = self.workloads.resolve(route or params).fingerprint
-        handle = self._workers[self._ring.route(fingerprint)]
+        """One compute request, routed to the worker that owns
+        ``fingerprint``.  Without one (the query cannot be grounded) it
+        goes to worker 0, which refuses it as ``repro serve`` would,
+        maybe over another param it checks first."""
         tenant = getattr(self._tenant_local, "tenant", ANONYMOUS)
-        if fingerprint not in handle.resident and op != "estimate":
-            # Single-process fail-fast, approximated from this side of
-            # the hop: an exhausted compile budget refuses requests
-            # that plausibly need fresh work, while fingerprints known
-            # resident on the worker stay accessible (warm circuits
-            # cost nobody anything).
-            self.tenants.check_compile(tenant)
+        if fingerprint is None:
+            handle = self._workers[0]  # nothing will compile
+        else:
+            handle = self._workers[self._ring.route(fingerprint)]
+            if fingerprint not in handle.resident and op != "estimate":
+                # Single-process fail-fast, approximated from this
+                # side of the hop: an exhausted compile budget refuses
+                # requests that plausibly need fresh work, while
+                # fingerprints known resident on the worker stay
+                # accessible (warm circuits cost nobody anything).
+                self.tenants.check_compile(tenant)
         child_trace = self._child_trace_id(handle)
         tags = {"worker": handle.index}
         if child_trace is not None:
@@ -392,8 +383,9 @@ class ReproDispatcher(ServiceFrontEnd):
             result = self._call_worker(handle, op, params, child_trace)
         charge = result.pop("charge", None) \
             if isinstance(result, dict) else None
-        with handle.lock:
-            handle.resident.add(fingerprint)
+        if fingerprint is not None:
+            with handle.lock:
+                handle.resident.add(fingerprint)
         if charge:
             nodes = charge.get("nodes", 0)
             if isinstance(nodes, int) and nodes > 0:
@@ -413,8 +405,8 @@ class ReproDispatcher(ServiceFrontEnd):
             attempts += 1
             generation = conn = None
             try:
-                generation, conn = handle.acquire(self.worker_timeout)
-                result = conn.call(op, trace=child_trace, **params)
+                generation, conn = handle.acquire()
+                result = conn.send(op, params, trace=child_trace)
             except ServiceError as error:
                 if conn is not None and error.code in ERROR_CODES:
                     # A structured refusal over a healthy connection:
@@ -468,30 +460,27 @@ class ReproDispatcher(ServiceFrontEnd):
         by a method that can sample, whose estimates could draw more
         than ``MAX_REQUEST_DRAWS``, goes whole to one worker instead:
         which p samples shows only after its compile, and that worker
-        counts the draws before any."""
-        self._reject_reserved(params)
-        if "p" in params:
-            raise ProtocolError(
-                "bad-request",
-                "unexpected params: p (evaluate_batch takes 'ps')")
-        check_fields(params, ("query", "ps", "method")
-                     + _ESTIMATOR_FIELDS)
+        counts the draws before any.  So does a batch with a p whose
+        query cannot be grounded: one process grounds every p before it
+        evaluates any, so it refuses the batch whatever the others do."""
         ps, method, knobs = self._batch_knobs(params)
-        samples = method == "auto" or method in ESTIMATE_METHODS
-        if samples and len(ps) * knobs.draws > MAX_REQUEST_DRAWS:
-            return self._proxy("evaluate_batch", params,
-                               route={**params, "p": ps[0]})
         shared = {key: value for key, value in params.items()
                   if key != "ps"}
-        results = [self._proxy("evaluate", {**shared, "p": p})
-                   for p in ps]
+        entries = [{**shared, "p": p} for p in ps]
+        fingerprints = [self._fingerprint(entry) for entry in entries]
+        if None in fingerprints:
+            return self._proxy("evaluate_batch", params, None)
+        samples = method == "auto" or method in ESTIMATE_METHODS
+        if samples and len(ps) * knobs.draws > MAX_REQUEST_DRAWS:
+            return self._proxy("evaluate_batch", params, fingerprints[0])
+        results = [self._proxy("evaluate", entry, fingerprint)
+                   for entry, fingerprint in zip(entries, fingerprints)]
         return {"results": results, "count": len(results)}
 
     def _op_store_gc(self, params: dict) -> dict:
         # The pool shares one store directory; one prune pass through
         # any worker covers it, and a worker without a store refuses
         # the request itself.
-        check_fields(params, ("max_bytes",))
         return self._call_any_worker("store_gc", params)
 
     def _extend_stats(self, stats: dict) -> None:

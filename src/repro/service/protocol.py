@@ -54,10 +54,32 @@ PROTOCOL_VERSION = 1
 #: once a line has been truncated).
 MAX_REQUEST_BYTES = 1_048_576
 
-#: Every operation the server understands.
-OPS = ("compile", "evaluate", "evaluate_batch", "sweep", "estimate",
-       "sample", "top_k", "stats", "metrics", "trace", "store_gc",
-       "ping", "shutdown")
+#: The sampler knobs of the ops that may estimate.
+_SAMPLER_PARAMS = ("budget_nodes", "epsilon", "delta", "seed",
+                   "estimator", "relative_error")
+
+#: Every operation the server understands and the params it accepts,
+#: checked by the front end of both deployments.  No row may name
+#: ``trace`` or ``timeout``, the keywords ``ServiceClient.call`` takes
+#: beside the params.
+OP_PARAMS = {
+    "compile": ("query", "p", "budget_nodes"),
+    "evaluate": ("query", "p", "method") + _SAMPLER_PARAMS,
+    "evaluate_batch": ("query", "ps", "method") + _SAMPLER_PARAMS,
+    "sweep": ("query", "p", "grid", "numeric") + _SAMPLER_PARAMS,
+    "estimate": ("query", "p", "epsilon", "delta", "seed", "estimator",
+                 "relative_error"),
+    "sample": ("query", "p", "k", "seed", "budget_nodes"),
+    "top_k": ("query", "p", "k", "budget_nodes"),
+    "stats": (),
+    "metrics": (),
+    "trace": ("id", "limit", "slow"),
+    "store_gc": ("max_bytes",),
+    "ping": (),
+    "shutdown": (),
+}
+
+OPS = tuple(OP_PARAMS)
 
 #: Upper bound on a client-supplied trace id.
 MAX_TRACE_ID_CHARS = 128

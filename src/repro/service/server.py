@@ -77,6 +77,7 @@ from repro.reduction.blocks import path_block
 from repro.obs import NULL_SPAN, Tracer, span
 from repro.service.protocol import (
     MAX_REQUEST_BYTES,
+    OP_PARAMS,
     ProtocolError,
     check_fields,
     dump_line,
@@ -119,9 +120,6 @@ MAX_REQUEST_DRAWS = 1 << 22
 
 #: How long ``close()`` waits for the replies in flight and the serve thread.
 CLOSE_WAIT_SECONDS = 5
-
-_ESTIMATOR_FIELDS = ("budget_nodes", "epsilon", "delta", "seed",
-                     "estimator", "relative_error")
 
 
 class _Knobs(NamedTuple):
@@ -258,10 +256,12 @@ class WorkloadResolver:
     span so the stage shows up in every request's trace either way.
     """
 
-    def __init__(self, cache_size: int = 128):
+    #: Resolved targets kept, least recently used evicted first.
+    CACHE_SIZE = 128
+
+    def __init__(self):
         self._lock = threading.Lock()
         self._cache: OrderedDict = OrderedDict()
-        self._cache_size = cache_size
 
     def __len__(self) -> int:
         with self._lock:
@@ -299,7 +299,7 @@ class WorkloadResolver:
                                 safe and _has_plan(query))
             with self._lock:
                 self._cache[key] = workload
-                while len(self._cache) > self._cache_size:
+                while len(self._cache) > self.CACHE_SIZE:
                     self._cache.popitem(last=False)
             return workload
 
@@ -317,11 +317,12 @@ def _has_plan(query: Query) -> bool:
 
 class ServiceFrontEnd:
     """The request front end both deployments share: the listener
-    and its lifecycle, tenancy, tracing, the workload resolver, the
-    request counters, and the ``ping``/``shutdown``/``stats``/
-    ``metrics``/``trace`` ops.  ``ReproServer`` adds the compute ops;
-    ``ReproDispatcher`` (``repro.service.dispatch``) adds routing,
-    proxying and the worker lifecycle.
+    and its lifecycle, tenancy, tracing, the param check against
+    ``OP_PARAMS``, the workload resolver, the request counters, and
+    the ``ping``/``shutdown``/``stats``/``metrics``/``trace`` ops.
+    ``ReproServer`` adds the compute ops; ``ReproDispatcher``
+    (``repro.service.dispatch``) adds routing, proxying and the worker
+    lifecycle.
 
     A subclass sets up its own state, then calls this constructor
     with its op handlers as ``ops`` (the listener is bound last, so a
@@ -331,9 +332,9 @@ class ServiceFrontEnd:
     """
 
     def __init__(self, host: str, port: int, ops: dict, *,
-                 budget_nodes, workload_cache_size, auth_tokens, quota,
-                 tenant_quotas, store_max_bytes, tracing, slow_ms,
-                 trace_buffer, trace_dir, tracer, clock):
+                 budget_nodes, auth_tokens, quota, tenant_quotas,
+                 store_max_bytes, tracing, slow_ms, trace_buffer,
+                 trace_dir, clock):
         if budget_nodes is not None and budget_nodes < 2:
             raise ValueError("budget_nodes must be at least 2 (or None "
                              "for no budget)")
@@ -350,10 +351,8 @@ class ServiceFrontEnd:
         #: per request, keeps the last ``trace_buffer`` span trees,
         #: feeds the (op, stage) latency histograms, and logs requests
         #: slower than ``slow_ms`` (optionally to
-        #: ``trace_dir/TRACE_slow.jsonl``).  Pass a prebuilt
-        #: ``tracer`` to override all of that (tests inject fake
-        #: clocks this way).
-        self.tracer = tracer if tracer is not None else Tracer(
+        #: ``trace_dir/TRACE_slow.jsonl``).
+        self.tracer = Tracer(
             enabled=tracing, buffer_size=trace_buffer,
             slow_threshold=(None if slow_ms is None
                             else slow_ms / 1000.0),
@@ -365,7 +364,7 @@ class ServiceFrontEnd:
         #: requests run as the anonymous tenant.
         self.tenants = TenantRegistry(auth_tokens, quota,
                                       tenant_quotas)
-        self.workloads = WorkloadResolver(workload_cache_size)
+        self.workloads = WorkloadResolver()
         self._tenant_local = threading.local()
         self._counter_lock = threading.Lock()
         #: Request lines read whose replies are not written yet;
@@ -497,7 +496,9 @@ class ServiceFrontEnd:
         (client-supplied via the top-level ``trace`` request field, or
         minted by the tracer) is echoed back as a top-level ``trace``
         response field, success or error, so clients can fetch the
-        span tree afterwards through the ``trace`` op.
+        span tree afterwards through the ``trace`` op.  Its params are
+        checked against the op's ``OP_PARAMS`` row here, once for
+        both deployments.
         """
         request_id = None
         try:
@@ -521,6 +522,7 @@ class ServiceFrontEnd:
             root = self.tracer.root(op, trace_id=trace_id,
                                     tenant=tenant)
             with root:
+                check_fields(params, OP_PARAMS[op])
                 result = self._run_op(op, params)
             response = ok_response(request_id, op, result)
         except ProtocolError as error:
@@ -538,7 +540,8 @@ class ServiceFrontEnd:
         return response
 
     def _run_op(self, op: str, params: dict) -> dict:
-        """Hook: one validated request's op, inside its root span."""
+        """Hook: one request's op, its params checked, inside its
+        root span."""
         return self._ops[op](params)
 
     def _count(self, op: str | None, error: bool = False) -> None:
@@ -598,11 +601,9 @@ class ServiceFrontEnd:
     # Operations
     # ------------------------------------------------------------------
     def _op_ping(self, params: dict) -> dict:
-        check_fields(params, ())
         return {"pong": True}
 
     def _op_shutdown(self, params: dict) -> dict:
-        check_fields(params, ())
         # Stopping blocks until serve_forever returns, so it must run
         # off-thread.  close() (serve_until_closed's finally) waits
         # until this reply and every other one in flight is written,
@@ -611,7 +612,6 @@ class ServiceFrontEnd:
         return {"stopping": True}
 
     def _op_stats(self, params: dict) -> dict:
-        check_fields(params, ())
         uptime = self._clock() - self._started
         with self._counter_lock:
             service = {
@@ -640,7 +640,6 @@ class ServiceFrontEnd:
         """The ``stats`` payload rendered in the Prometheus text
         exposition format — a projection, never separate counters, so
         the two surfaces cannot drift."""
-        check_fields(params, ())
         return {"content_type": CONTENT_TYPE,
                 "text": render_metrics(self._op_stats({}))}
 
@@ -649,7 +648,6 @@ class ServiceFrontEnd:
         the newest ``limit`` (or the slow log with ``slow``), or one
         trace by ``id``.  Under auth, a tenant only ever sees its own
         traces — trace ids are not capabilities."""
-        check_fields(params, ("id", "limit", "slow"))
         trace_id = take_str(params, "id", default=None)
         limit = take_int(params, "limit", default=16, minimum=1,
                          maximum=256)
@@ -682,7 +680,6 @@ class ReproServer(ServiceFrontEnd):
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  store=None, workers: int = 4,
                  budget_nodes: int | None = wmc.DEFAULT_BUDGET_NODES,
-                 workload_cache_size: int = 128,
                  auth_tokens: dict[str, str] | None = None,
                  quota: TenantQuota | None = None,
                  tenant_quotas: dict[str, TenantQuota] | None = None,
@@ -691,7 +688,6 @@ class ReproServer(ServiceFrontEnd):
                  slow_ms: float | None = None,
                  trace_buffer: int = 256,
                  trace_dir=None,
-                 tracer: Tracer | None = None,
                  clock=time.monotonic,
                  worker_mode: bool = False):
         if store is not None and not hasattr(store, "get"):
@@ -736,11 +732,10 @@ class ReproServer(ServiceFrontEnd):
                 "store_gc": self._op_store_gc,
             },
             budget_nodes=budget_nodes,
-            workload_cache_size=workload_cache_size,
             auth_tokens=auth_tokens, quota=quota,
             tenant_quotas=tenant_quotas, store_max_bytes=store_max_bytes,
             tracing=tracing, slow_ms=slow_ms, trace_buffer=trace_buffer,
-            trace_dir=trace_dir, tracer=tracer, clock=clock)
+            trace_dir=trace_dir, clock=clock)
         # The process-wide store switches only once nothing above can
         # raise: a failed construction leaves it as it was.
         if store is not None:
@@ -869,7 +864,6 @@ class ReproServer(ServiceFrontEnd):
         (``CircuitStore.prune``): delete entries, oldest access time
         first, until the store fits in ``max_bytes``.  ``max_bytes``
         is required — there is no safe default for a destructive op."""
-        check_fields(params, ("max_bytes",))
         max_bytes = take_int(params, "max_bytes", minimum=0)
         store = wmc.get_circuit_store()
         if store is None:
@@ -906,7 +900,6 @@ class ReproServer(ServiceFrontEnd):
                     self._samples_saved += saved
 
     def _op_compile(self, params: dict) -> dict:
-        check_fields(params, ("query", "p", "budget_nodes"))
         budget = take_int(params, "budget_nodes", default=None, minimum=2)
         workload = self.workloads.resolve(params)
         try:
@@ -949,8 +942,6 @@ class ReproServer(ServiceFrontEnd):
         return payload
 
     def _op_evaluate(self, params: dict) -> dict:
-        check_fields(params, ("query", "p", "method")
-                     + _ESTIMATOR_FIELDS)
         method = take_str(params, "method", default="auto",
                           choices=EVAL_METHODS)
         knobs = self._estimator_knobs(params, method)
@@ -960,8 +951,6 @@ class ReproServer(ServiceFrontEnd):
         return self._evaluate_one(workload, method, knobs)
 
     def _op_evaluate_batch(self, params: dict) -> dict:
-        check_fields(params, ("query", "ps", "method")
-                     + _ESTIMATOR_FIELDS)
         ps, method, knobs = self._batch_knobs(params)
         text = take_str(params, "query")
         workloads = [self.workloads.resolve({"query": text, "p": p})
@@ -975,8 +964,6 @@ class ReproServer(ServiceFrontEnd):
         return {"results": results, "count": len(results)}
 
     def _op_sweep(self, params: dict) -> dict:
-        check_fields(params, ("query", "p", "grid", "numeric")
-                     + _ESTIMATOR_FIELDS)
         k = take_int(params, "grid", default=8, minimum=1,
                      maximum=100_000)
         numeric = take_str(params, "numeric", default="exact",
@@ -1021,10 +1008,8 @@ class ReproServer(ServiceFrontEnd):
         return result
 
     def _op_estimate(self, params: dict) -> dict:
-        check_fields(params, ("query", "p", "epsilon", "delta", "seed",
-                              "estimator", "relative_error"))
         # Same knob parsing as evaluate/sweep; the budget slot is
-        # inert here (check_fields already rejected budget_nodes).
+        # inert here (the front end already refused budget_nodes).
         knobs = self._estimator_knobs(params)
         workload = self.workloads.resolve(params)
         with span("evaluate", method=knobs.estimator):
@@ -1054,8 +1039,6 @@ class ReproServer(ServiceFrontEnd):
         return workload, circuit
 
     def _op_sample(self, params: dict) -> dict:
-        check_fields(params, ("query", "p", "k", "seed",
-                              "budget_nodes"))
         k = take_int(params, "k", default=1, minimum=0, maximum=10_000)
         seed = take_int(params, "seed", default=0)
         workload, circuit = self._sampling_circuit(params)
@@ -1075,7 +1058,6 @@ class ReproServer(ServiceFrontEnd):
         }
 
     def _op_top_k(self, params: dict) -> dict:
-        check_fields(params, ("query", "p", "k", "budget_nodes"))
         k = take_int(params, "k", default=1, minimum=1, maximum=10_000)
         workload, circuit = self._sampling_circuit(params)
         with span("evaluate", method="top_k", k=k):

@@ -24,7 +24,9 @@ asserts the observable contract CI cares about:
 * shutdown-over-the-wire stops the server process;
 * a second, auth-enabled server refuses missing/bad tokens with the
   ``unauthorized`` code, serves a good token, and attributes the
-  tenant's usage in ``stats``/``metrics``.
+  tenant's usage in ``stats``/``metrics``;
+* ``--workers``: the dispatcher refuses malformed requests with the
+  code and message an in-process ``ReproServer`` gives.
 
 Exit status 0 on success; any failed expectation raises and exits
 non-zero, so this file is directly usable as a CI job step.
@@ -39,6 +41,10 @@ import sys
 import tempfile
 
 QUERY = "(R|S1)(S1|T)"
+
+#: A ``null`` param, and a stray param beside an unparsable query.
+MALFORMED = ({"query": QUERY, "epsilon": None},
+             {"query": "no parens", "tpyo": 1})
 
 
 def _require(condition: bool, label: str, context) -> None:
@@ -319,9 +325,23 @@ def main_workers() -> int:
         port = int(banner.rsplit(":", 1)[1])
         print(f"smoke: 2-worker dispatcher up on port {port}")
 
-        from repro.service.client import ServiceClient
+        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.protocol import encode_request
+        from repro.service.server import ReproServer
 
-        with ServiceClient(port=port, timeout=120) as client:
+        with ServiceClient(port=port, timeout=120) as client, \
+                ReproServer(port=0, tracing=False) as alone:
+            for params in MALFORMED:
+                line = json.dumps(encode_request("evaluate", params))
+                try:
+                    answer = client.send("evaluate", params)
+                except ServiceError as error:
+                    answer = {"code": error.code,
+                              "message": error.message}
+                _require(answer == alone.handle_line(line).get("error"),
+                         "malformed request refused as in one process",
+                         (params, answer))
+
             result = client.evaluate(QUERY, p=4)
             _require(result["engine"] == "exact"
                      and result["value"] == "4181/131072",

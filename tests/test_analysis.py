@@ -364,16 +364,11 @@ class TestNumericBoundaryRule:
 READ_ONLY_SERVER = """
     from types import MappingProxyType as _freeze
 
-    from service.protocol import check_fields
-
-    _EXTRA = ("y",)
-
     class FrontEnd:
         def __init__(self, ops):
             self._ops = _freeze({{"ping": self._op_ping, **ops}})
 
         def _op_ping(self, params):
-            check_fields(params, ())
             return {{}}
 
     class Server(FrontEnd):
@@ -381,7 +376,6 @@ READ_ONLY_SERVER = """
             super().__init__({{{ops}}})
 
         def _op_eval(self, params):
-            {eval_body}
             return {{}}
 """
 
@@ -390,6 +384,7 @@ def service_repo(tmp_path, *, dispatch_ops=("ping", "eval"),
                  client_ops=("ping", "eval"),
                  readme_eval_params="`x`, `y`",
                  client_eval_kwargs="x=x, y=y",
+                 eval_row='("x",) + _EXTRA',
                  server_src=None):
     dispatch = ", ".join(
         f'"{op}": self._op_{op}' for op in dispatch_ops)
@@ -403,27 +398,22 @@ def service_repo(tmp_path, *, dispatch_ops=("ping", "eval"),
                   "        return (op, params)\n\n"
                   + calls + "\n")
     return make_repo(tmp_path, {
-        "src/service/protocol.py": """
-            OPS = ("ping", "eval")
-
-            def check_fields(params, allowed):
-                pass
-        """,
-        "src/service/server.py": server_src or f"""
-            from service.protocol import check_fields
-
+        "src/service/protocol.py": f"""
             _EXTRA = ("y",)
 
+            OP_PARAMS = {{"ping": (), "eval": {eval_row}}}
+
+            OPS = tuple(OP_PARAMS)
+        """,
+        "src/service/server.py": server_src or f"""
             class Server:
                 def __init__(self):
                     self._dispatch = {{{dispatch}}}
 
                 def _op_ping(self, params):
-                    check_fields(params, ())
                     return {{}}
 
                 def _op_eval(self, params):
-                    check_fields(params, ("x",) + _EXTRA)
                     return {{}}
         """,
         "src/service/client.py": client_src,
@@ -451,8 +441,8 @@ class TestProtocolDriftRule:
         service_repo(tmp_path, dispatch_ops=("ping",))
         messages = [f.message
                     for f in findings_of(tmp_path, "protocol-drift")]
-        assert any("'eval' in protocol.OPS has no server dispatch"
-                   in m for m in messages)
+        assert any("'eval' in protocol.OP_PARAMS has no server "
+                   "dispatch" in m for m in messages)
         assert any("_op_eval is not reachable" in m for m in messages)
 
     def test_missing_client_method(self, tmp_path):
@@ -486,40 +476,34 @@ class TestProtocolDriftRule:
 
     def test_read_only_op_table_is_read(self, tmp_path):
         service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
-            ops='"eval": self._op_eval',
-            eval_body='check_fields(params, ("x",) + _EXTRA)'))
+            ops='"eval": self._op_eval'))
         assert findings_of(tmp_path, "protocol-drift") == []
 
     def test_read_only_op_table_missing_an_op(self, tmp_path):
         service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
-            ops="",
-            eval_body='check_fields(params, ("x",) + _EXTRA)'))
+            ops=""))
         messages = [f.message
                     for f in findings_of(tmp_path, "protocol-drift")]
-        assert "op 'eval' in protocol.OPS has no server dispatch " \
-            "entry" in messages
-
-    def test_dispatched_op_without_an_allow_list(self, tmp_path):
-        # A handler the rule cannot read params from must not silently
-        # skip the README and client param checks.
-        service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
-            ops='"eval": self._op_eval', eval_body="pass"))
-        messages = [f.message
-                    for f in findings_of(tmp_path, "protocol-drift")]
-        assert messages == [
-            "op 'eval': no _op_eval handler with a literal "
-            "check_fields allow-list in server.py, so its params go "
-            "unchecked"]
+        assert "op 'eval' in protocol.OP_PARAMS has no server " \
+            "dispatch entry" in messages
 
     def test_dispatched_op_without_a_handler(self, tmp_path):
         service_repo(tmp_path, server_src=READ_ONLY_SERVER.format(
-            ops='"eval": self._op_evaluate',
-            eval_body='check_fields(params, ("x",) + _EXTRA)'))
+            ops='"eval": self._op_evaluate'))
         messages = [f.message
                     for f in findings_of(tmp_path, "protocol-drift")]
-        assert "op 'eval': no _op_evaluate handler with a literal " \
-            "check_fields allow-list in server.py, so its params go " \
-            "unchecked" in messages
+        assert sorted(messages) == [
+            "handler _op_eval is not reachable from the dispatch table",
+            "op 'eval': no _op_evaluate handler in server.py"]
+
+    def test_op_table_row_that_is_not_a_literal_tuple(self, tmp_path):
+        # The rule cannot read the row, so it says so instead of
+        # skipping the README and client param checks in silence.
+        service_repo(tmp_path, eval_row='tuple(["x", "y"])')
+        messages = [f.message
+                    for f in findings_of(tmp_path, "protocol-drift")]
+        assert messages == ["op 'eval': its OP_PARAMS row is not a "
+                            "literal tuple of param names"]
 
     def test_missing_op_table(self, tmp_path):
         service_repo(tmp_path)

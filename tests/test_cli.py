@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main, parse_edges, parse_query
 from repro.core.catalog import rst_query
 from repro.core.clauses import Clause
+from repro.service.protocol import OP_PARAMS
 
 
 class TestParseQuery:
@@ -315,3 +317,103 @@ class TestCommands:
         assert "--save" in err and "skipped" in err
         import os
         assert not os.path.exists(path)
+
+
+Q = "(R|S1)(S1|T)"
+#: Every `repro query` flag that sets a param, away from its default.
+ALL_FLAGS = ["--p", "6", "--ps", "2,3", "--grid", "5", "--float",
+             "--k", "3", "--method", "wmc", "--budget", "500",
+             "--epsilon", "1/10", "--delta", "1/100", "--seed", "7",
+             "--engine", "importance", "--relative-error", "1/2"]
+#: The params `repro query <op> Q` sent when it listed each op's params
+#: by hand: with no flags, and with ALL_FLAGS.
+QUERY_PARAMS = {
+    "compile": (
+        {"query": Q, "p": 4},
+        {"query": Q, "p": 6, "budget_nodes": 500}),
+    "evaluate": (
+        {"query": Q, "p": 4, "epsilon": "1/20", "delta": "1/20",
+         "seed": 0},
+        {"query": Q, "p": 6, "method": "wmc", "budget_nodes": 500,
+         "epsilon": "1/10", "delta": "1/100", "seed": 7,
+         "estimator": "importance", "relative_error": "1/2"}),
+    "evaluate_batch": (
+        None,  # exits: needs --ps
+        {"query": Q, "ps": [2, 3], "method": "wmc", "budget_nodes": 500,
+         "epsilon": "1/10", "delta": "1/100", "seed": 7,
+         "estimator": "importance", "relative_error": "1/2"}),
+    "sweep": (
+        {"query": Q, "p": 4, "grid": 8, "epsilon": "1/20",
+         "delta": "1/20", "seed": 0},
+        {"query": Q, "p": 6, "grid": 5, "numeric": "float",
+         "budget_nodes": 500, "epsilon": "1/10", "delta": "1/100",
+         "seed": 7, "estimator": "importance", "relative_error": "1/2"}),
+    "estimate": (
+        {"query": Q, "p": 4, "epsilon": "1/20", "delta": "1/20",
+         "seed": 0},
+        {"query": Q, "p": 6, "epsilon": "1/10", "delta": "1/100",
+         "seed": 7, "estimator": "importance", "relative_error": "1/2"}),
+    "sample": (
+        {"query": Q, "p": 4, "k": 1, "seed": 0},
+        {"query": Q, "p": 6, "k": 3, "seed": 7, "budget_nodes": 500}),
+    "top_k": (
+        {"query": Q, "p": 4, "k": 1},
+        {"query": Q, "p": 6, "k": 3, "budget_nodes": 500}),
+    "stats": ({}, {}),
+    "metrics": ({}, {}),
+    "trace": ({}, {}),
+    "ping": ({}, {}),
+}
+
+
+class TestQuerySends:
+    """`repro query` derives what it sends from the op's OP_PARAMS row;
+    it sends what it sent when it named each op's params by hand."""
+
+    @pytest.fixture()
+    def sent(self, monkeypatch):
+        calls = []
+
+        class Client:
+            def call(self, op, **params):
+                calls.append((op, params))
+                return {}
+
+            def shutdown(self):
+                calls.append(("shutdown", None))
+                return {}
+
+        monkeypatch.setattr(cli, "_call_service",
+                            lambda args, call, hint="": call(Client()))
+        return calls
+
+    @pytest.mark.parametrize("op", sorted(QUERY_PARAMS))
+    @pytest.mark.parametrize("flags", [[], ALL_FLAGS],
+                             ids=["no-flags", "all-flags"])
+    def test_params_of_each_op(self, sent, capsys, op, flags):
+        expected = QUERY_PARAMS[op][1 if flags else 0]
+        if expected is None:
+            with pytest.raises(SystemExit, match="needs --ps"):
+                main(["query", op, Q, *flags])
+            assert sent == []
+            return
+        assert main(["query", op, Q, *flags]) == 0
+        assert sent == [(op, expected)]
+        assert set(expected) <= set(OP_PARAMS[op])
+
+    def test_ops_without_a_query_ignore_it(self, sent, capsys):
+        for op in ("stats", "metrics", "trace", "ping"):
+            assert main(["query", op]) == 0
+        assert sent == [(op, {}) for op in ("stats", "metrics",
+                                            "trace", "ping")]
+
+    def test_shutdown_and_the_refusals(self, sent, capsys):
+        assert main(["query", "shutdown", *ALL_FLAGS]) == 0
+        assert sent == [("shutdown", None)]
+        with pytest.raises(SystemExit, match="repro ctl store-gc"):
+            main(["query", "store_gc"])
+        with pytest.raises(SystemExit, match="'sweep' needs a query"):
+            main(["query", "sweep", *ALL_FLAGS])
+        with pytest.raises(SystemExit, match="bad --ps"):
+            main(["query", "evaluate_batch", Q, "--ps", "a,b"])
+        assert len(sent) == 1

@@ -11,9 +11,12 @@ import time
 
 import pytest
 
+from hypothesis import given, settings
+from test_service import malformed_requests
+
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.dispatch import ReproDispatcher, _HashRing
-from repro.service.protocol import ERROR_CODES
+from repro.service.protocol import ERROR_CODES, OP_PARAMS
 from repro.service.server import ReproServer
 from repro.service.tenants import TenantQuota
 from repro.tid import wmc
@@ -183,6 +186,78 @@ class TestDispatcherParity:
         proxy = next(s for s in spans if s["name"] == "proxy")
         assert "child_trace" in proxy["tags"]
         assert isinstance(proxy["tags"]["worker"], int)
+
+
+@pytest.fixture(scope="class")
+def deployments():
+    """``repro serve`` and ``repro serve --workers 2``, untraced, each
+    answering request lines in process."""
+    server = ReproServer(port=0, tracing=False)
+    try:
+        with ReproDispatcher(port=0, workers=2, tracing=False) as disp:
+            yield server, disp
+    finally:
+        server.close()
+
+
+def answers_alike(deployments, request) -> tuple[dict, dict]:
+    """The single-process and the dispatcher's answers to
+    ``request``, asserted to be two refusals with the same code and
+    message, or two results."""
+    line = json.dumps(request)
+    single, multi = (service.handle_line(line)
+                     for service in deployments)
+    assert multi["ok"] == single["ok"], (request, single, multi)
+    if not single["ok"]:
+        assert multi["error"] == single["error"], request
+    return single, multi
+
+
+#: Ops whose answers describe the process that gives them.
+PROCESS_OPS = ("stats", "metrics", "trace", "shutdown")
+
+
+class TestBothDeploymentsAnswerAlike:
+    """The front end checks params once for both deployments, and the
+    dispatcher forwards a request verbatim (a ``null`` stays ``null``;
+    one it cannot ground goes to a worker), so every request gets the
+    same answer from ``repro serve`` and ``repro serve --workers``."""
+
+    @given(request=malformed_requests())
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    def test_malformed_requests(self, deployments, request):
+        if isinstance(request, dict) and request.get("op") in PROCESS_OPS:
+            return
+        _, multi = answers_alike(deployments, request)
+        assert multi["ok"] or multi["error"]["code"] != "internal", (
+            request, multi["error"])
+
+    @pytest.mark.parametrize("op, params", [
+        ("evaluate", {"query": QUERY, "epsilon": None}),
+        ("sweep", {"query": QUERY, "grid": None}),
+        ("sample", {"query": QUERY, "k": None}),
+        ("compile", {"query": QUERY, "budget_nodes": None}),
+        ("evaluate", {"query": "no parens", "tpyo": 1}),
+        ("evaluate_batch", {"query": QUERY, "ps": [2], "p": 3}),
+        ("evaluate", {"query": QUERY, "timeout": 1}),
+        ("sweep", {"query": QUERY, "trace": "t"}),
+        ("evaluate", {"query": "(", "method": "bogus"}),
+        ("sweep", {"query": "(", "grid": 0}),
+        ("sample", {"query": "", "k": -1}),
+        ("compile", {"query": "(", "budget_nodes": 1}),
+        # One process grounds every p before it evaluates any.
+        ("evaluate_batch", {"query": QUERY, "ps": [1, 65],
+                            "method": "lifted"}),
+    ])
+    def test_refused_alike(self, deployments, op, params):
+        single, _ = answers_alike(
+            deployments, {"v": 1, "id": 1, "op": op, "params": params})
+        assert single["error"]["code"] == "bad-request", single
+
+    def test_no_op_takes_the_client_keywords_as_params(self):
+        # ServiceClient.call takes params as keywords beside these.
+        for op, params in OP_PARAMS.items():
+            assert not {"trace", "timeout"} & set(params), op
 
 
 class TestCrashRecovery:
